@@ -8,6 +8,7 @@ form takes exact rational values through the inverse Cartan matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,20 +47,27 @@ class Weight:
         return self.coords[i - 1]
 
 
-def _invert_rational(matrix):
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
+def _eliminate(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """a^-1 b over Q, by Gauss-Jordan elimination of [a | b] without row swaps.
+
+    Without swaps the k-th pivot is the ratio of the k-th and (k-1)-th leading
+    principal minors of a, so every pivot is positive exactly when every
+    leading principal minor is.  That is the finite-type test for a Cartan
+    matrix, and it holds for the Gram matrix of any set of simple roots of a
+    finite type; a pivot that is not positive raises ValueError.
+    """
+    n = len(a)
+    m = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
+        p = m[col][col]
+        if p <= 0:
+            raise ValueError("Cartan matrix is not of finite type")
+        m[col] = [x / p for x in m[col]]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def _minimal_symmetrizers(a) -> tuple[int, ...]:
@@ -77,35 +85,28 @@ def _minimal_symmetrizers(a) -> tuple[int, ...]:
                     # d_i a_ij = d_j a_ji
                     d[j] = d[i] * Fraction(a[i][j], a[j][i])
                     stack.append(j)
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // _gcd(lcm_den, x.denominator)
+    lcm_den = math.lcm(*(x.denominator for x in d))
     ints = [int(x * lcm_den) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class CartanDatum:
     """A finite-type symmetrizable Cartan matrix with minimal symmetrizers."""
 
-    def __init__(self, cartan, cap: int = coxeter.DEFAULT_CAP):
+    def __init__(self, cartan):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         self.n = len(self.cartan)
         self._validate()
+        eye = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        # finite type: all leading principal minors positive, checked on the way
+        self.cartan_inverse = _eliminate(self.cartan, eye)
         self.d = _minimal_symmetrizers(self.cartan)
-        self.cartan_inverse = _invert_rational(self.cartan)
-        self.coxeter = CoxeterDatum(self.cartan, cap=cap)
+        self.coxeter = CoxeterDatum(self.cartan)
         self.indices = tuple(range(1, self.n + 1))
 
     def _validate(self):
+        """The sign and zero pattern of a generalized Cartan matrix."""
         a = self.cartan
         n = self.n
         for i in range(n):
@@ -116,15 +117,10 @@ class CartanDatum:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if i != j and (a[i][j] == 0) != (a[j][i] == 0):
                     raise ValueError("zero pattern must be symmetric")
-        # finite type: all leading principal minors positive
-        m = [[Fraction(x) for x in row] for row in a]
-        for k in range(1, n + 1):
-            if _det([row[:k] for row in m[:k]]) <= 0:
-                raise ValueError("Cartan matrix is not of finite type")
 
     @staticmethod
-    def from_type(name: str, cap: int = coxeter.DEFAULT_CAP) -> "CartanDatum":
-        return CartanDatum(cartan_matrix_of_type(name), cap=cap)
+    def from_type(name: str) -> "CartanDatum":
+        return CartanDatum(cartan_matrix_of_type(name))
 
     # -- weights -------------------------------------------------------------
 
@@ -145,37 +141,6 @@ class CartanDatum:
         if c == 0:
             return lam
         return lam - self.simple_root(i).scale(c)
-
-    def root_coords(self, lam: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of lam in the simple-root basis (rational in general)."""
-        inv = self.cartan_inverse
-        return tuple(
-            sum(inv[j][i] * lam.coords[i] for i in range(self.n)) for j in range(self.n)
-        )
-
-
-def _det(m):
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return sign * det
-
-
-def pairing(d: CartanDatum, lam: Weight, i: int) -> int:
-    """lam(alpha_i^vee), a coordinate read-off."""
-    return lam[i]
 
 
 def form(d: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
@@ -214,26 +179,12 @@ def rho_functionals(d: CartanDatum, J, mu: Weight) -> tuple[Fraction, Fraction]:
     value_form = form(d, mu, rj)
     if not J:
         return Fraction(0), Fraction(0)
-    # solve sum_j c_j (alpha_j, alpha_i) = (mu, alpha_i) for i in J
-    gram = [[Fraction(form(d, d.simple_root(a), d.simple_root(b))) for b in J] for a in J]
-    rhs = [Fraction(form_with_root(d, mu, i)) for i in J]
-    coeffs = _solve_rational(gram, rhs)
-    return value_form, sum(coeffs, Fraction(0))
-
-
-def _solve_rational(a, b):
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    # solve sum_j c_j (alpha_j, alpha_i) = (mu, alpha_i) for i in J; the Gram
+    # matrix is positive definite, so elimination needs no row swaps
+    gram = [[form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
+    rhs = [[form_with_root(d, mu, i)] for i in J]
+    coeffs = _eliminate(gram, rhs)
+    return value_form, sum((c for (c,) in coeffs), Fraction(0))
 
 
 def extremal_exponents(d: CartanDatum, word, lam: Weight) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 Every command assembles a JSON report with one record per check; the process
 exits nonzero iff any check failed.  Reports are deterministic up to the
-timing fields for a fixed seed and configuration.
+timing fields for a fixed seed and configuration.  Bad arguments are rejected
+while parsing, with a one-line message and exit code 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import coxeter, crystal, gkmodel, repmodule, suites
 
@@ -47,14 +47,7 @@ def _emit(report: dict, out: str | None) -> int:
 
 def cmd_verify_conjecture(max_degree: int, jobs: int, out: str | None) -> int:
     started = time.perf_counter()
-    lams = [(l1, total - l1) for total in range(max_degree + 1) for l1 in range(total + 1)]
-    lams.sort()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(suites.conjecture_task, lams))
-    else:
-        results = [suites.conjecture_task(lam) for lam in lams]
-    results.sort(key=lambda r: tuple(r["lambda"]))
+    results = suites.sweep(sorted(suites.lambdas(max_degree)), jobs)
     checks = []
     for r in results:
         for c in r["checks"]:
@@ -73,13 +66,9 @@ def cmd_verify_conjecture(max_degree: int, jobs: int, out: str | None) -> int:
     return _emit(report, out)
 
 
-def cmd_coxeter_kernel(type_name: str, subset: str, out: str | None) -> int:
+def cmd_coxeter_kernel(d: coxeter.CoxeterDatum, J: frozenset, out: str | None) -> int:
     started = time.perf_counter()
-    d = coxeter.CoxeterDatum.from_type(type_name)
-    J = coxeter.parse_subset(subset)
-    bad = [j for j in J if j not in d.indices]
-    if bad:
-        raise SystemExit(f"subset indices {bad} out of range for {type_name}")
+    type_name = d.type_name
     formula = coxeter.kernel_parabolic(d, J, "formula")
     brute = coxeter.kernel_parabolic(d, J, "bruteforce")
     agree = formula == brute
@@ -102,41 +91,31 @@ def cmd_coxeter_kernel(type_name: str, subset: str, out: str | None) -> int:
                          checks, started), out)
 
 
-def cmd_crystal_apply(pattern: str, ops: str) -> int:
-    m = crystal.Pattern.parse(pattern)
-    result = crystal.apply_ops(m, ops)
-    print(str(result))
+def cmd_crystal_apply(m: crystal.Pattern, ops: str) -> int:
+    print(str(crystal.apply_ops(m, ops)))
     return 0
 
 
 def cmd_module_verify(l1: int, l2: int, suite: str, out: str | None) -> int:
     started = time.perf_counter()
+    mod = repmodule.ModuleVLambda(l1, l2)
     checks: list[dict] = []
     if suite in ("relations", "all"):
-        mod = repmodule.ModuleVLambda(l1, l2)
-        for rec in repmodule.quantum_relations_check(mod):
-            rec.setdefault("seconds", 0.0)
-            checks.append(rec)
+        checks += suites.relations_checks(mod)
     if suite in ("sigma", "all"):
-        for rec in suites.sigma_suite_single(l1, l2):
-            checks.append(rec)
+        checks += suites.sigma_checks([mod], f"({l1},{l2})")
     if suite in ("conjecture", "all"):
-        checks.extend(suites.conjecture_task((l1, l2))["checks"])
+        checks += suites.conjecture_checks(mod)
     report = _report("module verify", {"lambda": [l1, l2], "suite": suite}, checks, started)
     report["lambda"] = [l1, l2]
-    report["dim"] = repmodule.ModuleVLambda(l1, l2).dim
-    report["timings"] = {c["name"]: c.get("seconds", 0.0) for c in checks}
+    report["dim"] = mod.dim
+    report["timings"] = {c["name"]: c["seconds"] for c in checks}
     return _emit(report, out)
 
 
-def cmd_module_export(l1: int, l2: int, which: str, out: str) -> int:
+def cmd_module_export(l1: int, l2: int, tags: list[str], out: str) -> int:
     mod = repmodule.ModuleVLambda(l1, l2)
-    tags = [t.strip() for t in which.split(",") if t.strip()]
-    matrices = {}
-    for tag in tags:
-        if tag not in ("C1", "C2", "P1", "P2", "N1", "N2"):
-            raise SystemExit(f"unknown matrix tag {tag!r}")
-        matrices[tag] = mod.matrix(tag).to_json()
+    matrices = {tag: mod.matrix(tag).to_json() for tag in tags}
     payload = {
         "tool": TOOL_VERSION,
         "lambda": [l1, l2],
@@ -151,9 +130,8 @@ def cmd_module_export(l1: int, l2: int, which: str, out: str) -> int:
     return 0
 
 
-def cmd_gk_normalform(expr: str) -> int:
-    element = gkmodel.parse_expr(expr)
-    print(json.dumps(element.to_json(), indent=2))
+def cmd_gk_normalform(element) -> int:
+    print(json.dumps(gkmodel.to_json(element), indent=2))
     return 0
 
 
@@ -161,6 +139,39 @@ def cmd_suite(name: str, seed: int, out: str | None) -> int:
     started = time.perf_counter()
     checks = suites.run_suite(name, seed)
     return _emit(_report("suite", {"name": name, "seed": seed}, checks, started), out)
+
+
+def _arg(parse):
+    """An argparse type from a parser that raises ValueError on bad input, so
+    that its message becomes the usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {value}")
+    return value
+
+
+def _matrix_tags(text: str) -> list[str]:
+    tags = [t.strip() for t in text.split(",") if t.strip()]
+    bad = [t for t in tags if t not in repmodule.MATRIX_TAGS]
+    if bad:
+        raise ValueError(f"unknown matrix tags {bad}; expected some of {repmodule.MATRIX_TAGS}")
+    return tags
+
+
+def _ops(text: str) -> str:
+    crystal.parse_ops(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,41 +182,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-conjecture", help="sweep the composed-involution identity")
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_arg(_natural), default=8)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("coxeter", help="Coxeter group utilities")
     sc = p.add_subparsers(dest="sub", required=True)
     k = sc.add_parser("kernel", help="kernel of the action on a coset space")
-    k.add_argument("--type", required=True, dest="type_name")
-    k.add_argument("--subset", default="")
+    k.add_argument("--type", required=True, dest="datum", metavar="TYPE",
+                   type=_arg(coxeter.CoxeterDatum.from_type))
+    k.add_argument("--subset", default="", type=_arg(coxeter.parse_subset))
     k.add_argument("--out", default=None)
 
     p = sub.add_parser("crystal", help="pattern combinatorics")
     sc = p.add_subparsers(dest="sub", required=True)
     a = sc.add_parser("apply", help="apply operators to a pattern, right to left")
-    a.add_argument("--pattern", required=True)
-    a.add_argument("--ops", required=True)
+    a.add_argument("--pattern", required=True, type=_arg(crystal.Pattern.parse))
+    a.add_argument("--ops", required=True, type=_arg(_ops))
 
     p = sub.add_parser("module", help="symbolic module verification and export")
     sc = p.add_subparsers(dest="sub", required=True)
     v = sc.add_parser("verify")
-    v.add_argument("--l1", type=int, required=True)
-    v.add_argument("--l2", type=int, required=True)
+    v.add_argument("--l1", type=_arg(_natural), required=True)
+    v.add_argument("--l2", type=_arg(_natural), required=True)
     v.add_argument("--suite", choices=("relations", "sigma", "conjecture", "all"),
                    default="all")
     v.add_argument("--out", default=None)
     e = sc.add_parser("export")
-    e.add_argument("--l1", type=int, required=True)
-    e.add_argument("--l2", type=int, required=True)
-    e.add_argument("--which", default="C1,C2,P1,P2,N1,N2")
+    e.add_argument("--l1", type=_arg(_natural), required=True)
+    e.add_argument("--l2", type=_arg(_natural), required=True)
+    e.add_argument("--which", default=",".join(repmodule.MATRIX_TAGS), type=_arg(_matrix_tags))
     e.add_argument("--out", required=True)
 
     p = sub.add_parser("gk", help="model-algebra utilities")
     sc = p.add_subparsers(dest="sub", required=True)
     n = sc.add_parser("normalform", help="straighten an expression")
-    n.add_argument("--expr", required=True)
+    n.add_argument("--expr", required=True, type=_arg(gkmodel.parse_expr))
 
     p = sub.add_parser("suite", help="run a named property suite")
     p.add_argument("--name", required=True,
@@ -216,11 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "verify-conjecture":
         return cmd_verify_conjecture(args.max_degree, args.jobs, args.out)
     if args.command == "coxeter":
-        return cmd_coxeter_kernel(args.type_name, args.subset, args.out)
+        bad = sorted(j for j in args.subset if j not in args.datum.indices)
+        if bad:
+            parser.error(f"subset indices {bad} out of range for {args.datum.type_name}")
+        return cmd_coxeter_kernel(args.datum, args.subset, args.out)
     if args.command == "crystal":
         return cmd_crystal_apply(args.pattern, args.ops)
     if args.command == "module":

@@ -109,7 +109,7 @@ class CoxeterDatum:
     """A finite Coxeter group presented by orders m_ij, realized on the root
     lattice of a crystallographic Cartan matrix."""
 
-    def __init__(self, cartan, cap: int = DEFAULT_CAP):
+    def __init__(self, cartan):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         n = len(self.cartan)
         if any(len(row) != n for row in self.cartan):
@@ -117,7 +117,6 @@ class CoxeterDatum:
         self.n = n
         self.indices = tuple(range(1, n + 1))
         self.m = _orders_from_cartan(self.cartan)
-        self.cap = cap
         eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         self.identity = GroupElement(eye, self)
         self.generators = {}
@@ -131,8 +130,8 @@ class CoxeterDatum:
         self._elements = None
 
     @staticmethod
-    def from_type(name: str, cap: int = DEFAULT_CAP) -> "CoxeterDatum":
-        d = CoxeterDatum(cartan_matrix_of_type(name), cap)
+    def from_type(name: str) -> "CoxeterDatum":
+        d = CoxeterDatum(cartan_matrix_of_type(name))
         d.type_name = name
         return d
 
@@ -147,7 +146,7 @@ class CoxeterDatum:
                 if img not in seen:
                     seen.add(img)
                     queue.append(img)
-            if len(seen) > 2 * self.cap:
+            if len(seen) > 2 * DEFAULT_CAP:
                 raise ValueError("root system exceeds the enumeration cap; group not finite?")
         return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
 
@@ -173,8 +172,8 @@ class CoxeterDatum:
                     if u.matrix not in seen:
                         seen[u.matrix] = u
                         nxt.append(u)
-            if len(seen) > self.cap:
-                raise ValueError(f"enumeration cap {self.cap} exceeded")
+            if len(seen) > DEFAULT_CAP:
+                raise ValueError(f"enumeration cap {DEFAULT_CAP} exceeded")
             frontier = nxt
         return tuple(seen.values())
 

@@ -12,6 +12,7 @@ act on the ambient set and preserve the component indices
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +75,6 @@ def shift(m: Pattern, i: int, t: int) -> Pattern:
     v = STRING_SHIFT[i]
     e = m.entries()
     return Pattern(*(e[k] + t * v[k] for k in range(6)))
-
-
-def _other(i: int) -> int:
-    return 3 - i
 
 
 def wt(i: int, m: Pattern) -> int:
@@ -166,20 +163,30 @@ def enumerate_component(l1: int, l2: int) -> list[Pattern]:
     return out
 
 
-def apply_ops(m: Pattern, ops: str) -> Pattern:
-    """Apply a comma-separated operator list right to left.
+def parse_ops(text: str) -> list:
+    """The operators of a comma-separated list, in the order they apply:
+    right to left.
 
-    Tokens: "sigma", "sigma1", "sigma2", "e1^r", "e2^r" (r any integer).
+    Tokens: "sigma", "sigma1", "sigma2", "e1^r", "e2^r" (r any integer),
+    "e1", "e2".  Raises ValueError on any other token.
     """
-    for token in reversed([t.strip() for t in ops.split(",") if t.strip()]):
+    ops = []
+    for token in reversed([t.strip() for t in text.split(",") if t.strip()]):
         if token == "sigma":
-            m = sigma_outer(m)
+            ops.append(sigma_outer)
         elif token in ("sigma1", "sigma2"):
-            m = sigma_i(int(token[-1]), m)
+            ops.append(partial(sigma_i, int(token[-1])))
         elif token.startswith(("e1^", "e2^")):
-            m = e_pow(int(token[1]), int(token[3:]), m)
+            ops.append(partial(e_pow, int(token[1]), int(token[3:])))
         elif token in ("e1", "e2"):
-            m = e_pow(int(token[1]), 1, m)
+            ops.append(partial(e_pow, int(token[1]), 1))
         else:
             raise ValueError(f"unknown operator token {token!r}")
+    return ops
+
+
+def apply_ops(m: Pattern, ops: str) -> Pattern:
+    """Apply a comma-separated operator list right to left; see parse_ops."""
+    for op in parse_ops(ops):
+        m = op(m)
     return m

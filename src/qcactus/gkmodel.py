@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import repmodule
 from .crystal import Pattern
+from .repmodule import ModuleVector
 from .qarith import RatFunc, q_factorial
 
 Z1, Z2, Z12, Z21, V1, V2 = range(6)
@@ -105,70 +106,30 @@ class GKMonomial:
         )
 
 
-class GKElement:
-    """A finite combination of normal-ordered monomials with RatFunc coefficients."""
+def one() -> ModuleVector:
+    """The unit of the model algebra."""
+    return ModuleVector({GKMonomial(0, 0, 0, 0, 0, 0): RatFunc.one()})
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[GKMonomial, RatFunc] | None = None):
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
+def generator(g: int) -> ModuleVector:
+    ent = [0] * 6
+    ent[g] = 1
+    return ModuleVector({GKMonomial(*ent): RatFunc.one()})
 
-    @staticmethod
-    def zero() -> "GKElement":
-        return GKElement()
 
-    @staticmethod
-    def one() -> "GKElement":
-        return GKElement({GKMonomial(0, 0, 0, 0, 0, 0): RatFunc.one()})
+def weight(x: ModuleVector) -> tuple[int, int]:
+    """Common weight of a homogeneous element; raises if mixed."""
+    weights = {m.weight() for m in x.coeffs}
+    if len(weights) != 1:
+        raise ValueError("element is not weight-homogeneous")
+    return weights.pop()
 
-    @staticmethod
-    def generator(g: int) -> "GKElement":
-        ent = [0] * 6
-        ent[g] = 1
-        return GKElement({GKMonomial(*ent): RatFunc.one()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "GKElement") -> "GKElement":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return GKElement(out)
-
-    def __sub__(self, other: "GKElement") -> "GKElement":
-        return self + other.scale(RatFunc.scalar(-1))
-
-    def scale(self, factor: RatFunc) -> "GKElement":
-        return GKElement({m: c * factor for m, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, GKElement) and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"({c})*{m}" for m, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].entries())
-        )
-
-    def weight(self) -> tuple[int, int]:
-        """Common weight of a homogeneous element; raises if mixed."""
-        weights = {m.weight() for m in self.coeffs}
-        if len(weights) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return weights.pop()
-
-    def to_json(self) -> list:
-        return [
-            {"monomial": list(m.entries()), "coeff": c.to_json()}
-            for m, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].entries())
-        ]
+def to_json(x: ModuleVector) -> list:
+    return [
+        {"monomial": list(m.entries()), "coeff": c.to_json()}
+        for m, c in sorted(x.coeffs.items(), key=lambda kv: kv[0].entries())
+    ]
 
 
 def _monomial_of_word(word: tuple[int, ...]) -> GKMonomial:
@@ -182,7 +143,7 @@ def normal_form(
     words: dict[tuple[int, ...], RatFunc] | list[tuple[RatFunc, tuple[int, ...]]],
     strategy: str = "leftmost",
     fuel: int = DEFAULT_FUEL,
-) -> GKElement:
+) -> ModuleVector:
     """Rewrite a combination of words into normal-ordered monomials.
 
     `strategy` picks which reducible adjacent pair fires first ("leftmost" or
@@ -224,15 +185,15 @@ def normal_form(
         head, tail = word[:p], word[p + 2:]
         for rc, repl in rule:
             work.append((coeff * rc, head + repl + tail))
-    return GKElement(done)
+    return ModuleVector(done)
 
 
-def multiply(a: GKElement, b: GKElement, strategy: str = "leftmost") -> GKElement:
+def multiply(a: ModuleVector, b: ModuleVector) -> ModuleVector:
     """Concatenate monomial words and straighten."""
-    out = GKElement.zero()
+    out = ModuleVector()
     for ma, ca in a.coeffs.items():
         for mb, cb in b.coeffs.items():
-            out = out + normal_form([(ca * cb, ma.word() + mb.word())], strategy)
+            out = out + normal_form([(ca * cb, ma.word() + mb.word())])
     return out
 
 
@@ -259,14 +220,14 @@ _F_TABLE = {
 }
 
 
-def act_gen(k: int, kind: str, x: GKElement) -> GKElement:
+def act_gen(k: int, kind: str, x: ModuleVector) -> ModuleVector:
     """E_k or F_k as a half-weight-twisted derivation."""
     if k not in (1, 2):
         raise ValueError(f"index must be 1 or 2, got {k}")
     table = _E_TABLE if kind == "E" else _F_TABLE if kind == "F" else None
     if table is None:
         raise ValueError(f"kind must be 'E' or 'F', got {kind!r}")
-    out = GKElement.zero()
+    out = ModuleVector()
     for mono, coeff in x.coeffs.items():
         word = mono.word()
         pre = 0  # (alpha_k, weight of the prefix)
@@ -283,7 +244,7 @@ def act_gen(k: int, kind: str, x: GKElement) -> GKElement:
     return out
 
 
-def act_divided(k: int, kind: str, r: int, x: GKElement) -> GKElement:
+def act_divided(k: int, kind: str, r: int, x: ModuleVector) -> ModuleVector:
     """Divided power: r-fold action divided by the q_k-factorial."""
     if r < 0:
         raise ValueError("divided-power exponent must be nonnegative")
@@ -294,43 +255,34 @@ def act_divided(k: int, kind: str, r: int, x: GKElement) -> GKElement:
     return x
 
 
-def k_scale(k: int, n: int, x: GKElement) -> GKElement:
-    """Scale each monomial by v^(n * (alpha_k, weight)): the K_{(n/2)alpha_k} action."""
-    out = {}
-    for mono, coeff in x.coeffs.items():
-        exp = n * _alpha_pair(k, mono.weight())
-        out[mono] = coeff * RatFunc.monomial(exp) if exp else coeff
-    return GKElement(out)
-
-
 # -- distinguished basis and the anti-involution ------------------------------------
 
 
-def b_monomial(m: Pattern) -> GKElement:
+def b_monomial(m: Pattern) -> ModuleVector:
     """The scalar-normalized basis monomial for a crystal pattern; zero off
     the crystal."""
     if not m.in_crystal:
-        return GKElement.zero()
+        return ModuleVector()
     exp = (
         m.m1 * (m.m21 - m.m01)
         + m.m2 * (m.m12 - m.m02)
         - (m.m12 + m.m21) * (m.m01 + m.m02)
     )
     mono = GKMonomial(*m.entries())
-    return GKElement({mono: RatFunc.monomial(exp)})
+    return ModuleVector({mono: RatFunc.monomial(exp)})
 
 
 _TWIST = {V1: Z21, V2: Z12, Z1: Z1, Z2: Z2, Z12: V2, Z21: V1}
 
 
-def sigma_hat(x: GKElement, strategy: str = "leftmost") -> GKElement:
+def sigma_hat(x: ModuleVector) -> ModuleVector:
     """The anti-involution: reverse each word and map generators through
     v_i -> z_{ji}, z_i -> z_i, z_{ij} -> v_j."""
     words = []
     for mono, coeff in x.coeffs.items():
         twisted = tuple(_TWIST[g] for g in reversed(mono.word()))
         words.append((coeff, twisted))
-    return normal_form(words, strategy)
+    return normal_form(words)
 
 
 def embed_module(l1: int, l2: int, rmax: int = 2) -> list[dict]:
@@ -345,7 +297,7 @@ def embed_module(l1: int, l2: int, rmax: int = 2) -> list[dict]:
                 for r in range(1, rmax + 1):
                     gk = act_divided(i, kind, r, b_monomial(m))
                     sym = repmodule.act_divided(i, kind, r, mod.basis_vector(m))
-                    expected = GKElement.zero()
+                    expected = ModuleVector()
                     for target, coeff in sym.coeffs.items():
                         expected = expected + b_monomial(target).scale(coeff)
                     if gk != expected:
@@ -373,7 +325,7 @@ _TOKEN = re.compile(
 )
 
 
-def parse_expr(text: str) -> GKElement:
+def parse_expr(text: str) -> ModuleVector:
     """Parse a product of generators with integer powers and q^{k/2} scalars."""
     tokens = []
     pos = 0

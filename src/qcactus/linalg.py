@@ -6,12 +6,13 @@ its nonzero pattern and runs a fraction-free elimination inside each block:
 all intermediate entries are Laurent polynomials, with a single division by
 the final pivot at the end.  Pivots are chosen by lowest exponent span.
 
-Row-reduction utilities (`rref`, `nullspace`, `solve`) work directly over
+Row-reduction utilities (`rref`, `rank`, `nullspace`) work directly over
 RatFunc; they only ever see small weight-block systems.
 """
 
 from __future__ import annotations
 
+from . import qarith
 from .qarith import LaurentPoly, ONE, RatFunc
 
 Matrix = list[list[RatFunc]]
@@ -105,7 +106,7 @@ def _invert_block(a: Matrix) -> Matrix:
         den = ONE
         for x in a[i]:
             if not x.den.is_one():
-                den = den * x.den.divexact(_lpoly_gcd(den, x.den))
+                den = den * x.den.divexact(qarith.poly_gcd(den, x.den))
         row = [x.num * den.divexact(x.den) if not x.is_zero() else x.num for x in a[i]]
         aug = [den if j == i else LaurentPoly() for j in range(n)]
         rows.append(row + aug)
@@ -139,12 +140,6 @@ def _invert_block(a: Matrix) -> Matrix:
     det = rows[n - 1][n - 1]
     inv_det = RatFunc(ONE, det)
     return [[RatFunc(rows[i][n + j], ONE) * inv_det for j in range(n)] for i in range(n)]
-
-
-def _lpoly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    from .qarith import poly_gcd
-
-    return poly_gcd(a, b)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -196,13 +191,3 @@ def nullspace(a: Matrix) -> list[list[RatFunc]]:
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
-
-
-def solve(a: Matrix, b: list[RatFunc]) -> list[RatFunc]:
-    """Solve A x = b for square invertible A via row reduction."""
-    n = len(a)
-    aug = [a[i][:] + [b[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("system is singular or inconsistent")
-    return [red[i][n] for i in range(n)]

@@ -86,9 +86,6 @@ class LaurentPoly:
             return -1
         return max(self._c) - min(self._c)
 
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -156,18 +153,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a LaurentPoly; use RatFunc")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
         if k == 0 or not self._c:
@@ -194,13 +179,6 @@ class LaurentPoly:
         total = Fraction(0)
         for k, a in self._c.items():
             total += a * x**k
-        return total
-
-    def substitute(self, value: "RatFunc") -> "RatFunc":
-        """Substitute v -> value, a nonzero rational function."""
-        total = RatFunc.zero()
-        for k, a in self._c.items():
-            total = total + value**k * RatFunc.scalar(a)
         return total
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -257,7 +235,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
 
 
 # -- polynomial division and gcd ---------------------------------------------
@@ -418,9 +395,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_poly(self) -> bool:
-        return self.den.is_one()
-
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
@@ -487,18 +461,6 @@ class RatFunc:
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate(self, x: Fraction) -> Fraction:
@@ -515,14 +477,6 @@ class RatFunc:
         if self.num.is_zero():
             raise ValueError("order at zero of the zero function is undefined")
         return self.num.valuation
-
-    def value_at_zero(self) -> Fraction:
-        """Value at v = 0; raises if there is a pole."""
-        if self.num.is_zero():
-            return Fraction(0)
-        if self.num.valuation < 0:
-            raise ZeroDivisionError("pole at v = 0")
-        return Fraction(self.num.coefficient(0)) / Fraction(self.den.coefficient(0))
 
     # -- comparisons ------------------------------------------------------------------
 
@@ -636,54 +590,47 @@ class StringTriple:
         return 0 <= self.k <= self.l and self.k - self.l <= self.s <= self.k
 
 
-def _eval_factorial_ratio(parts_num, parts_den, at: LaurentPoly) -> RatFunc:
+def _factorial_ratio(parts_num, parts_den) -> RatFunc:
     num = ONE
     for n in parts_num:
         num = num * q_factorial(n)
     den = ONE
     for n in parts_den:
         den = den * q_factorial(n)
-    if at.is_monomial() and at.coefficient(at.degree) == 1:
-        c = at.degree
-        if c == 0:
-            raise ValueError("evaluation point must differ from 1")
-        return RatFunc(num.compose_monomial(c), den.compose_monomial(c))
-    value = RatFunc.of_poly(at)
-    return num.substitute(value) / den.substitute(value)
+    return RatFunc(num, den)
 
 
 @lru_cache(maxsize=None)
-def kash_coeff(kind: str, t: StringTriple, at: LaurentPoly = V) -> RatFunc:
-    """String-shift coefficient of the given kind ("low" or "up") evaluated
-    at z = at; zero outside the domain."""
+def kash_coeff(kind: str, t: StringTriple) -> RatFunc:
+    """String-shift coefficient of the given kind ("low" or "up"); zero
+    outside the domain."""
     if not t.in_domain:
         return RatFunc.zero()
     if kind == "low":
-        return _eval_factorial_ratio([t.k], [t.k - t.s], at)
+        return _factorial_ratio([t.k], [t.k - t.s])
     if kind == "up":
-        return _eval_factorial_ratio([t.l - t.k + t.s], [t.l - t.k], at)
+        return _factorial_ratio([t.l - t.k + t.s], [t.l - t.k])
     raise ValueError(f"unknown coefficient kind: {kind!r}")
 
 
 @lru_cache(maxsize=None)
-def kash_coeff_underline(kind: str, t: StringTriple, at: LaurentPoly = V) -> RatFunc:
+def kash_coeff_underline(kind: str, t: StringTriple) -> RatFunc:
     """Divided-power normalization of kash_coeff; identically 1 for "low"."""
     if not t.in_domain:
         return RatFunc.zero()
     if kind == "low":
         return RatFunc.one()
     if kind == "up":
-        return _eval_factorial_ratio(
-            [t.l - t.k + t.s, t.k - t.s], [t.l - t.k, t.k], at
-        )
+        return _factorial_ratio([t.l - t.k + t.s, t.k - t.s], [t.l - t.k, t.k])
     raise ValueError(f"unknown coefficient kind: {kind!r}")
 
 
-def cg_coeff(r: int, t: int, c: int, d: int, at: LaurentPoly | None = None) -> LaurentPoly:
-    """Correction coefficient C^(r)_t(c, d) of the divided-power action.
+def cg_coeff(r: int, t: int, c: int, d: int) -> LaurentPoly:
+    """Correction coefficient C^(r)_t(c, d) of the divided-power action, with
+    q = v^2.
 
     The two branches split on d - c >= r; the zero conventions of q_binomial
-    do the rest.  `at` substitutes the q-variable (default q = v^2).
+    do the rest.
     """
     if r < 1 or t < 1 or t > r:
         raise ValueError(f"need r >= 1 and 1 <= t <= r, got r={r}, t={t}")
@@ -691,8 +638,4 @@ def cg_coeff(r: int, t: int, c: int, d: int, at: LaurentPoly | None = None) -> L
         p = q_binomial(c, t) * q_binomial(d - t, r - t)
     else:
         p = q_binomial(d - c, t) * q_binomial(d - t, r)
-    if at is None:
-        return p.compose_monomial(2)
-    if not (at.is_monomial() and at.coefficient(at.degree) == 1 and at.degree != 0):
-        raise ValueError("substitution point must be a nontrivial power of v")
-    return p.compose_monomial(at.degree)
+    return p.compose_monomial(2)

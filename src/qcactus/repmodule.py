@@ -15,7 +15,7 @@ scalars are explicit powers of v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cartan, coxeter, crystal, linalg
 from .cartan import Weight
@@ -27,15 +27,19 @@ def _qpoly(p: LaurentPoly) -> RatFunc:
     return RatFunc.of_poly(p.compose_monomial(2))
 
 
-@dataclass
 class ModuleVector:
-    """A finite combination of basis patterns with RatFunc coefficients."""
+    """A finite combination of basis keys with RatFunc coefficients.
 
-    module: "ModuleVLambda"
-    coeffs: dict[Pattern, RatFunc] = field(default_factory=dict)
+    The keys are the patterns of `module` for a vector of a ModuleVLambda, and
+    normal-ordered monomials (with no module) for an element of the model
+    algebra.  Zero coefficients are never stored.
+    """
 
-    def __post_init__(self):
-        self.coeffs = {m: c for m, c in self.coeffs.items() if not c.is_zero()}
+    __slots__ = ("coeffs", "module")
+
+    def __init__(self, coeffs: dict | None = None, module: "ModuleVLambda | None" = None):
+        self.coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
+        self.module = module
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -49,15 +53,15 @@ class ModuleVector:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return ModuleVector(self.module, out)
+        return ModuleVector(out, self.module)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(_MINUS_ONE)
 
     def scale(self, factor: RatFunc) -> "ModuleVector":
         if factor.is_zero():
-            return ModuleVector(self.module, {})
-        return ModuleVector(self.module, {m: c * factor for m, c in self.coeffs.items()})
+            return ModuleVector({}, self.module)
+        return ModuleVector({m: c * factor for m, c in self.coeffs.items()}, self.module)
 
     def coefficient(self, m: Pattern) -> RatFunc:
         return self.coeffs.get(m, RatFunc.zero())
@@ -68,8 +72,9 @@ class ModuleVector:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(f"({c})*b[{m}]" for m, c in sorted(
-            self.coeffs.items(), key=lambda kv: kv[0].entries()))
+        return " + ".join(
+            f"({c})*{m}" for m, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].entries())
+        )
 
 
 _MINUS_ONE = RatFunc.scalar(-1)
@@ -98,10 +103,13 @@ class OperatorMatrix:
                 s = out.get(i)
                 s = entry * c if s is None else s + entry * c
                 out[i] = s
-        return ModuleVector(mod, {mod.basis[i]: c for i, c in out.items()})
+        return ModuleVector({mod.basis[i]: c for i, c in out.items()}, mod)
 
     def to_json(self) -> list:
         return [[entry.to_json() for entry in row] for row in self.rows]
+
+
+MATRIX_TAGS = ("C1", "C2", "P1", "P2", "N1", "N2")
 
 
 class ModuleVLambda:
@@ -126,12 +134,12 @@ class ModuleVLambda:
         self._matrices: dict[str, OperatorMatrix] = {}
 
     def zero(self) -> ModuleVector:
-        return ModuleVector(self, {})
+        return ModuleVector({}, self)
 
     def basis_vector(self, m: Pattern) -> ModuleVector:
         if m not in self.index:
             raise ValueError(f"pattern {m} is not in the ({self.l1},{self.l2}) component")
-        return ModuleVector(self, {m: RatFunc.one()})
+        return ModuleVector({m: RatFunc.one()}, self)
 
     def highest_vector(self) -> ModuleVector:
         return self.basis_vector(self.highest_pattern)
@@ -142,16 +150,17 @@ class ModuleVLambda:
     # -- operator matrices ----------------------------------------------------
 
     def matrix(self, tag: str) -> OperatorMatrix:
+        """The operator matrix named by one of MATRIX_TAGS, built once."""
         if tag not in self._matrices:
+            if tag not in MATRIX_TAGS:
+                raise ValueError(f"unknown matrix tag {tag!r}; expected one of {MATRIX_TAGS}")
             kind, i = tag[0], int(tag[1])
             if kind == "C":
                 self._matrices[tag] = matrix_C(i, self)
             elif kind == "P":
                 self._matrices[tag] = matrix_P(i, self)
-            elif kind == "N":
-                self._matrices[tag] = matrix_N(i, self)
             else:
-                raise ValueError(f"unknown matrix tag {tag!r}")
+                self._matrices[tag] = matrix_N(i, self)
         return self._matrices[tag]
 
     def strings(self, i: int) -> "_StringDecomposition":
@@ -206,7 +215,7 @@ def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
             val = RatFunc.of_poly(corr)
             terms[target] = val if prev is None else prev + val
         for target, coeff in terms.items():
-            contrib = ModuleVector(mod, {target: coeff * c})
+            contrib = ModuleVector({target: coeff * c}, mod)
             out = out + contrib
     return out
 
@@ -221,90 +230,12 @@ def k_scale(i: int, n: int, vec: ModuleVector) -> ModuleVector:
     for m, c in vec.coeffs.items():
         exp = n * crystal.wt(i, m)
         out[m] = c * RatFunc.monomial(exp) if exp else c
-    return ModuleVector(mod, out)
+    return ModuleVector(out, mod)
 
 
-def cartan_scalar(mod: ModuleVLambda, i: int, m: Pattern) -> RatFunc:
+def cartan_scalar(i: int, m: Pattern) -> RatFunc:
     """Action of (K_{alpha_i} - K_{-alpha_i})/(q_i - q_i^{-1}) on the pattern line."""
     return _qpoly(q_int(crystal.wt(i, m)))
-
-
-# -- quantum relation checks ------------------------------------------------------
-
-
-def quantum_relations_check(mod: ModuleVLambda) -> list[dict]:
-    """Verify the commutator, both Serre relations, and divided-power
-    composition on every basis vector; returns one record per relation."""
-    checks = []
-
-    def run(name, anchor, fn):
-        witness = fn()
-        checks.append(
-            {
-                "name": name,
-                "anchor": anchor,
-                "status": "pass" if witness is None else "fail",
-                **({"witness": witness} if witness else {}),
-            }
-        )
-
-    def commutator():
-        for m in mod.basis:
-            b = mod.basis_vector(m)
-            for i in (1, 2):
-                for j in (1, 2):
-                    lhs = act_divided(i, "E", 1, act_divided(j, "F", 1, b)) - act_divided(
-                        j, "F", 1, act_divided(i, "E", 1, b)
-                    )
-                    rhs = b.scale(cartan_scalar(mod, i, m)) if i == j else mod.zero()
-                    if lhs != rhs:
-                        return {"relation": "[E_i,F_j]", "i": i, "j": j, "pattern": str(m)}
-        return None
-
-    def serre():
-        for m in mod.basis:
-            b = mod.basis_vector(m)
-            for kind in ("E", "F"):
-                for i in (1, 2):
-                    j = 3 - i
-                    total = mod.zero()
-                    for r in range(3):
-                        s = 2 - r
-                        term = act_divided(
-                            i, kind, r, act_divided(j, kind, 1, act_divided(i, kind, s, b))
-                        )
-                        total = total + (term if r % 2 == 0 else term.scale(_MINUS_ONE))
-                    if not total.is_zero():
-                        return {"relation": "serre", "kind": kind, "i": i, "pattern": str(m)}
-        return None
-
-    def divided():
-        bound = mod.l1 + mod.l2 + 2
-        for m in mod.basis:
-            b = mod.basis_vector(m)
-            for kind in ("E", "F"):
-                for i in (1, 2):
-                    for r in range(bound + 1):
-                        for s in range(bound + 1 - r):
-                            lhs = act_divided(i, kind, r, act_divided(i, kind, s, b))
-                            rhs = act_divided(i, kind, r + s, b).scale(
-                                _qpoly(q_binomial(r + s, r))
-                            )
-                            if lhs != rhs:
-                                return {
-                                    "relation": "divided-power composition",
-                                    "kind": kind,
-                                    "i": i,
-                                    "r": r,
-                                    "s": s,
-                                    "pattern": str(m),
-                                }
-        return None
-
-    run("commutator", "[E_i,F_j] = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)", commutator)
-    run("serre", "quantum Serre relations", serre)
-    run("divided-power", "E_i^(r)E_i^(s) = [r+s choose r] E_i^(r+s)", divided)
-    return checks
 
 
 # -- Gelfand-Tsetlin bases and conjugated permutations ------------------------------
@@ -428,9 +359,7 @@ class _StringDecomposition:
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:
-                top = ModuleVector(
-                    mod, {mod.basis[k]: c for k, c in zip(idxs, coords) if not c.is_zero()}
-                )
+                top = ModuleVector({mod.basis[k]: c for k, c in zip(idxs, coords)}, mod)
                 chain = [top]
                 for depth in range(1, l + 1):
                     chain.append(act_divided(i, "F", depth, top))
@@ -560,7 +489,7 @@ def sigma_J(J, vec: ModuleVector, branch: str | None = None) -> ModuleVector:
         for m, c in vec.coeffs.items():
             beta = mod.weight_of(m)
             pref = _prefactor(d, J, w0J, lam, beta, branch)
-            scaled = scaled + ModuleVector(mod, {m: c * pref})
+            scaled = scaled + ModuleVector({m: c * pref}, mod)
         return lusztig_T_word(word, branch, scaled)
     i = J[0]
     dec = mod.strings(i)

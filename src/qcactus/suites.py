@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import cartan, coxeter, crystal, gkmodel, linalg, repmodule
@@ -370,10 +371,9 @@ def crystal_suite(seed: int = 1, samples: int = 10_000) -> list[dict]:
 # -- the symbolic modules ----------------------------------------------------------------
 
 
-def _lambdas(max_degree: int):
-    for total in range(max_degree + 1):
-        for l1 in range(total + 1):
-            yield (l1, total - l1)
+def lambdas(max_degree: int) -> list[tuple[int, int]]:
+    """Every (l1, l2) with l1 + l2 <= max_degree, by total degree, then by l1."""
+    return [(l1, total - l1) for total in range(max_degree + 1) for l1 in range(total + 1)]
 
 
 def _columns(mod, fn) -> list[repmodule.ModuleVector]:
@@ -400,66 +400,145 @@ def _is_identity_cols(mod, cols) -> bool:
     return all(cols[k] == mod.basis_vector(m) for k, m in enumerate(mod.basis))
 
 
+def relations_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
+    """The commutator, both Serre relations and divided-power composition on
+    every basis vector of one module; one record per relation."""
+    checks: list[dict] = []
+    act = repmodule.act_divided
+    minus_one = RatFunc.scalar(-1)
+
+    def commutator():
+        for m in mod.basis:
+            b = mod.basis_vector(m)
+            for i in (1, 2):
+                for j in (1, 2):
+                    lhs = act(i, "E", 1, act(j, "F", 1, b)) - act(j, "F", 1, act(i, "E", 1, b))
+                    rhs = b.scale(repmodule.cartan_scalar(i, m)) if i == j else mod.zero()
+                    if lhs != rhs:
+                        return {"relation": "[E_i,F_j]", "i": i, "j": j, "pattern": str(m)}
+        return None
+
+    def serre():
+        for m in mod.basis:
+            b = mod.basis_vector(m)
+            for kind in ("E", "F"):
+                for i in (1, 2):
+                    j = 3 - i
+                    total = mod.zero()
+                    for r in range(3):
+                        s = 2 - r
+                        term = act(i, kind, r, act(j, kind, 1, act(i, kind, s, b)))
+                        total = total + (term if r % 2 == 0 else term.scale(minus_one))
+                    if not total.is_zero():
+                        return {"relation": "serre", "kind": kind, "i": i, "pattern": str(m)}
+        return None
+
+    def divided():
+        bound = mod.l1 + mod.l2 + 2
+        for m in mod.basis:
+            b = mod.basis_vector(m)
+            for kind in ("E", "F"):
+                for i in (1, 2):
+                    for r in range(bound + 1):
+                        for s in range(bound + 1 - r):
+                            lhs = act(i, kind, r, act(i, kind, s, b))
+                            rhs = act(i, kind, r + s, b).scale(
+                                RatFunc.of_poly(q_binomial(r + s, r).compose_monomial(2))
+                            )
+                            if lhs != rhs:
+                                return {
+                                    "relation": "divided-power composition",
+                                    "kind": kind,
+                                    "i": i,
+                                    "r": r,
+                                    "s": s,
+                                    "pattern": str(m),
+                                }
+        return None
+
+    _run(checks, "commutator", "[E_i,F_j] = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1)", commutator)
+    _run(checks, "serre", "quantum Serre relations", serre)
+    _run(checks, "divided-power", "E_i^(r)E_i^(s) = [r+s choose r] E_i^(r+s)", divided)
+    return checks
+
+
 def relations_suite(max_degree: int = 4) -> list[dict]:
     """The quantum-relation gate on every module up to the degree bound."""
     checks: list[dict] = []
-    for l1, l2 in _lambdas(max_degree):
-        mod = repmodule.ModuleVLambda(l1, l2)
-        for rec in repmodule.quantum_relations_check(mod):
-            rec = dict(rec)
+    for l1, l2 in lambdas(max_degree):
+        for rec in relations_checks(repmodule.ModuleVLambda(l1, l2)):
             rec["name"] = f"relations({l1},{l2}):{rec['name']}"
-            rec.setdefault("seconds", 0.0)
             checks.append(rec)
     return checks
 
 
-def sigma_suite(max_degree: int = 4, seed: int = 1) -> list[dict]:
+def sigma_checks(modules, label: str = "") -> list[dict]:
+    """The sigma checks that hold module by module, each run over every module
+    in `modules`; `label` is appended to each check name."""
     checks: list[dict] = []
-    modules = {lam: repmodule.ModuleVLambda(*lam) for lam in _lambdas(max_degree)}
 
-    def three_way():
-        for (l1, l2), mod in modules.items():
-            for i in (1, 2):
-                n_cols = [mod.matrix(f"N{i}").apply(mod.basis_vector(m)) for m in mod.basis]
-                for k, m in enumerate(mod.basis):
-                    b = mod.basis_vector(m)
-                    s_string = repmodule.sigma_string(i, b)
-                    if s_string != n_cols[k]:
-                        return {"lambda": [l1, l2], "i": i, "m": str(m), "pair": "string/N"}
-                    s_norm = repmodule.sigma_J((i,), b)
-                    if s_string != s_norm:
-                        return {"lambda": [l1, l2], "i": i, "m": str(m), "pair": "string/T"}
+    def over_modules(check):
+        def fn():
+            for mod in modules:
+                witness = check(mod)
+                if witness is not None:
+                    return {"lambda": [mod.l1, mod.l2], **witness}
+            return None
+
+        return fn
+
+    def three_way(mod):
+        for i in (1, 2):
+            n = mod.matrix(f"N{i}")
+            for m in mod.basis:
+                b = mod.basis_vector(m)
+                s_string = repmodule.sigma_string(i, b)
+                if s_string != n.apply(b):
+                    return {"i": i, "m": str(m), "pair": "string/N"}
+                if s_string != repmodule.sigma_J((i,), b):
+                    return {"i": i, "m": str(m), "pair": "string/T"}
         return None
 
-    def involutions():
-        for (l1, l2), mod in modules.items():
-            for J in ((1,), (2,), (1, 2)):
-                cols = _columns(mod, lambda b, J=J: repmodule.sigma_J(J, b))
-                if not _is_identity_cols(mod, _compose(cols, cols)):
-                    return {"lambda": [l1, l2], "J": list(J)}
+    def involutions(mod):
+        for J in ((1,), (2,), (1, 2)):
+            cols = _columns(mod, lambda b, J=J: repmodule.sigma_J(J, b))
+            if not _is_identity_cols(mod, _compose(cols, cols)):
+                return {"J": list(J)}
         return None
 
-    def conjugation():
-        for (l1, l2), mod in modules.items():
-            full = _columns(mod, lambda b: repmodule.sigma_J((1, 2), b))
-            one = _columns(mod, lambda b: repmodule.sigma_J((1,), b))
-            two = _columns(mod, lambda b: repmodule.sigma_J((2,), b))
-            if not _cols_equal(_compose(full, one), _compose(two, full)):
-                return {"lambda": [l1, l2], "relation": "sigma^I sigma^1 = sigma^2 sigma^I"}
-            if not _cols_equal(_compose(full, two), _compose(one, full)):
-                return {"lambda": [l1, l2], "relation": "sigma^I sigma^2 = sigma^1 sigma^I"}
+    def conjugation(mod):
+        full = _columns(mod, lambda b: repmodule.sigma_J((1, 2), b))
+        one = _columns(mod, lambda b: repmodule.sigma_J((1,), b))
+        two = _columns(mod, lambda b: repmodule.sigma_J((2,), b))
+        if not _cols_equal(_compose(full, one), _compose(two, full)):
+            return {"relation": "sigma^I sigma^1 = sigma^2 sigma^I"}
+        if not _cols_equal(_compose(full, two), _compose(one, full)):
+            return {"relation": "sigma^I sigma^2 = sigma^1 sigma^I"}
         return None
 
-    def braid():
-        for (l1, l2), mod in modules.items():
-            for sign in ("+", "-"):
-                t1 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(1, s, b))
-                t2 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(2, s, b))
-                lhs = _compose(t1, _compose(t2, t1))
-                rhs = _compose(t2, _compose(t1, t2))
-                if not _cols_equal(lhs, rhs):
-                    return {"lambda": [l1, l2], "sign": sign}
+    def braid(mod):
+        for sign in ("+", "-"):
+            t1 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(1, s, b))
+            t2 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(2, s, b))
+            if not _cols_equal(_compose(t1, _compose(t2, t1)), _compose(t2, _compose(t1, t2))):
+                return {"sign": sign}
         return None
+
+    # single-module reports (module verify) carry the short anchor
+    involution_anchor = "sigma^J o sigma^J = 1" + ("" if label else " for J in {1},{2},{1,2}")
+    _run(checks, f"three-way-agreement{label}",
+         "string flips = conjugated permutation = normalized braid symmetry",
+         over_modules(three_way))
+    _run(checks, f"involutions{label}", involution_anchor, over_modules(involutions))
+    _run(checks, f"star-conjugation{label}", "sigma^I sigma^K = sigma^(K*) sigma^I",
+         over_modules(conjugation))
+    _run(checks, f"T-braid{label}", "T1 T2 T1 = T2 T1 T2, both signs", over_modules(braid))
+    return checks
+
+
+def sigma_suite(max_degree: int = 4) -> list[dict]:
+    modules = {lam: repmodule.ModuleVLambda(*lam) for lam in lambdas(max_degree)}
+    checks = sigma_checks(modules.values())
 
     def weight_bookkeeping():
         for (l1, l2), mod in modules.items():
@@ -600,12 +679,6 @@ def sigma_suite(max_degree: int = 4, seed: int = 1) -> list[dict]:
                         return {"lambda": list(lam), "w": words[0]}
         return None
 
-    _run(checks, "three-way-agreement",
-         "string flips = conjugated permutation = normalized braid symmetry",
-         three_way)
-    _run(checks, "involutions", "sigma^J o sigma^J = 1 for J in {1},{2},{1,2}", involutions)
-    _run(checks, "star-conjugation", "sigma^I sigma^K = sigma^(K*) sigma^I", conjugation)
-    _run(checks, "T-braid", "T1 T2 T1 = T2 T1 T2, both signs", braid)
     _skip(checks, "orthogonal-union",
           "sigma^(J u J') = sigma^J sigma^J' for orthogonal J, J'",
           "vacuous in rank 2: no orthogonal pair of nonempty subsets")
@@ -629,57 +702,6 @@ def sigma_suite(max_degree: int = 4, seed: int = 1) -> list[dict]:
     return checks
 
 
-def sigma_suite_single(l1: int, l2: int) -> list[dict]:
-    """Per-module involution checks for the CLI verify command."""
-    checks: list[dict] = []
-    mod = repmodule.ModuleVLambda(l1, l2)
-
-    def three_way():
-        for i in (1, 2):
-            n = mod.matrix(f"N{i}")
-            for m in mod.basis:
-                b = mod.basis_vector(m)
-                s_string = repmodule.sigma_string(i, b)
-                if s_string != n.apply(b):
-                    return {"i": i, "m": str(m), "pair": "string/N"}
-                if s_string != repmodule.sigma_J((i,), b):
-                    return {"i": i, "m": str(m), "pair": "string/T"}
-        return None
-
-    def involutions():
-        for J in ((1,), (2,), (1, 2)):
-            cols = _columns(mod, lambda b, J=J: repmodule.sigma_J(J, b))
-            if not _is_identity_cols(mod, _compose(cols, cols)):
-                return {"J": list(J)}
-        return None
-
-    def conjugation():
-        full = _columns(mod, lambda b: repmodule.sigma_J((1, 2), b))
-        one = _columns(mod, lambda b: repmodule.sigma_J((1,), b))
-        two = _columns(mod, lambda b: repmodule.sigma_J((2,), b))
-        if not _cols_equal(_compose(full, one), _compose(two, full)):
-            return {"relation": "sigma^I sigma^1 = sigma^2 sigma^I"}
-        if not _cols_equal(_compose(full, two), _compose(one, full)):
-            return {"relation": "sigma^I sigma^2 = sigma^1 sigma^I"}
-        return None
-
-    def braid():
-        for sign in ("+", "-"):
-            t1 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(1, s, b))
-            t2 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(2, s, b))
-            if not _cols_equal(_compose(t1, _compose(t2, t1)), _compose(t2, _compose(t1, t2))):
-                return {"sign": sign}
-        return None
-
-    _run(checks, f"three-way-agreement({l1},{l2})",
-         "string flips = conjugated permutation = normalized braid symmetry", three_way)
-    _run(checks, f"involutions({l1},{l2})", "sigma^J o sigma^J = 1", involutions)
-    _run(checks, f"star-conjugation({l1},{l2})", "sigma^I sigma^K = sigma^(K*) sigma^I",
-         conjugation)
-    _run(checks, f"T-braid({l1},{l2})", "T1 T2 T1 = T2 T1 T2, both signs", braid)
-    return checks
-
-
 def _all_reduced_words(dc, w):
     lw = coxeter.length(w)
     if lw == 0:
@@ -692,12 +714,10 @@ def _all_reduced_words(dc, w):
     return out
 
 
-def conjecture_task(lam: tuple[int, int]) -> dict:
-    """One sweep task: build the module, verify involutivity and the sixth-power
-    identity of the composed involutions, exactly."""
-    l1, l2 = lam
-    t0 = time.perf_counter()
-    mod = repmodule.ModuleVLambda(l1, l2)
+def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
+    """Involutivity, the braid relation and the sixth-power identity of the
+    composed involutions on one module, exactly."""
+    l1, l2 = mod.l1, mod.l2
     checks: list[dict] = []
 
     def involution(i):
@@ -728,12 +748,31 @@ def conjecture_task(lam: tuple[int, int]) -> dict:
     _run(checks, f"involution-N2({l1},{l2})", "(N2)^2 = 1", involution(2))
     _run(checks, f"braid({l1},{l2})", "N1 N2 N1 = N2 N1 N2", braid)
     _run(checks, f"cube({l1},{l2})", "(N1 N2)^3 = 1", cube)
+    return checks
+
+
+def conjecture_task(lam: tuple[int, int]) -> dict:
+    """One sweep task: build the module and run its conjecture checks."""
+    t0 = time.perf_counter()
+    mod = repmodule.ModuleVLambda(*lam)
+    checks = conjecture_checks(mod)
     return {
-        "lambda": [l1, l2],
+        "lambda": list(lam),
         "dim": mod.dim,
         "checks": checks,
         "seconds": round(time.perf_counter() - t0, 4),
     }
+
+
+def sweep(lams, jobs: int = 1) -> list[dict]:
+    """conjecture_task on every weight, in the order given, on `jobs` worker
+    processes clamped to between 1 and the number of weights."""
+    lams = list(lams)
+    jobs = max(1, min(jobs, len(lams)))
+    if jobs == 1:
+        return [conjecture_task(lam) for lam in lams]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(conjecture_task, lams))
 
 
 def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
@@ -780,8 +819,8 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
                 return {"iteration": k, "law": "involution"}
             for mono in a.coeffs:
                 w = mono.weight()
-                img = gkmodel.sigma_hat(gkmodel.GKElement({mono: RatFunc.one()}))
-                if not img.is_zero() and img.weight() != (-w[1], -w[0]):
+                img = gkmodel.sigma_hat(repmodule.ModuleVector({mono: RatFunc.one()}))
+                if not img.is_zero() and gkmodel.weight(img) != (-w[1], -w[0]):
                     return {"iteration": k, "law": "grading"}
         return None
 
@@ -824,21 +863,19 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
                     lhs = gkmodel.act_gen(i, "E", gkmodel.act_gen(j, "F", x)) - gkmodel.act_gen(
                         j, "F", gkmodel.act_gen(i, "E", x)
                     )
+                    rhs = repmodule.ModuleVector()
                     if i == j:
-                        rhs = gkmodel.GKElement.zero()
                         for mono, c in x.coeffs.items():
                             n = gkmodel._alpha_pair(i, mono.weight())
-                            rhs = rhs + gkmodel.GKElement(
+                            rhs = rhs + repmodule.ModuleVector(
                                 {mono: c * RatFunc.of_poly(q_int(n).compose_monomial(2))}
                             )
-                    else:
-                        rhs = gkmodel.GKElement.zero()
                     if lhs != rhs:
                         return {"iteration": k, "relation": "[E,F]", "i": i, "j": j}
             for i in (1, 2):
                 j = 3 - i
                 for kind in ("E", "F"):
-                    total = gkmodel.GKElement.zero()
+                    total = repmodule.ModuleVector()
                     for r in range(3):
                         s = 2 - r
                         term = gkmodel.act_divided(
@@ -866,15 +903,15 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
     return checks
 
 
-def module_suite(seed: int = 1, max_degree: int = 4) -> list[dict]:
-    return relations_suite(max_degree) + sigma_suite(max_degree, seed)
+def module_suite(max_degree: int = 4) -> list[dict]:
+    return relations_suite(max_degree) + sigma_suite(max_degree)
 
 
 SUITES = {
     "qarith": lambda seed: qarith_suite(seed),
     "coxeter": lambda seed: coxeter_suite(seed),
     "crystal": lambda seed: crystal_suite(seed),
-    "module": lambda seed: module_suite(seed),
+    "module": lambda seed: module_suite(),
     "gk": lambda seed: gk_suite(seed),
 }
 

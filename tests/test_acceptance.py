@@ -6,7 +6,6 @@ All arithmetic is exact; there are no tolerances anywhere.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from qcactus import crystal, suites
 from qcactus.suites import weyl_dimension
@@ -24,13 +23,7 @@ def _all_pass(checks) -> bool:
 
 def test_criterion_1_conjecture_sweep():
     start = time.time()
-    lams = [(l1, total - l1) for total in range(9) for l1 in range(total + 1)]
-    jobs = min(8, os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(suites.conjecture_task, sorted(lams)))
-    else:
-        results = [suites.conjecture_task(lam) for lam in sorted(lams)]
+    results = suites.sweep(sorted(suites.lambdas(8)), min(8, os.cpu_count() or 1))
     ok = all(_all_pass(r["checks"]) for r in results)
     assert len(results) == 45
     assert max(r["dim"] for r in results) == 125

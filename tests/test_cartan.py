@@ -13,14 +13,6 @@ def d():
     return ct.sl3()
 
 
-def test_pairing_is_coordinate(d):
-    w1 = d.fundamental_weight(1)
-    w2 = d.fundamental_weight(2)
-    assert ct.pairing(d, w1, 1) == 1
-    assert ct.pairing(d, w1, 2) == 0
-    assert ct.pairing(d, w2, 2) == 1
-
-
 def test_form_values(d):
     w1 = d.fundamental_weight(1)
     a1 = d.simple_root(1)

@@ -50,8 +50,9 @@ def test_coxeter_kernel_empty_subset(capsys):
 
 
 def test_coxeter_kernel_bad_subset(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["coxeter", "kernel", "--type", "A2", "--subset", "5"])
+    assert exc.value.code == 2
 
 
 def test_gk_normalform(capsys):
@@ -119,9 +120,31 @@ def test_module_export(capsys, tmp_path):
 
 
 def test_module_export_bad_tag(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["module", "export", "--l1", "0", "--l2", "0", "--which", "Z9",
                   "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-conjecture", "--max-degree", "-3"],
+    ["module", "verify", "--l1", "-1", "--l2", "0"],
+    ["module", "export", "--l1", "0", "--l2", "-2", "--out", "unused.json"],
+    ["module", "export", "--l1", "1", "--l2", "1", "--which", "N10", "--out", "unused.json"],
+    ["crystal", "apply", "--pattern", "1,1,0,0,0,0", "--ops", "sigma"],
+    ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "bogus"],
+    ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "e1^x"],
+    ["gk", "normalform", "--expr", "z3"],
+    ["coxeter", "kernel", "--type", "Z9"],
+    ["coxeter", "kernel", "--type", "A2", "--subset", "x"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_suite_seed_determinism(capsys):

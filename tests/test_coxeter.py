@@ -154,7 +154,7 @@ def test_closed_factorization(data):
 def test_infinite_type_rejected():
     # the rank-2 matrix with product of off-diagonals 4 generates an infinite group
     with pytest.raises(ValueError):
-        cx.CoxeterDatum([[2, -2], [-2, 2]], cap=500)
+        cx.CoxeterDatum([[2, -2], [-2, 2]])
 
 
 def test_unknown_type():

@@ -73,18 +73,3 @@ def test_rank_and_nullspace():
         for entry, coord in zip(row, x):
             total = total + entry * coord
         assert total.is_zero()
-
-
-def test_solve():
-    one, zero = RatFunc.one(), RatFunc.zero()
-    v = RatFunc.monomial(1)
-    a = [[v, one], [zero, one]]
-    b = [v + one, one]
-    x = linalg.solve(a, b)
-    for row, rhs in zip(a, b):
-        total = RatFunc.zero()
-        for entry, coord in zip(row, x):
-            total = total + entry * coord
-        assert total == rhs
-    with pytest.raises(ValueError):
-        linalg.solve([[one, one], [one, one]], [one, one])

@@ -1,6 +1,6 @@
 import pytest
 
-from qcactus import cartan, coxeter, crystal, linalg
+from qcactus import cartan, coxeter, crystal, linalg, suites
 from qcactus import repmodule as rm
 from qcactus.crystal import Pattern
 from qcactus.qarith import RatFunc
@@ -60,15 +60,15 @@ class TestAction:
                 assert all(adjoint.weight_of(mm) == target for mm in img.coeffs)
 
     def test_relations_gate_adjoint(self, adjoint):
-        for record in rm.quantum_relations_check(adjoint):
+        for record in suites.relations_checks(adjoint):
             assert record["status"] == "pass", record
 
     def test_relations_trivial_module(self):
-        for record in rm.quantum_relations_check(rm.ModuleVLambda(0, 0)):
+        for record in suites.relations_checks(rm.ModuleVLambda(0, 0)):
             assert record["status"] == "pass", record
 
     def test_relations_vector_module(self, vec3):
-        for record in rm.quantum_relations_check(vec3):
+        for record in suites.relations_checks(vec3):
             assert record["status"] == "pass", record
 
 
@@ -315,5 +315,7 @@ class TestOperatorMatrix:
         assert RatFunc.from_json(data[0][2]).is_one()
 
     def test_unknown_tag(self, vec3):
-        with pytest.raises(ValueError):
-            vec3.matrix("X1")
+        for tag in ("N10", "C3", "C", "X1"):
+            with pytest.raises(ValueError):
+                vec3.matrix(tag)
+            assert tag not in vec3._matrices
