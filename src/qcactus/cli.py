@@ -161,6 +161,13 @@ def _natural(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _matrix_tags(text: str) -> list[str]:
     tags = [t.strip() for t in text.split(",") if t.strip()]
     bad = [t for t in tags if t not in repmodule.MATRIX_TAGS]
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-conjecture", help="sweep the composed-involution identity")
     p.add_argument("--max-degree", type=_arg(_natural), default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_arg(_positive), default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("coxeter", help="Coxeter group utilities")

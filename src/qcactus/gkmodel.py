@@ -338,9 +338,16 @@ def parse_expr(text: str) -> ModuleVector:
     coeff = RatFunc.one()
     word: tuple[int, ...] = ()
     idx = 0
+    after_factor = False
     while idx < len(tokens):
         tok = tokens[idx]
-        if tok.group("scalar"):
+        op = tok.group("op")
+        if op == "^":
+            raise ValueError("'^' must directly follow a generator")
+        elif op == "*":
+            if not after_factor or idx + 1 == len(tokens):
+                raise ValueError("'*' must stand between two factors")
+        elif tok.group("scalar"):
             num = int(tok.group("snum"))
             coeff = coeff * RatFunc.monomial(num if tok.group("shalf") else 2 * num)
         elif tok.group("int"):
@@ -356,5 +363,6 @@ def parse_expr(text: str) -> ModuleVector:
                     raise ValueError("generator powers must be nonnegative")
                 idx += 2
             word = word + (g,) * power
+        after_factor = op is None
         idx += 1
     return normal_form([(coeff, word)])

@@ -1,19 +1,16 @@
 """Exact linear algebra over the rational-function field.
 
-The operator matrices downstream decompose into small blocks connected by
-shared rows/columns, so `invert` splits a matrix into connected components of
-its nonzero pattern and runs a fraction-free elimination inside each block:
-all intermediate entries are Laurent polynomials, with a single division by
-the final pivot at the end.  Pivots are chosen by lowest exponent span.
-
-Row-reduction utilities (`rref`, `rank`, `nullspace`) work directly over
-RatFunc; they only ever see small weight-block systems.
+One elimination routine, `rref`, a Gauss-Jordan over RatFunc, serves every
+solver: `rank` and `nullspace` read its pivots, and `invert` reduces [A | I]
+and returns the right half.  Pivots are chosen by lowest exponent span, and a
+row update touches only the columns where the pivot row is nonzero, so the
+sparse change-of-basis matrices downstream are inverted without visiting
+their zeros.
 """
 
 from __future__ import annotations
 
-from . import qarith
-from .qarith import LaurentPoly, ONE, RatFunc
+from .qarith import LaurentPoly, RatFunc
 
 Matrix = list[list[RatFunc]]
 
@@ -55,91 +52,20 @@ def is_identity(a: Matrix) -> bool:
     return True
 
 
-def _components(a: Matrix) -> list[list[int]]:
-    """Connected components of indices under 'share a nonzero off-diagonal'."""
-    n = len(a)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(n):
-            if i != j and not a[i][j].is_zero():
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
-
-
 def invert(a: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on a singular matrix."""
+    """Exact inverse, the right half of rref([A | I]); raises ValueError on a
+    singular matrix."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    zero = RatFunc.zero()
-    out = [[zero] * n for _ in range(n)]
-    for comp in _components(a):
-        block = [[a[i][j] for j in comp] for i in comp]
-        inv = _invert_block(block)
-        for bi, i in enumerate(comp):
-            for bj, j in enumerate(comp):
-                out[i][j] = inv[bi][bj]
-    return out
+    red, pivots = rref([row + e for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def _span(p: LaurentPoly) -> int:
     return p.span if not p.is_zero() else -1
-
-
-def _invert_block(a: Matrix) -> Matrix:
-    """Fraction-free Gauss-Jordan on [A | I] after clearing row denominators."""
-    n = len(a)
-    rows: list[list[LaurentPoly]] = []
-    for i in range(n):
-        den = ONE
-        for x in a[i]:
-            if not x.den.is_one():
-                den = den * x.den.divexact(qarith.poly_gcd(den, x.den))
-        row = [x.num * den.divexact(x.den) if not x.is_zero() else x.num for x in a[i]]
-        aug = [den if j == i else LaurentPoly() for j in range(n)]
-        rows.append(row + aug)
-    prev = ONE
-    for col in range(n):
-        pivot = None
-        best = -1
-        for r in range(col, n):
-            entry = rows[r][col]
-            if not entry.is_zero():
-                s = _span(entry)
-                if pivot is None or s < best:
-                    pivot, best = r, s
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = rows[r][col]
-            if f.is_zero():
-                rows[r] = [(p * x).divexact(prev) for x in rows[r]]
-            else:
-                prow = rows[col]
-                rows[r] = [
-                    (p * x - f * y).divexact(prev) for x, y in zip(rows[r], prow)
-                ]
-        prev = p
-    det = rows[n - 1][n - 1]
-    inv_det = RatFunc(ONE, det)
-    return [[RatFunc(rows[i][n + j], ONE) * inv_det for j in range(n)] for i in range(n)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -163,11 +89,14 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         i = best[0]
         m[r], m[i] = m[i], m[r]
         inv = m[r][col].inverse()
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r] = [x * inv for x in m[r]]
+        support = [j for j, y in enumerate(prow) if not y.is_zero()]
         for i2 in range(nrows):
-            if i2 != r and not m[i2][col].is_zero():
-                f = m[i2][col]
-                m[i2] = [x - f * y for x, y in zip(m[i2], m[r])]
+            f = m[i2][col]
+            if i2 != r and not f.is_zero():
+                row = m[i2]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(col)
         r += 1
     return m, pivots

@@ -506,12 +506,17 @@ def sigma_J(J, vec: ModuleVector, branch: str | None = None) -> ModuleVector:
 # -- extremal vectors -------------------------------------------------------------------------
 
 
+def descend(word, vec: ModuleVector) -> ModuleVector:
+    """F_(i_1)^(a_1) ... F_(i_m)^(a_m) vec, with the extremal exponents of the
+    reduced word for the highest weight of vec's module."""
+    mod = vec.module
+    exps = cartan.extremal_exponents(mod.datum, word, mod.highest_weight)
+    for k in range(len(word) - 1, -1, -1):
+        vec = act_divided(word[k], "F", exps[k], vec)
+    return vec
+
+
 def extremal_vector(w: coxeter.GroupElement, mod: ModuleVLambda) -> ModuleVector:
     """The w-extremal vector: the divided-power descent of the highest-weight
     line along the deterministic reduced word of w."""
-    word = coxeter.reduced_word(w)
-    exps = cartan.extremal_exponents(mod.datum, word, mod.highest_weight)
-    v = mod.highest_vector()
-    for k in range(len(word) - 1, -1, -1):
-        v = act_divided(word[k], "F", exps[k], v)
-    return v
+    return descend(coxeter.reduced_word(w), mod.highest_vector())

@@ -575,19 +575,11 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
         return None
 
     def extremal_checks():
-        d = cartan.sl3()
-        dc = d.coxeter
+        dc = cartan.sl3().coxeter
         w0_words = ((1, 2, 1), (2, 1, 2))
         for lam in ((1, 0), (0, 1), (1, 1), (2, 2)):
             mod = modules.get(lam) or repmodule.ModuleVLambda(*lam)
-            weight = Weight(lam)
-            vectors = []
-            for word in w0_words:
-                exps = cartan.extremal_exponents(d, word, weight)
-                v = mod.highest_vector()
-                for k in range(len(word) - 1, -1, -1):
-                    v = repmodule.act_divided(word[k], "F", exps[k], v)
-                vectors.append(v)
+            vectors = [repmodule.descend(word, mod.highest_vector()) for word in w0_words]
             if vectors[0] != vectors[1]:
                 return {"lambda": list(lam), "law": "reduced-word independence"}
         mod = modules[(1, 1)]
@@ -607,8 +599,9 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
                 distinct.append(v)
         for v in distinct:
             rows.append([v.coefficient(m) for m in mod.basis])
-        if linalg.rank(rows) != len(distinct):
-            return {"law": "extremal independence", "rank": linalg.rank(rows)}
+        rank = linalg.rank(rows)
+        if rank != len(distinct):
+            return {"law": "extremal independence", "rank": rank}
         return None
 
     def extremal_T():
@@ -655,25 +648,17 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
         return None
 
     def word_independence_operators():
-        d = cartan.sl3()
-        dc = d.coxeter
+        dc = cartan.sl3().coxeter
         for lam in ((1, 1), (2, 1)):
             mod = modules.get(lam) or repmodule.ModuleVLambda(*lam)
-            weight = Weight(lam)
             for w in dc.elements():
                 words = _all_reduced_words(dc, w)
                 if len(words) < 2:
                     continue
-                images = []
-                for word in words:
-                    exps = cartan.extremal_exponents(d, word, weight)
-                    cols = []
-                    for m in mod.basis:
-                        v = mod.basis_vector(m)
-                        for k in range(len(word) - 1, -1, -1):
-                            v = repmodule.act_divided(word[k], "F", exps[k], v)
-                        cols.append(v)
-                    images.append(cols)
+                images = [
+                    [repmodule.descend(word, mod.basis_vector(m)) for m in mod.basis]
+                    for word in words
+                ]
                 for other in images[1:]:
                     if not _cols_equal(images[0], other):
                         return {"lambda": list(lam), "w": words[0]}

@@ -138,6 +138,11 @@ def test_module_export_bad_tag(tmp_path):
     ["gk", "normalform", "--expr", "z3"],
     ["coxeter", "kernel", "--type", "Z9"],
     ["coxeter", "kernel", "--type", "A2", "--subset", "x"],
+    ["verify-conjecture", "--max-degree", "2", "--jobs", "-3"],
+    ["verify-conjecture", "--max-degree", "2", "--jobs", "0"],
+    ["gk", "normalform", "--expr", "q^{1/2}^2"],
+    ["gk", "normalform", "--expr", "^2"],
+    ["gk", "normalform", "--expr", "z1**z2"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -43,7 +43,8 @@ def test_invert_with_denominators():
 
 
 def test_invert_block_diagonal_components():
-    # two independent blocks: the component split must reproduce the full inverse
+    # two decoupled blocks: row updates restricted to the pivot row's support
+    # must leave every entry between the blocks zero
     one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
     a = [
         [v, zero, one],
@@ -58,6 +59,36 @@ def test_singular_raises():
     one = RatFunc.one()
     with pytest.raises(ValueError):
         linalg.invert([[one, one], [one, one]])
+
+
+def test_singular_middle_column_raises():
+    # the middle column repeats the first, so the third pivot of [A | I]
+    # falls into the identity half
+    one, zero = RatFunc.one(), RatFunc.zero()
+    a = [[one, one, zero], [zero, zero, one], [one, one, one]]
+    with pytest.raises(ValueError, match="singular"):
+        linalg.invert(a)
+
+
+def test_non_square_raises():
+    one = RatFunc.one()
+    with pytest.raises(ValueError, match="square"):
+        linalg.invert([[one, one]])
+
+
+def test_invert_lower_triangular_pivot_below_diagonal():
+    # column 0 has its shortest-span entry in the last row, so elimination
+    # pivots below the diagonal before the rows settle back in order
+    one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
+    a = [
+        [one + v * v * v, zero, zero],
+        [v + v * v, one + v * v, zero],
+        [one, v, v],
+    ]
+    inv = linalg.invert(a)
+    assert linalg.is_identity(linalg.mat_mul(a, inv))
+    assert linalg.is_identity(linalg.mat_mul(inv, a))
+    assert all(inv[i][j].is_zero() for i in range(3) for j in range(i + 1, 3))
 
 
 def test_rank_and_nullspace():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qcactus import cartan, coxeter, crystal, linalg, suites
@@ -140,6 +142,18 @@ class TestInvolutionMatrices:
             m3 = linalg.mat_mul(linalg.mat_mul(m, m), m)
             assert linalg.is_identity(m3), (l1, l2)
 
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_specialization_oracle(self, i):
+        # C_i at v = 2/3 inverted over Q by a Gauss-Jordan that shares no code
+        # with rref, poly_gcd or divexact
+        x = Fraction(2, 3)
+        mod = rm.ModuleVLambda(3, 3)
+        at = lambda rows: [[e.evaluate(x) for e in row] for row in rows]
+        c, p = at(mod.matrix(f"C{i}").rows), at(mod.matrix(f"P{i}").rows)
+        c_inv = _fraction_inverse(c)
+        assert at(linalg.invert(mod.matrix(f"C{i}").rows)) == c_inv
+        assert at(mod.matrix(f"N{i}").rows) == _fraction_mul(_fraction_mul(c, p), c_inv)
+
     def test_crystal_shadow(self, adjoint):
         for i in (1, 2):
             n = adjoint.matrix(f"N{i}")
@@ -151,6 +165,24 @@ class TestInvolutionMatrices:
                         assert delta.is_zero() or delta.order_at_zero() > 0
                     else:
                         assert entry.order_at_zero() > 0
+
+
+def _fraction_inverse(a):
+    n = len(a)
+    m = [row[:] + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [e / m[col][col] for e in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [e - f * p for e, p in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _fraction_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in zip(*b)] for row in a]
 
 
 class TestLusztigT:
