@@ -227,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--expr", required=True, type=_arg(gkmodel.parse_expr))
 
     p = sub.add_parser("suite", help="run a named property suite")
-    p.add_argument("--name", required=True,
-                   choices=("qarith", "coxeter", "crystal", "module", "gk", "all"))
+    p.add_argument("--name", required=True, choices=(*suites.SUITES, "all"))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None)
     return parser

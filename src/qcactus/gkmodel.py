@@ -57,6 +57,8 @@ _RULES: dict[tuple[int, int], tuple[tuple[RatFunc, tuple[int, ...]], ...]] = {
 }
 
 DEFAULT_FUEL = 1_000_000
+#: largest divided-power exponent compared by embed_module
+EMBED_RMAX = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +142,7 @@ def _monomial_of_word(word: tuple[int, ...]) -> GKMonomial:
 
 
 def normal_form(
-    words: dict[tuple[int, ...], RatFunc] | list[tuple[RatFunc, tuple[int, ...]]],
+    words: list[tuple[RatFunc, tuple[int, ...]]],
     strategy: str = "leftmost",
     fuel: int = DEFAULT_FUEL,
 ) -> ModuleVector:
@@ -151,10 +153,7 @@ def normal_form(
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if isinstance(words, dict):
-        work = [(c, w) for w, c in words.items()]
-    else:
-        work = list(words)
+    work = list(words)
     done: dict[GKMonomial, RatFunc] = {}
     while work:
         coeff, word = work.pop()
@@ -285,7 +284,7 @@ def sigma_hat(x: ModuleVector) -> ModuleVector:
     return normal_form(words)
 
 
-def embed_module(l1: int, l2: int, rmax: int = 2) -> list[dict]:
+def embed_module(l1: int, l2: int) -> list[dict]:
     """Cross-validate the generator action against the symbolic module:
     divided powers on basis monomials must reproduce the pattern-basis
     coefficients exactly.  Returns a witness list (empty = agreement)."""
@@ -294,7 +293,7 @@ def embed_module(l1: int, l2: int, rmax: int = 2) -> list[dict]:
     for m in mod.basis:
         for i in (1, 2):
             for kind in ("E", "F"):
-                for r in range(1, rmax + 1):
+                for r in range(1, EMBED_RMAX + 1):
                     gk = act_divided(i, kind, r, b_monomial(m))
                     sym = repmodule.act_divided(i, kind, r, mod.basis_vector(m))
                     expected = ModuleVector()
@@ -335,6 +334,8 @@ def parse_expr(text: str) -> ModuleVector:
             raise ValueError(f"cannot tokenize {text[pos:]!r}")
         tokens.append(m)
         pos = m.end()
+    if not tokens:
+        raise ValueError("empty expression")
     coeff = RatFunc.one()
     word: tuple[int, ...] = ()
     idx = 0
@@ -351,6 +352,8 @@ def parse_expr(text: str) -> ModuleVector:
             num = int(tok.group("snum"))
             coeff = coeff * RatFunc.monomial(num if tok.group("shalf") else 2 * num)
         elif tok.group("int"):
+            if after_factor and tok.group("int").startswith("-"):
+                raise ValueError("a signed integer cannot follow a factor (no sums)")
             coeff = coeff * RatFunc.scalar(int(tok.group("int")))
         elif tok.group("gen"):
             g = GEN_NAMES.index(tok.group("gen"))

@@ -87,23 +87,8 @@ class OperatorMatrix:
     tag: str
     rows: list[list[RatFunc]]
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def column(self, j: int) -> dict[int, RatFunc]:
         return {i: row[j] for i, row in enumerate(self.rows) if not row[j].is_zero()}
-
-    def apply(self, vec: ModuleVector) -> ModuleVector:
-        mod = vec.module
-        out: dict[int, RatFunc] = {}
-        for m, c in vec.coeffs.items():
-            j = mod.index[m]
-            for i, entry in self.column(j).items():
-                s = out.get(i)
-                s = entry * c if s is None else s + entry * c
-                out[i] = s
-        return ModuleVector({mod.basis[i]: c for i, c in out.items()}, mod)
 
     def to_json(self) -> list:
         return [[entry.to_json() for entry in row] for row in self.rows]
@@ -246,6 +231,17 @@ def gt_vector(i: int, m: Pattern, mod: ModuleVLambda) -> ModuleVector:
     _, mj, _, m0i = _pattern_parts(i, m)
     r = mj + m0i
     return act_divided(i, "E", r, mod.basis_vector(crystal.e_pow(i, -r, m)))
+
+
+def operator_matrix(tag: str, mod: ModuleVLambda, fn) -> OperatorMatrix:
+    """The matrix of a linear operator given by its action `fn` on vectors:
+    column j is fn of the j-th basis vector."""
+    zero = RatFunc.zero()
+    rows = [[zero] * mod.dim for _ in range(mod.dim)]
+    for j, m in enumerate(mod.basis):
+        for target, c in fn(mod.basis_vector(m)).coeffs.items():
+            rows[mod.index[target]][j] = c
+    return OperatorMatrix(tag, rows)
 
 
 def matrix_C(i: int, mod: ModuleVLambda) -> OperatorMatrix:

@@ -7,6 +7,7 @@ them.  Anchors state the identity being verified.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +27,12 @@ from .qarith import (
 )
 
 COXETER_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "G2", "A1xA1", "A1xA2")
+#: random triples per field-axiom run; largest string length of the coefficient laws
+FIELD_SAMPLES = 80
+MAX_STRING_LENGTH = 12
+#: random patterns per crystal identity; random words or monomials per model-algebra law
+CRYSTAL_SAMPLES = 10_000
+GK_WORDS = 1000
 
 
 def _run(checks: list, name: str, anchor: str, fn) -> None:
@@ -57,7 +64,7 @@ def _skip(checks: list, name: str, anchor: str, reason: str) -> None:
 # -- exact arithmetic ------------------------------------------------------------
 
 
-def qarith_suite(seed: int = 1, samples: int = 80, max_l: int = 12) -> list[dict]:
+def qarith_suite(seed: int = 1) -> list[dict]:
     checks: list[dict] = []
     rng = random.Random(seed)
 
@@ -78,7 +85,7 @@ def qarith_suite(seed: int = 1, samples: int = 80, max_l: int = 12) -> list[dict
     ]
 
     def field_axioms():
-        for k in range(samples):
+        for k in range(FIELD_SAMPLES):
             a, b, c = rnd_rf(), rnd_rf(), rnd_rf()
             if (a + b) + c != a + (b + c):
                 return {"law": "add-assoc", "iteration": k}
@@ -115,7 +122,7 @@ def qarith_suite(seed: int = 1, samples: int = 80, max_l: int = 12) -> list[dict
         return None
 
     def underline_symmetry():
-        for l in range(max_l + 1):
+        for l in range(MAX_STRING_LENGTH + 1):
             for k in range(l + 1):
                 for s in range(k - l, k + 1):
                     for kind in ("low", "up"):
@@ -126,7 +133,7 @@ def qarith_suite(seed: int = 1, samples: int = 80, max_l: int = 12) -> list[dict
         return None
 
     def composition_law():
-        for l in range(max_l + 1):
+        for l in range(MAX_STRING_LENGTH + 1):
             for k in range(l + 1):
                 for s in range(-l, l + 1):
                     for t in range(-l, l + 1):
@@ -273,12 +280,12 @@ def weyl_dimension(l1: int, l2: int) -> int:
     return int(value)
 
 
-def crystal_suite(seed: int = 1, samples: int = 10_000) -> list[dict]:
+def crystal_suite(seed: int = 1) -> list[dict]:
     checks: list[dict] = []
     rng = random.Random(seed)
 
     def operator_identities():
-        for it in range(samples):
+        for it in range(CRYSTAL_SAMPLES):
             m = _random_pattern(rng)
             r, s = rng.randint(-10, 10), rng.randint(-10, 10)
             i = rng.choice((1, 2))
@@ -295,7 +302,7 @@ def crystal_suite(seed: int = 1, samples: int = 10_000) -> list[dict]:
         return None
 
     def involution_identities():
-        for it in range(samples):
+        for it in range(CRYSTAL_SAMPLES):
             m = _random_pattern(rng)
             r = rng.randint(-10, 10)
             i = rng.choice((1, 2))
@@ -323,7 +330,7 @@ def crystal_suite(seed: int = 1, samples: int = 10_000) -> list[dict]:
         return None
 
     def bijection_roundtrip():
-        for it in range(samples):
+        for it in range(CRYSTAL_SAMPLES):
             m = _random_pattern(rng)
             if crystal.khat_inv(crystal.khat(m)) != m:
                 return {"m": str(m)}
@@ -374,30 +381,6 @@ def crystal_suite(seed: int = 1, samples: int = 10_000) -> list[dict]:
 def lambdas(max_degree: int) -> list[tuple[int, int]]:
     """Every (l1, l2) with l1 + l2 <= max_degree, by total degree, then by l1."""
     return [(l1, total - l1) for total in range(max_degree + 1) for l1 in range(total + 1)]
-
-
-def _columns(mod, fn) -> list[repmodule.ModuleVector]:
-    return [fn(mod.basis_vector(m)) for m in mod.basis]
-
-
-def _apply_columns(cols, vec):
-    mod = vec.module
-    out = mod.zero()
-    for m, c in vec.coeffs.items():
-        out = out + cols[mod.index[m]].scale(c)
-    return out
-
-
-def _compose(cols_outer, cols_inner):
-    return [_apply_columns(cols_outer, v) for v in cols_inner]
-
-
-def _cols_equal(a, b) -> bool:
-    return all(x == y for x, y in zip(a, b))
-
-
-def _is_identity_cols(mod, cols) -> bool:
-    return all(cols[k] == mod.basis_vector(m) for k, m in enumerate(mod.basis))
 
 
 def relations_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
@@ -487,40 +470,49 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
 
         return fn
 
+    @functools.cache
+    def sigma(mod, J):
+        return repmodule.operator_matrix(f"sigma{J}", mod, lambda b: repmodule.sigma_J(J, b))
+
     def three_way(mod):
         for i in (1, 2):
             n = mod.matrix(f"N{i}")
-            for m in mod.basis:
-                b = mod.basis_vector(m)
-                s_string = repmodule.sigma_string(i, b)
-                if s_string != n.apply(b):
+            flip = repmodule.operator_matrix(
+                f"string{i}", mod, lambda b: repmodule.sigma_string(i, b)
+            )
+            t = sigma(mod, (i,))
+            for j, m in enumerate(mod.basis):
+                if flip.column(j) != n.column(j):
                     return {"i": i, "m": str(m), "pair": "string/N"}
-                if s_string != repmodule.sigma_J((i,), b):
+                if flip.column(j) != t.column(j):
                     return {"i": i, "m": str(m), "pair": "string/T"}
         return None
 
     def involutions(mod):
         for J in ((1,), (2,), (1, 2)):
-            cols = _columns(mod, lambda b, J=J: repmodule.sigma_J(J, b))
-            if not _is_identity_cols(mod, _compose(cols, cols)):
+            s = sigma(mod, J).rows
+            if not linalg.is_identity(linalg.mat_mul(s, s)):
                 return {"J": list(J)}
         return None
 
     def conjugation(mod):
-        full = _columns(mod, lambda b: repmodule.sigma_J((1, 2), b))
-        one = _columns(mod, lambda b: repmodule.sigma_J((1,), b))
-        two = _columns(mod, lambda b: repmodule.sigma_J((2,), b))
-        if not _cols_equal(_compose(full, one), _compose(two, full)):
+        full, one, two = (sigma(mod, J).rows for J in ((1, 2), (1,), (2,)))
+        if linalg.mat_mul(full, one) != linalg.mat_mul(two, full):
             return {"relation": "sigma^I sigma^1 = sigma^2 sigma^I"}
-        if not _cols_equal(_compose(full, two), _compose(one, full)):
+        if linalg.mat_mul(full, two) != linalg.mat_mul(one, full):
             return {"relation": "sigma^I sigma^2 = sigma^1 sigma^I"}
         return None
 
     def braid(mod):
         for sign in ("+", "-"):
-            t1 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(1, s, b))
-            t2 = _columns(mod, lambda b, s=sign: repmodule.lusztig_T(2, s, b))
-            if not _cols_equal(_compose(t1, _compose(t2, t1)), _compose(t2, _compose(t1, t2))):
+            t1 = repmodule.operator_matrix(
+                f"T1{sign}", mod, lambda b: repmodule.lusztig_T(1, sign, b)
+            ).rows
+            t2 = repmodule.operator_matrix(
+                f"T2{sign}", mod, lambda b: repmodule.lusztig_T(2, sign, b)
+            ).rows
+            lhs = linalg.mat_mul(t1, linalg.mat_mul(t2, t1))
+            if lhs != linalg.mat_mul(t2, linalg.mat_mul(t1, t2)):
                 return {"sign": sign}
         return None
 
@@ -659,9 +651,8 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
                     [repmodule.descend(word, mod.basis_vector(m)) for m in mod.basis]
                     for word in words
                 ]
-                for other in images[1:]:
-                    if not _cols_equal(images[0], other):
-                        return {"lambda": list(lam), "w": words[0]}
+                if any(other != images[0] for other in images[1:]):
+                    return {"lambda": list(lam), "w": words[0]}
         return None
 
     _skip(checks, "orthogonal-union",
@@ -760,7 +751,7 @@ def sweep(lams, jobs: int = 1) -> list[dict]:
         return list(pool.map(conjecture_task, lams))
 
 
-def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
+def gk_suite(seed: int = 1) -> list[dict]:
     checks: list[dict] = []
     rng = random.Random(seed)
 
@@ -771,7 +762,7 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
         return gkmodel.normal_form([(RatFunc.one(), rnd_word(maxdeg))])
 
     def confluence():
-        for k in range(words):
+        for k in range(GK_WORDS):
             w = rnd_word()
             a = gkmodel.normal_form([(RatFunc.one(), w)], "leftmost")
             b = gkmodel.normal_form([(RatFunc.one(), w)], "rightmost")
@@ -780,7 +771,7 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
         return None
 
     def associativity():
-        for k in range(words):
+        for k in range(GK_WORDS):
             a, b, c = rnd_monomial(), rnd_monomial(), rnd_monomial()
             if gkmodel.multiply(gkmodel.multiply(a, b), c) != gkmodel.multiply(
                 a, gkmodel.multiply(b, c)
@@ -789,7 +780,7 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
         return None
 
     def anti_homomorphism():
-        for k in range(words):
+        for k in range(GK_WORDS):
             a, b = rnd_monomial(), rnd_monomial()
             if gkmodel.sigma_hat(gkmodel.multiply(a, b)) != gkmodel.multiply(
                 gkmodel.sigma_hat(b), gkmodel.sigma_hat(a)
@@ -798,7 +789,7 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
         return None
 
     def involution_and_grading():
-        for k in range(words):
+        for k in range(GK_WORDS):
             a = rnd_monomial(4)
             if gkmodel.sigma_hat(gkmodel.sigma_hat(a)) != a:
                 return {"iteration": k, "law": "involution"}
@@ -822,7 +813,7 @@ def gk_suite(seed: int = 1, words: int = 1000) -> list[dict]:
         return None
 
     def embedding():
-        mismatches = gkmodel.embed_module(1, 1, rmax=2)
+        mismatches = gkmodel.embed_module(1, 1)
         if mismatches:
             return mismatches[0]
         return None
@@ -893,19 +884,19 @@ def module_suite(max_degree: int = 4) -> list[dict]:
 
 
 SUITES = {
-    "qarith": lambda seed: qarith_suite(seed),
-    "coxeter": lambda seed: coxeter_suite(seed),
-    "crystal": lambda seed: crystal_suite(seed),
+    "qarith": qarith_suite,
+    "coxeter": coxeter_suite,
+    "crystal": crystal_suite,
     "module": lambda seed: module_suite(),
-    "gk": lambda seed: gk_suite(seed),
+    "gk": gk_suite,
 }
 
 
 def run_suite(name: str, seed: int = 1) -> list[dict]:
     if name == "all":
         out = []
-        for key in ("qarith", "coxeter", "crystal", "module", "gk"):
-            for rec in SUITES[key](seed):
+        for key, suite in SUITES.items():
+            for rec in suite(seed):
                 rec = dict(rec)
                 rec["name"] = f"{key}:{rec['name']}"
                 out.append(rec)

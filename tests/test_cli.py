@@ -143,6 +143,8 @@ def test_module_export_bad_tag(tmp_path):
     ["gk", "normalform", "--expr", "q^{1/2}^2"],
     ["gk", "normalform", "--expr", "^2"],
     ["gk", "normalform", "--expr", "z1**z2"],
+    ["gk", "normalform", "--expr", "z1-2"],
+    ["gk", "normalform", "--expr", ""],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

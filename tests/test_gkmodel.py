@@ -209,7 +209,7 @@ class TestEmbedding:
         assert gkmodel.embed_module(1, 0) == []
 
     def test_adjoint(self):
-        assert gkmodel.embed_module(1, 1, rmax=2) == []
+        assert gkmodel.embed_module(1, 1) == []
 
     def test_single_example(self):
         # E2 agrees on the w1-component lowest pattern

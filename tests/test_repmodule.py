@@ -227,12 +227,10 @@ class TestSigma:
         for l1, l2 in [(1, 0), (0, 1), (1, 1), (2, 0)]:
             mod = rm.ModuleVLambda(l1, l2)
             for i in (1, 2):
-                n = mod.matrix(f"N{i}")
-                for m in mod.basis:
-                    b = mod.basis_vector(m)
-                    flip = rm.sigma_string(i, b)
-                    assert flip == n.apply(b), (l1, l2, i, str(m))
-                    assert flip == rm.sigma_J((i,), b), (l1, l2, i, str(m))
+                flip = rm.operator_matrix("flip", mod, lambda b: rm.sigma_string(i, b)).rows
+                sigma = rm.operator_matrix("sigma", mod, lambda b: rm.sigma_J((i,), b)).rows
+                assert flip == mod.matrix(f"N{i}").rows, (l1, l2, i)
+                assert flip == sigma, (l1, l2, i)
 
     def test_sigma_string_zero_length(self, vec3):
         # the weight-(0,-1) line is a trivial 1-string

@@ -53,3 +53,33 @@ def test_relation_check_crash_is_a_failing_record(monkeypatch):
         assert c["status"] == "fail"
         assert "injected" in c["witness"]["error"]
         assert c["seconds"] >= 0
+
+
+def test_sigma_checks_build_each_sigma_once(monkeypatch):
+    calls = []
+    sigma_J = repmodule.sigma_J
+
+    def counting(J, vec, branch=None):
+        if branch is None:
+            calls.append(tuple(J))
+        return sigma_J(J, vec, branch)
+
+    monkeypatch.setattr(repmodule, "sigma_J", counting)
+    mod = repmodule.ModuleVLambda(1, 1)
+    checks = suites.sigma_checks([mod])
+    assert all(c["status"] == "pass" for c in checks)
+    # one matrix each for sigma^1, sigma^2 and sigma^12, one call per column
+    assert len(calls) == 3 * mod.dim == 24
+    assert {J: calls.count(J) for J in calls} == {(1,): 8, (2,): 8, (1, 2): 8}
+
+
+def test_sigma_crash_is_a_failing_record_in_every_sigma_check(monkeypatch):
+    def crash(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(repmodule, "sigma_J", crash)
+    by_name = {c["name"]: c for c in suites.sigma_checks([repmodule.ModuleVLambda(1, 0)])}
+    for name in ("three-way-agreement", "involutions", "star-conjugation"):
+        assert by_name[name]["status"] == "fail"
+        assert "injected" in by_name[name]["witness"]["error"]
+    assert by_name["T-braid"]["status"] == "pass"
