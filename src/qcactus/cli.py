@@ -170,6 +170,8 @@ def _positive(text: str) -> int:
 
 def _matrix_tags(text: str) -> list[str]:
     tags = [t.strip() for t in text.split(",") if t.strip()]
+    if not tags:
+        raise ValueError(f"no matrix tags given; expected some of {repmodule.MATRIX_TAGS}")
     bad = [t for t in tags if t not in repmodule.MATRIX_TAGS]
     if bad:
         raise ValueError(f"unknown matrix tags {bad}; expected some of {repmodule.MATRIX_TAGS}")

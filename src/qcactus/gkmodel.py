@@ -320,7 +320,7 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<scalar>q\^\{(?P<snum>-?\d+)(?P<shalf>/2)?\})"
     r"|(?P<gen>z12|z21|z1|z2|v1|v2)"
     r"|(?P<int>-?\d+)"
-    r"|(?P<op>[*^]))"
+    r"|(?P<op>[*^]))\s*"
 )
 
 

@@ -84,7 +84,6 @@ _MINUS_ONE = RatFunc.scalar(-1)
 class OperatorMatrix:
     """A square matrix over RatFunc in the fixed pattern-basis order."""
 
-    tag: str
     rows: list[list[RatFunc]]
 
     def column(self, j: int) -> dict[int, RatFunc]:
@@ -233,47 +232,28 @@ def gt_vector(i: int, m: Pattern, mod: ModuleVLambda) -> ModuleVector:
     return act_divided(i, "E", r, mod.basis_vector(crystal.e_pow(i, -r, m)))
 
 
-def operator_matrix(tag: str, mod: ModuleVLambda, fn) -> OperatorMatrix:
-    """The matrix of a linear operator given by its action `fn` on vectors:
-    column j is fn of the j-th basis vector."""
+def operator_matrix(mod: ModuleVLambda, fn) -> OperatorMatrix:
+    """The matrix of a linear operator given by its action `fn` on basis
+    patterns: column j is fn(mod.basis[j])."""
     zero = RatFunc.zero()
     rows = [[zero] * mod.dim for _ in range(mod.dim)]
     for j, m in enumerate(mod.basis):
-        for target, c in fn(mod.basis_vector(m)).coeffs.items():
+        for target, c in fn(m).coeffs.items():
             rows[mod.index[target]][j] = c
-    return OperatorMatrix(tag, rows)
+    return OperatorMatrix(rows)
 
 
 def matrix_C(i: int, mod: ModuleVLambda) -> OperatorMatrix:
-    """Transition matrix whose column at m expands the adapted vector through
-    the pattern basis: a q-binomial on the diagonal, corrections along the
-    string-shift line above it."""
-    zero = RatFunc.zero()
-    rows = [[zero] * mod.dim for _ in range(mod.dim)]
-    for col, m in enumerate(mod.basis):
-        mi, mj, mij, m0i = _pattern_parts(i, m)
-        rows[col][col] = _qpoly(q_binomial(mi + m0i + mj + mij, mi + mij))
-        r = mj + m0i
-        for t in range(1, r + 1):
-            target = crystal.shift(m, i, t)
-            if not target.in_crystal:
-                continue
-            corr = cg_coeff(r, t, mj + mij, mi + m0i + mj + mij)
-            if corr.is_zero():
-                continue
-            rows[mod.index[target]][col] = RatFunc.of_poly(corr)
-    return OperatorMatrix(f"C{i}", rows)
+    """Transition matrix whose column at m expands the adapted vector
+    gt_vector(i, m) through the pattern basis: a q-binomial on the diagonal,
+    corrections along the string-shift line above it."""
+    return operator_matrix(mod, lambda m: gt_vector(i, m, mod))
 
 
 def matrix_P(i: int, mod: ModuleVLambda) -> OperatorMatrix:
-    zero, one = RatFunc.zero(), RatFunc.one()
-    rows = [[zero] * mod.dim for _ in range(mod.dim)]
-    for col, m in enumerate(mod.basis):
-        img = crystal.sigma_i(i, m)
-        if img not in mod.index:
-            raise RuntimeError(f"crystal involution left the component at {m}")
-        rows[mod.index[img]][col] = one
-    return OperatorMatrix(f"P{i}", rows)
+    """The crystal involution as a permutation matrix; basis_vector raises
+    ValueError if it leaves the component."""
+    return operator_matrix(mod, lambda m: mod.basis_vector(crystal.sigma_i(i, m)))
 
 
 def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
@@ -283,7 +263,7 @@ def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     p = mod.matrix(f"P{i}").rows
     c_inv = linalg.invert(c)
     cp = linalg.mat_mul(c, p)
-    return OperatorMatrix(f"N{i}", linalg.mat_mul(cp, c_inv))
+    return OperatorMatrix(linalg.mat_mul(cp, c_inv))
 
 
 # -- modified braid-group symmetries ---------------------------------------------------
@@ -338,8 +318,8 @@ def lusztig_T_word(word, sign: str, vec: ModuleVector) -> ModuleVector:
 
 class _StringDecomposition:
     """All i-strings of a module: top vectors from exact kernels of the raising
-    operator on each weight block, divided-power descents, and per-weight
-    solvers for string coordinates."""
+    operator on each weight block, divided-power descents, and the inverse of
+    the whole string basis for string coordinates."""
 
     def __init__(self, mod: ModuleVLambda, i: int):
         self.module = mod
@@ -347,11 +327,12 @@ class _StringDecomposition:
         self.strings: list[list[ModuleVector]] = []
         self.lengths: list[int] = []
         self.tops: list[ModuleVector] = []
+        raising = operator_matrix(mod, lambda m: act_divided(i, "E", 1, mod.basis_vector(m)))
         block_order = sorted(mod.weight_blocks, key=lambda w: w.coords)
         for beta in block_order:
             idxs = mod.weight_blocks[beta]
             l = beta[i]
-            kernel = self._kernel_vectors(beta, idxs)
+            kernel = self._kernel_vectors(raising.rows, beta, idxs)
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:
@@ -364,24 +345,15 @@ class _StringDecomposition:
                 self.strings.append(chain)
                 self.lengths.append(l)
                 self.tops.append(top)
-        # per-weight solver: columns are the string vectors passing through the weight
-        self._solvers: dict[Weight, tuple[list[tuple[int, int]], list[list[RatFunc]]]] = {}
-        through: dict[Weight, list[tuple[int, int]]] = {}
-        for t, chain in enumerate(self.strings):
-            for depth, v in enumerate(chain):
-                beta = next(iter(mod.weight_of(m) for m in v.coeffs))
-                through.setdefault(beta, []).append((t, depth))
-        for beta, cols in through.items():
-            idxs = mod.weight_blocks[beta]
-            if len(cols) != len(idxs):
-                raise RuntimeError("string vectors do not fill the weight block")
-            mat = [
-                [self.strings[t][depth].coefficient(mod.basis[k]) for (t, depth) in cols]
-                for k in idxs
-            ]
-            self._solvers[beta] = (cols, linalg.invert(mat))
+        self._columns = [(t, d) for t, chain in enumerate(self.strings) for d in range(len(chain))]
+        if len(self._columns) != mod.dim:
+            raise RuntimeError("string vectors do not fill the module")
+        vectors = [v for chain in self.strings for v in chain]
+        basis = operator_matrix(mod, lambda m: vectors[mod.index[m]])
+        # transposed, so the coordinates of a vector are one row-times-matrix product
+        self._inverse_t = [list(col) for col in zip(*linalg.invert(basis.rows))]
 
-    def _kernel_vectors(self, beta: Weight, idxs) -> list[list[RatFunc]]:
+    def _kernel_vectors(self, raising, beta: Weight, idxs) -> list[list[RatFunc]]:
         mod = self.module
         target = beta + mod.datum.simple_root(self.i)
         target_idxs = mod.weight_blocks.get(target, [])
@@ -391,34 +363,13 @@ class _StringDecomposition:
                 [RatFunc.one() if a == b else RatFunc.zero() for b in range(len(idxs))]
                 for a in range(len(idxs))
             ]
-        rows = []
-        for r in target_idxs:
-            row = []
-            for k in idxs:
-                image = act_divided(self.i, "E", 1, mod.basis_vector(mod.basis[k]))
-                row.append(image.coefficient(mod.basis[r]))
-            rows.append(row)
-        return linalg.nullspace(rows)
+        return linalg.nullspace([[raising[r][k] for k in idxs] for r in target_idxs])
 
     def coordinates(self, vec: ModuleVector) -> dict[tuple[int, int], RatFunc]:
         """Express vec in string coordinates {(string, depth): coefficient}."""
-        mod = self.module
-        slices: dict[Weight, dict[int, RatFunc]] = {}
-        for m, c in vec.coeffs.items():
-            slices.setdefault(mod.weight_of(m), {})[mod.index[m]] = c
-        out: dict[tuple[int, int], RatFunc] = {}
-        for beta, comp in slices.items():
-            cols, inv = self._solvers[beta]
-            idxs = mod.weight_blocks[beta]
-            rhs = [comp.get(k, RatFunc.zero()) for k in idxs]
-            for ci, (t, depth) in enumerate(cols):
-                x = RatFunc.zero()
-                for ri in range(len(idxs)):
-                    if not inv[ci][ri].is_zero() and not rhs[ri].is_zero():
-                        x = x + inv[ci][ri] * rhs[ri]
-                if not x.is_zero():
-                    out[(t, depth)] = x
-        return out
+        row = [vec.coefficient(m) for m in self.module.basis]
+        x = linalg.mat_mul([row], self._inverse_t)[0]
+        return {col: c for col, c in zip(self._columns, x) if not c.is_zero()}
 
 
 def sigma_string(i: int, vec: ModuleVector) -> ModuleVector:

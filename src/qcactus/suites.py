@@ -472,13 +472,13 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
 
     @functools.cache
     def sigma(mod, J):
-        return repmodule.operator_matrix(f"sigma{J}", mod, lambda b: repmodule.sigma_J(J, b))
+        return repmodule.operator_matrix(mod, lambda m: repmodule.sigma_J(J, mod.basis_vector(m)))
 
     def three_way(mod):
         for i in (1, 2):
             n = mod.matrix(f"N{i}")
             flip = repmodule.operator_matrix(
-                f"string{i}", mod, lambda b: repmodule.sigma_string(i, b)
+                mod, lambda m: repmodule.sigma_string(i, mod.basis_vector(m))
             )
             t = sigma(mod, (i,))
             for j, m in enumerate(mod.basis):
@@ -506,10 +506,10 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
     def braid(mod):
         for sign in ("+", "-"):
             t1 = repmodule.operator_matrix(
-                f"T1{sign}", mod, lambda b: repmodule.lusztig_T(1, sign, b)
+                mod, lambda m: repmodule.lusztig_T(1, sign, mod.basis_vector(m))
             ).rows
             t2 = repmodule.operator_matrix(
-                f"T2{sign}", mod, lambda b: repmodule.lusztig_T(2, sign, b)
+                mod, lambda m: repmodule.lusztig_T(2, sign, mod.basis_vector(m))
             ).rows
             lhs = linalg.mat_mul(t1, linalg.mat_mul(t2, t1))
             if lhs != linalg.mat_mul(t2, linalg.mat_mul(t1, t2)):

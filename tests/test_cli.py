@@ -66,6 +66,13 @@ def test_gk_normalform(capsys):
         RatFunc.from_json(item["coeff"])
 
 
+def test_gk_normalform_ignores_surrounding_whitespace(capsys):
+    code, out = run(capsys, "gk", "normalform", "--expr", "z1*z2")
+    assert code == 0
+    for padded in ("z1*z2 ", " z1 * z2 "):
+        assert run(capsys, "gk", "normalform", "--expr", padded) == (0, out)
+
+
 def test_verify_conjecture_trivial(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, _ = run(capsys, "verify-conjecture", "--max-degree", "0", "--out", str(out_file))
@@ -145,6 +152,9 @@ def test_module_export_bad_tag(tmp_path):
     ["gk", "normalform", "--expr", "z1**z2"],
     ["gk", "normalform", "--expr", "z1-2"],
     ["gk", "normalform", "--expr", ""],
+    ["gk", "normalform", "--expr", " "],
+    ["module", "export", "--l1", "1", "--l2", "0", "--which", "", "--out", "unused.json"],
+    ["module", "export", "--l1", "1", "--l2", "0", "--which", ",", "--out", "unused.json"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -227,8 +229,9 @@ class TestSigma:
         for l1, l2 in [(1, 0), (0, 1), (1, 1), (2, 0)]:
             mod = rm.ModuleVLambda(l1, l2)
             for i in (1, 2):
-                flip = rm.operator_matrix("flip", mod, lambda b: rm.sigma_string(i, b)).rows
-                sigma = rm.operator_matrix("sigma", mod, lambda b: rm.sigma_J((i,), b)).rows
+                basis_vector = mod.basis_vector
+                flip = rm.operator_matrix(mod, lambda m: rm.sigma_string(i, basis_vector(m))).rows
+                sigma = rm.operator_matrix(mod, lambda m: rm.sigma_J((i,), basis_vector(m))).rows
                 assert flip == mod.matrix(f"N{i}").rows, (l1, l2, i)
                 assert flip == sigma, (l1, l2, i)
 
@@ -274,6 +277,38 @@ class TestSigma:
             img = rm.sigma_J((1, 2), adjoint.basis_vector(m))
             target = cartan.weyl_act(d, w0, adjoint.weight_of(m))
             assert all(adjoint.weight_of(mm) == target for mm in img.coeffs)
+
+
+class TestStringDecomposition:
+    @pytest.mark.parametrize("lam", [(2, 1), (2, 2)])
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_coordinates_reassemble_the_vector(self, lam, i):
+        mod = rm.ModuleVLambda(*lam)
+        dec = mod.strings(i)
+        rng = random.Random(5)
+        combo = mod.zero()
+        for m in mod.basis:
+            coeff = RatFunc.monomial(rng.randint(-3, 3), rng.choice([-2, -1, 1, 3]))
+            combo = combo + mod.basis_vector(m).scale(coeff)
+        for vec in [mod.basis_vector(m) for m in mod.basis] + [combo]:
+            total = mod.zero()
+            for (t, depth), x in dec.coordinates(vec).items():
+                total = total + dec.strings[t][depth].scale(x)
+            assert total == vec, (lam, i, str(vec))
+
+    def test_raising_operator_is_tabulated_once(self, monkeypatch):
+        calls = Counter()
+        act = rm.act_divided
+
+        def counting(i, kind, r, vec):
+            calls[i, kind, r] += 1
+            return act(i, kind, r, vec)
+
+        monkeypatch.setattr(rm, "act_divided", counting)
+        mod = rm.ModuleVLambda(2, 2)
+        for i in (1, 2):
+            mod.strings(i)
+            assert calls[i, "E", 1] == mod.dim == 27, i
 
 
 class TestExtremalVectors:
