@@ -99,7 +99,7 @@ class LaurentPoly:
         for k, a in other._c.items():
             s = c.get(k, 0) + a
             if s:
-                c[k] = s
+                c[k] = s if type(s) is int else _coeff(s)
             else:
                 c.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -124,7 +124,8 @@ class LaurentPoly:
             if not other:
                 return ZERO
             out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {k: _coeff(a * other) for k, a in self._c.items()}
+            out._c = {k: p if type(p := a * other) is int else _coeff(p)
+                      for k, a in self._c.items()}
             out._hash = None
             return out
         if not isinstance(other, LaurentPoly):
@@ -134,7 +135,8 @@ class LaurentPoly:
         if len(other._c) == 1:
             (k2, a2), = other._c.items()
             out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {k + k2: _coeff(a * a2) for k, a in self._c.items()}
+            out._c = {k + k2: p if type(p := a * a2) is int else _coeff(p)
+                      for k, a in self._c.items()}
             out._hash = None
             return out
         c = {}
@@ -147,7 +149,7 @@ class LaurentPoly:
                 else:
                     c.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k: _coeff(a) for k, a in c.items()}
+        out._c = {k: a if type(a) is int else _coeff(a) for k, a in c.items()}
         out._hash = None
         return out
 
@@ -241,26 +243,31 @@ ONE = LaurentPoly({0: 1})
 
 
 def _divmod_poly(a: LaurentPoly, b: LaurentPoly):
-    """Division with remainder, treating v-units as invertible."""
+    """Division with remainder, treating v-units as invertible.
+
+    Coefficients stay as given: integer operands over a divisor with leading
+    coefficient ±1 are divided in int arithmetic, anything else in Fraction.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return ZERO, ZERO
     sa, sb = a.valuation, b.valuation
-    ra = {k - sa: Fraction(c) for k, c in a.items()}
-    rb = {k - sb: Fraction(c) for k, c in b.items()}
+    ra = {k - sa: c for k, c in a.items()}
+    rb = {k - sb: c for k, c in b.items()}
     db = max(rb)
-    lead_b = rb[db]
+    lead_b = rb.pop(db)
+    inv = lead_b if lead_b in (1, -1) else 1 / Fraction(lead_b)
     q = {}
-    while ra:
-        da = max(ra)
-        if da < db:
-            break
-        f = ra[da] / lead_b
+    # each step pops the leading term, so the loop ends even if it failed to cancel
+    for da in range(max(ra), db - 1, -1):
+        f = ra.pop(da, 0) * inv
+        if not f:
+            continue
         e = da - db
         q[e] = f
         for k, c in rb.items():
-            t = ra.get(k + e, Fraction(0)) - f * c
+            t = ra.get(k + e, 0) - f * c
             if t:
                 ra[k + e] = t
             else:
@@ -438,6 +445,10 @@ class RatFunc:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return _RF_ZERO
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not d2.is_one():
             g = poly_gcd(n1, d2)

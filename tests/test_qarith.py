@@ -65,6 +65,12 @@ class TestLaurentPoly:
         assert LaurentPoly.from_json(p.to_json()) == p
         assert p.to_json() == [[-2, "1/3"], [5, "-4"]]
 
+    def test_integral_sum_of_fractions_stores_int(self):
+        half = poly({0: Fraction(1, 2), 1: Fraction(-1, 2)})
+        for p in (half + half, half - (-half), half * 2):
+            assert p == poly({0: 1, 1: -1})
+            assert all(type(c) is int for _, c in p.items())
+
 
 class TestRatFunc:
     def test_normalize_division_oracle(self):
@@ -81,6 +87,11 @@ class TestRatFunc:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             rf_normalize(ONE, ZERO)
+
+    def test_product_with_one_is_the_other_factor(self):
+        r = RatFunc(poly({1: 1, 0: 1}), poly({1: 1, 0: 2}))
+        assert r * RatFunc.one() is r
+        assert RatFunc.one() * r is r
 
     def test_canonical_denominator_shape(self):
         r = RatFunc(poly({0: 7}), poly({3: 2, 5: 4}))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcactus import cartan, coxeter, crystal, linalg, suites
+from qcactus import cartan, coxeter, crystal, linalg, qarith, suites
 from qcactus import repmodule as rm
 from qcactus.crystal import Pattern
 from qcactus.qarith import RatFunc
@@ -110,6 +110,14 @@ class TestGTBasis:
     def test_matrix_c_trivial_module(self):
         mod = rm.ModuleVLambda(0, 0)
         assert mod.matrix("C1").rows[0][0].is_one()
+
+    def test_matrix_c_entries_share_the_unit_denominator(self):
+        # act_divided multiplies by the input coefficient 1; that must not
+        # give each polynomial entry its own copy of the denominator 1
+        mod = rm.ModuleVLambda(3, 3)
+        entries = [x for row in mod.matrix("C1").rows for x in row if not x.is_zero()]
+        assert entries
+        assert all(x.den is qarith.ONE for x in entries if x.den.is_one())
 
     def test_matrix_p_is_permutation(self, adjoint):
         for i in (1, 2):
