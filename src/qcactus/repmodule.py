@@ -5,9 +5,12 @@ divided-power raising/lowering action, Gelfand-Tsetlin change-of-basis
 matrices, modified braid-group symmetries, and the involutions built three
 independent ways:
 
-  * string flips computed from exact kernel decompositions,
+  * string flips S R S^{-1} on the string basis S from exact kernels,
   * conjugated permutation matrices N = C P C^{-1},
   * the normalized symmetry prefactor times the braid operators.
+
+Every operator is a matrix tabulated once per module from its action on the
+basis (C_i, P_i, each T_i^+/-, S) or composed from those with `linalg`.
 
 K-operators are never materialized: weight vectors are eigenvectors and all
 scalars are explicit powers of v.
@@ -94,6 +97,7 @@ class OperatorMatrix:
 
 
 MATRIX_TAGS = ("C1", "C2", "P1", "P2", "N1", "N2")
+_TAGS = MATRIX_TAGS + ("T1+", "T1-", "T2+", "T2-", "sigma1", "sigma2", "sigma12", "flip1", "flip2")
 
 
 class ModuleVLambda:
@@ -134,17 +138,22 @@ class ModuleVLambda:
     # -- operator matrices ----------------------------------------------------
 
     def matrix(self, tag: str) -> OperatorMatrix:
-        """The operator matrix named by one of MATRIX_TAGS, built once."""
+        """The operator matrix named by `tag`, built once: one of MATRIX_TAGS,
+        a braid symmetry T{i}{sign}, a parabolic involution sigma{J} or a
+        string flip flip{i}."""
         if tag not in self._matrices:
-            if tag not in MATRIX_TAGS:
-                raise ValueError(f"unknown matrix tag {tag!r}; expected one of {MATRIX_TAGS}")
-            kind, i = tag[0], int(tag[1])
-            if kind == "C":
-                self._matrices[tag] = matrix_C(i, self)
-            elif kind == "P":
-                self._matrices[tag] = matrix_P(i, self)
+            if tag not in _TAGS:
+                raise ValueError(f"unknown matrix tag {tag!r}; expected one of {_TAGS}")
+            kind = tag.rstrip("12+-")
+            index = tag[len(kind):].rstrip("+-")
+            if kind == "T":
+                built = matrix_T(int(index), tag[-1], self)
+            elif kind == "sigma":
+                built = matrix_sigma(tuple(map(int, index)), self)
             else:
-                self._matrices[tag] = matrix_N(i, self)
+                build = {"C": matrix_C, "P": matrix_P, "N": matrix_N, "flip": matrix_flip}[kind]
+                built = build(int(index), self)
+            self._matrices[tag] = built
         return self._matrices[tag]
 
     def strings(self, i: int) -> "_StringDecomposition":
@@ -313,20 +322,27 @@ def lusztig_T_word(word, sign: str, vec: ModuleVector) -> ModuleVector:
     return vec
 
 
+def matrix_T(i: int, sign: str, mod: ModuleVLambda) -> OperatorMatrix:
+    """The braid symmetry T_i^sign, tabulated from lusztig_T on the basis."""
+    return operator_matrix(mod, lambda m: lusztig_T(i, sign, mod.basis_vector(m)))
+
+
 # -- string decompositions ---------------------------------------------------------------
 
 
 class _StringDecomposition:
     """All i-strings of a module: top vectors from exact kernels of the raising
-    operator on each weight block, divided-power descents, and the inverse of
-    the whole string basis for string coordinates."""
+    operator on each weight block, divided-power descents, and the string
+    basis S, whose columns are the string vectors, with its inverse."""
 
     def __init__(self, mod: ModuleVLambda, i: int):
         self.module = mod
         self.i = i
         self.strings: list[list[ModuleVector]] = []
-        self.lengths: list[int] = []
-        self.tops: list[ModuleVector] = []
+        # per column of S: the weight of its string's top and its own weight
+        self.lines: list[tuple[Weight, Weight]] = []
+        # per column of S: the column of the same string at the mirrored depth
+        self.reversal: list[int] = []
         raising = operator_matrix(mod, lambda m: act_divided(i, "E", 1, mod.basis_vector(m)))
         block_order = sorted(mod.weight_blocks, key=lambda w: w.coords)
         for beta in block_order:
@@ -343,15 +359,15 @@ class _StringDecomposition:
                 if not act_divided(i, "F", l + 1, top).is_zero():
                     raise RuntimeError("string does not terminate at its stated length")
                 self.strings.append(chain)
-                self.lengths.append(l)
-                self.tops.append(top)
-        self._columns = [(t, d) for t, chain in enumerate(self.strings) for d in range(len(chain))]
-        if len(self._columns) != mod.dim:
+                start = len(self.lines)
+                self.lines.extend((beta, beta - mod.datum.simple_root(i).scale(depth))
+                                  for depth in range(l + 1))
+                self.reversal.extend(range(start + l, start - 1, -1))
+        if len(self.lines) != mod.dim:
             raise RuntimeError("string vectors do not fill the module")
         vectors = [v for chain in self.strings for v in chain]
-        basis = operator_matrix(mod, lambda m: vectors[mod.index[m]])
-        # transposed, so the coordinates of a vector are one row-times-matrix product
-        self._inverse_t = [list(col) for col in zip(*linalg.invert(basis.rows))]
+        self.basis = operator_matrix(mod, lambda m: vectors[mod.index[m]]).rows
+        self.inverse = linalg.invert(self.basis)
 
     def _kernel_vectors(self, raising, beta: Weight, idxs) -> list[list[RatFunc]]:
         mod = self.module
@@ -365,21 +381,13 @@ class _StringDecomposition:
             ]
         return linalg.nullspace([[raising[r][k] for k in idxs] for r in target_idxs])
 
-    def coordinates(self, vec: ModuleVector) -> dict[tuple[int, int], RatFunc]:
-        """Express vec in string coordinates {(string, depth): coefficient}."""
-        row = [vec.coefficient(m) for m in self.module.basis]
-        x = linalg.mat_mul([row], self._inverse_t)[0]
-        return {col: c for col, c in zip(self._columns, x) if not c.is_zero()}
 
-
-def sigma_string(i: int, vec: ModuleVector) -> ModuleVector:
-    """The index-i involution by flipping every i-string."""
-    dec = vec.module.strings(i)
-    out = vec.module.zero()
-    for (t, depth), x in dec.coordinates(vec).items():
-        flipped = dec.strings[t][dec.lengths[t] - depth]
-        out = out + flipped.scale(x)
-    return out
+def matrix_flip(i: int, mod: ModuleVLambda) -> OperatorMatrix:
+    """The index-i involution by flipping every i-string: S R S^{-1}, where R
+    reverses the depths within each string."""
+    dec = mod.strings(i)
+    flipped = [[row[c] for c in dec.reversal] for row in dec.basis]
+    return OperatorMatrix(linalg.mat_mul(flipped, dec.inverse))
 
 
 # -- normalized parabolic involutions ------------------------------------------------------
@@ -411,43 +419,43 @@ def _prefactor(d, J, w0J, lam: Weight, beta: Weight, branch: str) -> RatFunc:
     return RatFunc.monomial(int(vexp), sign)
 
 
-def sigma_J(J, vec: ModuleVector, branch: str | None = None) -> ModuleVector:
-    """The parabolic involution for a nonempty J in {1, 2}.
-
-    Both prefactor branches are computed and must agree unless one is pinned
-    with `branch`.
+def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
+    """The parabolic involution sigma^J: T_{w0(J)}, the product of the
+    tabulated T_i along the reduced word, times the prefactor of each isotypic
+    line.  For J = {1, 2} the lines are the basis patterns; for J = {i} they
+    are the i-string vectors, the columns of S, so the prefactor diagonal D
+    enters as S D S^{-1}.  Both prefactor branches are composed and must agree.
     """
-    J = tuple(sorted(set(J)))
-    if not J:
-        raise ValueError("J must be nonempty")
-    if branch is None:
-        plus = sigma_J(J, vec, "+")
-        minus = sigma_J(J, vec, "-")
-        if plus != minus:
-            raise ArithmeticError("the two prefactor branches disagree")
-        return plus
-    mod = vec.module
     d = mod.datum
     w0J = coxeter.longest_element(d.coxeter, J)
     word = coxeter.reduced_word(w0J)
-    if len(J) == 2:
-        lam = mod.highest_weight
-        scaled = mod.zero()
-        for m, c in vec.coeffs.items():
-            beta = mod.weight_of(m)
-            pref = _prefactor(d, J, w0J, lam, beta, branch)
-            scaled = scaled + ModuleVector({m: c * pref}, mod)
-        return lusztig_T_word(word, branch, scaled)
-    i = J[0]
-    dec = mod.strings(i)
-    scaled = mod.zero()
-    for (t, depth), x in dec.coordinates(vec).items():
-        top_vec = dec.tops[t]
-        lam = mod.weight_of(next(iter(top_vec.coeffs)))
-        beta = lam - d.simple_root(i).scale(depth)
-        pref = _prefactor(d, J, w0J, lam, beta, branch)
-        scaled = scaled + dec.strings[t][depth].scale(x * pref)
-    return lusztig_T_word(word, branch, scaled)
+    dec = mod.strings(J[0]) if len(J) == 1 else None
+    lines = dec.lines if dec else [(mod.highest_weight, beta) for beta in mod.weights]
+    branches = []
+    for sign in ("+", "-"):
+        out = mod.matrix(f"T{word[0]}{sign}").rows
+        for i in word[1:]:
+            out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}").rows)
+        if dec:
+            out = linalg.mat_mul(out, dec.basis)
+        pref = [_prefactor(d, J, w0J, lam, beta, sign) for lam, beta in lines]
+        out = [[x * p for x, p in zip(row, pref)] for row in out]
+        branches.append(linalg.mat_mul(out, dec.inverse) if dec else out)
+    if branches[0] != branches[1]:
+        raise ArithmeticError("the two prefactor branches disagree")
+    return OperatorMatrix(branches[0])
+
+
+def sigma_J(J, vec: ModuleVector) -> ModuleVector:
+    """The parabolic involution for a nonempty J in {1, 2}, applied to a vector
+    through its matrix."""
+    J = tuple(sorted(set(J)))
+    if not J:
+        raise ValueError("J must be nonempty")
+    mod = vec.module
+    image = linalg.mat_mul(mod.matrix("sigma" + "".join(map(str, J))).rows,
+                           [[vec.coefficient(m)] for m in mod.basis])
+    return ModuleVector({m: x for m, (x,) in zip(mod.basis, image)}, mod)
 
 
 # -- extremal vectors -------------------------------------------------------------------------

@@ -7,7 +7,6 @@ them.  Anchors state the identity being verified.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -470,17 +469,12 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
 
         return fn
 
-    @functools.cache
     def sigma(mod, J):
-        return repmodule.operator_matrix(mod, lambda m: repmodule.sigma_J(J, mod.basis_vector(m)))
+        return mod.matrix("sigma" + "".join(map(str, J)))
 
     def three_way(mod):
         for i in (1, 2):
-            n = mod.matrix(f"N{i}")
-            flip = repmodule.operator_matrix(
-                mod, lambda m: repmodule.sigma_string(i, mod.basis_vector(m))
-            )
-            t = sigma(mod, (i,))
+            n, flip, t = mod.matrix(f"N{i}"), mod.matrix(f"flip{i}"), sigma(mod, (i,))
             for j, m in enumerate(mod.basis):
                 if flip.column(j) != n.column(j):
                     return {"i": i, "m": str(m), "pair": "string/N"}
@@ -505,12 +499,7 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
 
     def braid(mod):
         for sign in ("+", "-"):
-            t1 = repmodule.operator_matrix(
-                mod, lambda m: repmodule.lusztig_T(1, sign, mod.basis_vector(m))
-            ).rows
-            t2 = repmodule.operator_matrix(
-                mod, lambda m: repmodule.lusztig_T(2, sign, mod.basis_vector(m))
-            ).rows
+            t1, t2 = mod.matrix(f"T1{sign}").rows, mod.matrix(f"T2{sign}").rows
             lhs = linalg.mat_mul(t1, linalg.mat_mul(t2, t1))
             if lhs != linalg.mat_mul(t2, linalg.mat_mul(t1, t2)):
                 return {"sign": sign}
@@ -535,7 +524,7 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
     def weight_bookkeeping():
         for (l1, l2), mod in modules.items():
             d = mod.datum
-            for m in mod.basis:
+            for col, m in enumerate(mod.basis):
                 b = mod.basis_vector(m)
                 beta = mod.weight_of(m)
                 for i in (1, 2):
@@ -543,9 +532,9 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
                     target = beta + d.simple_root(i)
                     if any(mod.weight_of(mm) != target for mm in img.coeffs):
                         return {"lambda": [l1, l2], "op": "E", "i": i, "m": str(m)}
-                    timg = repmodule.lusztig_T(i, "+", b)
                     starget = d.reflect(i, beta)
-                    if any(mod.weight_of(mm) != starget for mm in timg.coeffs):
+                    if any(mod.weights[row] != starget
+                           for row in mod.matrix(f"T{i}+").column(col)):
                         return {"lambda": [l1, l2], "op": "T", "i": i, "m": str(m)}
         return None
 

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -232,25 +231,55 @@ class TestLusztigT:
                 assert all(adjoint.weight_of(mm) == target for mm in img.coeffs)
 
 
+def _column(mod, tag, m):
+    """The image of the basis vector at m, read from column m of a module matrix."""
+    col = mod.matrix(tag).column(mod.index[m])
+    return rm.ModuleVector({mod.basis[r]: x for r, x in col.items()}, mod)
+
+
 class TestSigma:
     def test_three_way_agreement(self):
         for l1, l2 in [(1, 0), (0, 1), (1, 1), (2, 0)]:
             mod = rm.ModuleVLambda(l1, l2)
             for i in (1, 2):
-                basis_vector = mod.basis_vector
-                flip = rm.operator_matrix(mod, lambda m: rm.sigma_string(i, basis_vector(m))).rows
-                sigma = rm.operator_matrix(mod, lambda m: rm.sigma_J((i,), basis_vector(m))).rows
+                flip = mod.matrix(f"flip{i}").rows
                 assert flip == mod.matrix(f"N{i}").rows, (l1, l2, i)
-                assert flip == sigma, (l1, l2, i)
+                assert flip == mod.matrix(f"sigma{i}").rows, (l1, l2, i)
 
     def test_sigma_string_zero_length(self, vec3):
         # the weight-(0,-1) line is a trivial 1-string
-        fixed = vec3.basis_vector(Pattern(0, 0, 0, 1, 0, 0))
-        assert rm.sigma_string(1, fixed) == fixed
+        fixed = Pattern(0, 0, 0, 1, 0, 0)
+        assert _column(vec3, "flip1", fixed) == vec3.basis_vector(fixed)
 
     def test_sigma_string_flip(self, vec3):
         top = vec3.highest_vector()
-        assert rm.sigma_string(1, top) == rm.act_divided(1, "F", 1, top)
+        assert _column(vec3, "flip1", vec3.highest_pattern) == rm.act_divided(1, "F", 1, top)
+
+    def test_sigma_on_its_isotypic_lines(self):
+        # oracle off the matrix path: on each isotypic line sigma^J is the
+        # vector-path braid symmetry T_{w0(J)} times the line's prefactor, for
+        # either branch; the lines are the basis patterns for J = {1, 2} and
+        # the i-string vectors F_i^(k) top, of weight lam - k alpha_i, for J = {i}
+        mod = rm.ModuleVLambda(2, 1)
+        d = mod.datum
+        for J in ((1,), (2,), (1, 2)):
+            w0J = coxeter.longest_element(d.coxeter, J)
+            word = coxeter.reduced_word(w0J)
+            if len(J) == 2:
+                lines = [(mod.highest_weight, mod.weight_of(m), mod.basis_vector(m))
+                         for m in mod.basis]
+            else:
+                lines = []
+                for chain in mod.strings(J[0]).strings:
+                    lam = mod.weight_of(next(iter(chain[0].coeffs)))
+                    lines += [(lam, lam - d.simple_root(J[0]).scale(k), vec)
+                              for k, vec in enumerate(chain)]
+            assert len(lines) == mod.dim
+            for lam, beta, vec in lines:
+                image = rm.sigma_J(J, vec)
+                for sign in "+-":
+                    pref = rm._prefactor(d, J, w0J, lam, beta, sign)
+                    assert image == rm.lusztig_T_word(word, sign, vec.scale(pref)), (J, sign)
 
     def test_full_involution_on_highest(self, adjoint):
         w0 = coxeter.longest_element(adjoint.datum.coxeter, (1, 2))
@@ -269,10 +298,23 @@ class TestSigma:
                 (2,), rm.sigma_J((1, 2), b)
             ), str(m)
 
-    def test_branches_must_agree(self, adjoint):
-        # branch pinning exists for diagnostics; unpinned computation asserts equality
-        b = adjoint.highest_vector()
-        assert rm.sigma_J((1,), b, "+") == rm.sigma_J((1,), b, "-")
+    def test_branches_must_agree(self, monkeypatch):
+        # a "-" branch whose prefactor is off by a sign must not go unnoticed
+        prefactor = rm._prefactor
+
+        def skewed(d, J, w0J, lam, beta, branch):
+            value = prefactor(d, J, w0J, lam, beta, branch)
+            return value if branch == "+" else -value
+
+        monkeypatch.setattr(rm, "_prefactor", skewed)
+        mod = rm.ModuleVLambda(1, 1)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            rm.sigma_J((1,), mod.highest_vector())
+        by_name = {c["name"]: c for c in suites.sigma_checks([rm.ModuleVLambda(1, 1)])}
+        for name in ("three-way-agreement", "involutions", "star-conjugation"):
+            assert by_name[name]["status"] == "fail", name
+            assert "disagree" in by_name[name]["witness"]["error"]
+        assert by_name["T-braid"]["status"] == "pass"
 
     def test_empty_J_rejected(self, adjoint):
         with pytest.raises(ValueError):
@@ -291,18 +333,20 @@ class TestStringDecomposition:
     @pytest.mark.parametrize("lam", [(2, 1), (2, 2)])
     @pytest.mark.parametrize("i", [1, 2])
     def test_coordinates_reassemble_the_vector(self, lam, i):
+        # S^{-1} gives string coordinates that S reassembles into any vector,
+        # and the columns of S are the string vectors, each on its stated line
         mod = rm.ModuleVLambda(*lam)
         dec = mod.strings(i)
-        rng = random.Random(5)
-        combo = mod.zero()
-        for m in mod.basis:
-            coeff = RatFunc.monomial(rng.randint(-3, 3), rng.choice([-2, -1, 1, 3]))
-            combo = combo + mod.basis_vector(m).scale(coeff)
-        for vec in [mod.basis_vector(m) for m in mod.basis] + [combo]:
-            total = mod.zero()
-            for (t, depth), x in dec.coordinates(vec).items():
-                total = total + dec.strings[t][depth].scale(x)
-            assert total == vec, (lam, i, str(vec))
+        assert linalg.is_identity(linalg.mat_mul(dec.basis, dec.inverse))
+        vectors = [v for chain in dec.strings for v in chain]
+        assert len(vectors) == mod.dim
+        for c, vec in enumerate(vectors):
+            column = rm.OperatorMatrix(dec.basis).column(c)
+            assert column == {mod.index[m]: x for m, x in vec.coeffs.items()}, (lam, i, c)
+            beta = dec.lines[c][1]
+            assert all(mod.weight_of(m) == beta for m in vec.coeffs)
+            mirrored = vectors[dec.reversal[c]]
+            assert all(mod.weight_of(m) == mod.datum.reflect(i, beta) for m in mirrored.coeffs)
 
     def test_raising_operator_is_tabulated_once(self, monkeypatch):
         calls = Counter()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from qcactus import repmodule, suites
@@ -55,31 +57,45 @@ def test_relation_check_crash_is_a_failing_record(monkeypatch):
         assert c["seconds"] >= 0
 
 
-def test_sigma_checks_build_each_sigma_once(monkeypatch):
-    calls = []
-    sigma_J = repmodule.sigma_J
+def test_sigma_checks_tabulate_each_T_and_sigma_once(monkeypatch):
+    t_calls, sigma_calls = [], []
+    lusztig_T, matrix_sigma = repmodule.lusztig_T, repmodule.matrix_sigma
 
-    def counting(J, vec, branch=None):
-        if branch is None:
-            calls.append(tuple(J))
-        return sigma_J(J, vec, branch)
+    def counting_T(i, sign, vec):
+        t_calls.append((i, sign))
+        return lusztig_T(i, sign, vec)
 
-    monkeypatch.setattr(repmodule, "sigma_J", counting)
+    def counting_sigma(J, mod):
+        sigma_calls.append(J)
+        return matrix_sigma(J, mod)
+
+    monkeypatch.setattr(repmodule, "lusztig_T", counting_T)
+    monkeypatch.setattr(repmodule, "matrix_sigma", counting_sigma)
     mod = repmodule.ModuleVLambda(1, 1)
     checks = suites.sigma_checks([mod])
     assert all(c["status"] == "pass" for c in checks)
-    # one matrix each for sigma^1, sigma^2 and sigma^12, one call per column
-    assert len(calls) == 3 * mod.dim == 24
-    assert {J: calls.count(J) for J in calls} == {(1,): 8, (2,): 8, (1, 2): 8}
+    # one column of each of T1+, T1-, T2+ and T2- per basis vector, shared by
+    # every sigma^J and by T-braid
+    assert len(t_calls) == 4 * mod.dim == 32
+    assert Counter(t_calls) == {(i, sign): 8 for i in (1, 2) for sign in "+-"}
+    assert sorted(sigma_calls) == [(1,), (1, 2), (2,)]
 
 
 def test_sigma_crash_is_a_failing_record_in_every_sigma_check(monkeypatch):
     def crash(*args):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(repmodule, "sigma_J", crash)
-    by_name = {c["name"]: c for c in suites.sigma_checks([repmodule.ModuleVLambda(1, 0)])}
-    for name in ("three-way-agreement", "involutions", "star-conjugation"):
-        assert by_name[name]["status"] == "fail"
-        assert "injected" in by_name[name]["witness"]["error"]
-    assert by_name["T-braid"]["status"] == "pass"
+    sigma = ("three-way-agreement", "involutions", "star-conjugation")
+    # a crashing T_i reaches every check; a crashing sigma^J spares T-braid
+    for target, crashed in (("lusztig_T", (*sigma, "T-braid")), ("matrix_sigma", sigma)):
+        with monkeypatch.context() as patched:
+            patched.setattr(repmodule, target, crash)
+            checks = suites.sigma_checks([repmodule.ModuleVLambda(1, 0)])
+        by_name = {c["name"]: c for c in checks}
+        assert set(by_name) == {*sigma, "T-braid"}
+        for name, rec in by_name.items():
+            if name in crashed:
+                assert rec["status"] == "fail", (target, name)
+                assert "injected" in rec["witness"]["error"]
+            else:
+                assert rec["status"] == "pass", (target, name)
