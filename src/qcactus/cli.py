@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -175,7 +176,22 @@ def _matrix_tags(text: str) -> list[str]:
     bad = [t for t in tags if t not in repmodule.MATRIX_TAGS]
     if bad:
         raise ValueError(f"unknown matrix tags {bad}; expected some of {repmodule.MATRIX_TAGS}")
+    repeated = sorted({t for t in tags if tags.count(t) > 1})
+    if repeated:
+        raise ValueError(f"repeated matrix tags {repeated}")
     return tags
+
+
+def _out_path(text: str) -> str:
+    """A report path that can be written, checked before any work starts."""
+    if not text:
+        raise ValueError("empty output path")
+    if os.path.isdir(text):
+        raise ValueError(f"output path {text!r} is a directory")
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"directory {directory!r} of output path {text!r} does not exist")
+    return text
 
 
 def _ops(text: str) -> str:
@@ -193,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-conjecture", help="sweep the composed-involution identity")
     p.add_argument("--max-degree", type=_arg(_natural), default=8)
     p.add_argument("--jobs", type=_arg(_positive), default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, type=_arg(_out_path))
 
     p = sub.add_parser("coxeter", help="Coxeter group utilities")
     sc = p.add_subparsers(dest="sub", required=True)
@@ -201,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--type", required=True, dest="datum", metavar="TYPE",
                    type=_arg(coxeter.CoxeterDatum.from_type))
     k.add_argument("--subset", default="", type=_arg(coxeter.parse_subset))
-    k.add_argument("--out", default=None)
+    k.add_argument("--out", default=None, type=_arg(_out_path))
 
     p = sub.add_parser("crystal", help="pattern combinatorics")
     sc = p.add_subparsers(dest="sub", required=True)
@@ -216,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--l2", type=_arg(_natural), required=True)
     v.add_argument("--suite", choices=("relations", "sigma", "conjecture", "all"),
                    default="all")
-    v.add_argument("--out", default=None)
+    v.add_argument("--out", default=None, type=_arg(_out_path))
     e = sc.add_parser("export")
     e.add_argument("--l1", type=_arg(_natural), required=True)
     e.add_argument("--l2", type=_arg(_natural), required=True)
     e.add_argument("--which", default=",".join(repmodule.MATRIX_TAGS), type=_arg(_matrix_tags))
-    e.add_argument("--out", required=True)
+    e.add_argument("--out", required=True, type=_arg(_out_path))
 
     p = sub.add_parser("gk", help="model-algebra utilities")
     sc = p.add_subparsers(dest="sub", required=True)
@@ -231,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named property suite")
     p.add_argument("--name", required=True, choices=(*suites.SUITES, "all"))
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, type=_arg(_out_path))
     return parser
 
 

@@ -301,4 +301,8 @@ def parse_subset(text: str) -> frozenset:
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(part) for part in text.split(","))
+    parts = [int(part) for part in text.split(",")]
+    repeated = sorted({j for j in parts if parts.count(j) > 1})
+    if repeated:
+        raise ValueError(f"repeated subset indices {repeated}")
+    return frozenset(parts)

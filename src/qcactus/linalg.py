@@ -2,10 +2,12 @@
 
 One elimination routine, `rref`, a Gauss-Jordan over RatFunc, serves every
 solver: `rank` and `nullspace` read its pivots, and `invert` reduces [A | I]
-and returns the right half.  Pivots are chosen by lowest exponent span, and a
-row update touches only the columns where the pivot row is nonzero, so the
-sparse change-of-basis matrices downstream are inverted without visiting
-their zeros.
+and returns the right half.  The pivot is the diagonal entry when it is
+nonzero, so a triangular matrix is reduced without row swaps or fill; only
+when it is zero is the entry of lowest exponent span below it swapped up.  A
+row update touches only the columns where the pivot row is nonzero, and a
+product visits only the nonzero entries of both factors, so the sparse
+change-of-basis matrices downstream are handled without visiting their zeros.
 """
 
 from __future__ import annotations
@@ -21,21 +23,18 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0])
+    m = len(b[0])
     zero = RatFunc.zero()
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for k in range(mid):
-            x = row[k]
-            if x.is_zero():
-                continue
-            brow = b[k]
-            for j in range(m):
-                y = brow[j]
-                if not y.is_zero():
+    # the nonzero entries of each row of b, so the inner loop skips its zeros
+    b_support = [[(j, y) for j, y in enumerate(brow) if not y.is_zero()] for brow in b]
+    out = []
+    for row in a:
+        acc = [zero] * m
+        for x, brow in zip(row, b_support):
+            if brow and not x.is_zero():
+                for j, y in brow:
                     acc[j] = acc[j] + x * y
+        out.append(acc)
     return out
 
 
@@ -78,16 +77,18 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     for col in range(ncols):
         if r >= nrows:
             break
-        best = None
-        for i in range(r, nrows):
-            if not m[i][col].is_zero():
-                s = _span(m[i][col].num) + _span(m[i][col].den)
-                if best is None or s < best[1]:
-                    best = (i, s)
-        if best is None:
-            continue
-        i = best[0]
-        m[r], m[i] = m[i], m[r]
+        if m[r][col].is_zero():
+            # off the diagonal, the entry of lowest exponent span
+            best = None
+            for i in range(r + 1, nrows):
+                if not m[i][col].is_zero():
+                    s = _span(m[i][col].num) + _span(m[i][col].den)
+                    if best is None or s < best[1]:
+                        best = (i, s)
+            if best is None:
+                continue
+            i = best[0]
+            m[r], m[i] = m[i], m[r]
         inv = m[r][col].inverse()
         prow = m[r] = [x * inv for x in m[r]]
         support = [j for j, y in enumerate(prow) if not y.is_zero()]

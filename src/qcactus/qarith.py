@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 
 def _coeff(x):
@@ -279,21 +279,17 @@ def _divmod_poly(a: LaurentPoly, b: LaurentPoly):
 
 def _int_list(p: LaurentPoly) -> list[int]:
     """Dense integer coefficient list of p shifted to valuation 0, made primitive."""
-    val = p.valuation
-    deg = p.degree
-    den = 1
-    for _, c in p.items():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-    out = [0] * (deg - val + 1)
-    for k, c in p.items():
-        out[k - val] = int(c * den)
-    g = 0
-    for c in out:
-        g = _int_gcd(g, abs(c))
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+    c = p._c
+    val = min(c)
+    out = [0] * (max(c) - val + 1)
+    if all(type(x) is int for x in c.values()):
+        for k, x in c.items():
+            out[k - val] = x
+    else:
+        den = _int_lcm(*(x.denominator for x in c.values() if type(x) is not int))
+        for k, x in c.items():
+            out[k - val] = int(x * den)
+    return _primitive(out)
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -303,21 +299,84 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, abs(c))
+    g = _int_gcd(*a)
     if g > 1:
         a = [c // g for c in a]
     return a
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in Q[v] up to v-units, via a primitive pseudo-remainder sequence."""
+    """Monic gcd in Q[v] up to v-units.
+
+    A single-term operand is a unit.  Otherwise the heuristic gcd by integer
+    evaluation is tried first, and the primitive pseudo-remainder sequence
+    runs only if no candidate of the heuristic divides both operands.
+    """
     if a.is_zero():
         return _monic_unit(b)
     if b.is_zero():
         return _monic_unit(a)
+    if len(a._c) == 1 or len(b._c) == 1:
+        return ONE
     fa, fb = _int_list(a), _int_list(b)
+    g = _heu_gcd(fa, fb) or _prs_gcd(fa, fb)
+    if len(g) == 1:
+        return ONE
+    return _monic_unit(LaurentPoly(dict(enumerate(g))))
+
+
+def _heu_gcd(fa: list[int], fb: list[int]) -> list[int] | None:
+    """GCDHEU (Char, Geddes and Gonnet, 1989) on primitive integer lists.
+
+    gcd(a(xi), b(xi)) is read back as a polynomial from its balanced base-xi
+    digits.  For xi >= 2 min(|a|, |b|) + 2 that candidate, made primitive, is
+    the gcd if and only if it divides both a and b in Z[v], so it is returned
+    only after that exact test.  None when no evaluation point verifies.
+    """
+    # the theorem's bound 2 min(|a|, |b|) + 2, with a margin
+    xi = 2 * min(max(map(abs, fa)), max(map(abs, fb))) + 29
+    for _ in range(6):
+        h = _int_gcd(_horner(fa, xi), _horner(fb, xi))
+        # balanced digits; h > 0, so the leading digit is positive
+        g = []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            g.append(d)
+            h = (h - d) // xi
+        g = _primitive(g)
+        if len(g) == 1 or (_divides(g, fa) and _divides(g, fb)):
+            return g
+        xi = xi * 73794 // 27011  # grow by about 2.73, the usual GCDHEU step
+    return None
+
+
+def _horner(a: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
+def _divides(g: list[int], a: list[int]) -> bool:
+    """Whether g divides a in Z[v], by exact long division from the top."""
+    dg = len(g) - 1
+    r = list(a)
+    lead = g[-1]
+    for top in range(len(r) - 1, dg - 1, -1):
+        f, rem = divmod(r[top], lead)
+        if rem:
+            return False
+        if f:
+            base = top - dg
+            for i in range(dg):
+                r[base + i] -= f * g[i]
+    return not any(r[:dg])
+
+
+def _prs_gcd(fa: list[int], fb: list[int]) -> list[int]:
+    """Primitive gcd of two integer lists by a primitive pseudo-remainder sequence."""
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -333,11 +392,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 r[dr - db + i] -= c * y
             r = _trim(r)
         fa, fb = fb, _primitive(_trim(r))
-    if len(fa) == 1:
-        return ONE
-    d = dict(enumerate(fa))
-    g = LaurentPoly(d)
-    return _monic_unit(g)
+    return fa
 
 
 def _monic_unit(p: LaurentPoly) -> LaurentPoly:
@@ -397,7 +452,7 @@ class RatFunc:
     # -- queries --------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._c
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()

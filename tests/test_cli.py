@@ -155,6 +155,15 @@ def test_module_export_bad_tag(tmp_path):
     ["gk", "normalform", "--expr", " "],
     ["module", "export", "--l1", "1", "--l2", "0", "--which", "", "--out", "unused.json"],
     ["module", "export", "--l1", "1", "--l2", "0", "--which", ",", "--out", "unused.json"],
+    ["verify-conjecture", "--max-degree", "0", "--out", "missing-dir/report.json"],
+    ["coxeter", "kernel", "--type", "A2", "--subset", "1", "--out", "missing-dir/report.json"],
+    ["module", "verify", "--l1", "0", "--l2", "0", "--out", "missing-dir/report.json"],
+    ["module", "export", "--l1", "0", "--l2", "0", "--out", "missing-dir/matrices.json"],
+    ["suite", "--name", "qarith", "--out", "missing-dir/report.json"],
+    ["suite", "--name", "qarith", "--out", "."],
+    ["suite", "--name", "qarith", "--out", ""],
+    ["coxeter", "kernel", "--type", "A2", "--subset", "1,1"],
+    ["module", "export", "--l1", "1", "--l2", "0", "--which", "N1,N1", "--out", "unused.json"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -165,3 +165,5 @@ def test_unknown_type():
 def test_parse_subset():
     assert cx.parse_subset("") == frozenset()
     assert cx.parse_subset("1,3") == frozenset({1, 3})
+    with pytest.raises(ValueError, match="repeated"):
+        cx.parse_subset("1,3,1")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcactus import linalg
+from qcactus import linalg, repmodule
 from qcactus.qarith import LaurentPoly, RatFunc
 
 
@@ -77,8 +77,9 @@ def test_non_square_raises():
 
 
 def test_invert_lower_triangular_pivot_below_diagonal():
-    # column 0 has its shortest-span entry in the last row, so elimination
-    # pivots below the diagonal before the rows settle back in order
+    # column 0 has its shortest-span entry in the last row, but the diagonal
+    # entries are nonzero, so elimination pivots on the diagonal throughout,
+    # swaps no rows, and the inverse stays lower triangular
     one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
     a = [
         [one + v * v * v, zero, zero],
@@ -89,6 +90,36 @@ def test_invert_lower_triangular_pivot_below_diagonal():
     assert linalg.is_identity(linalg.mat_mul(a, inv))
     assert linalg.is_identity(linalg.mat_mul(inv, a))
     assert all(inv[i][j].is_zero() for i in range(3) for j in range(i + 1, 3))
+
+
+def test_zero_diagonal_pivots_on_the_lowest_span_entry_below(monkeypatch):
+    # the diagonal of column 0 is zero: of the two entries below it, the one
+    # of span 0 in the last row is swapped up and inverted first
+    one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
+    a = [
+        [zero, one, zero],
+        [one + v * v * v, zero, one],
+        [one + one, v, v],
+    ]
+    inverted = []
+    inverse = RatFunc.inverse
+    monkeypatch.setattr(RatFunc, "inverse", lambda x: inverted.append(x) or inverse(x))
+    inv = linalg.invert(a)
+    assert inverted[0] == one + one
+    assert linalg.is_identity(linalg.mat_mul(a, inv))
+    assert linalg.is_identity(linalg.mat_mul(inv, a))
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def test_invert_lower_triangular_c2_matches_its_upper_transpose():
+    # C2 is lower triangular in basis order and its transpose upper triangular:
+    # both are reduced on the diagonal, and the inverses must agree
+    c2 = repmodule.ModuleVLambda(3, 3).matrix("C2").rows
+    assert all(c2[i][j].is_zero() for i in range(len(c2)) for j in range(i + 1, len(c2)))
+    assert linalg.invert(c2) == transpose(linalg.invert(transpose(c2)))
 
 
 def test_rank_and_nullspace():

@@ -2,7 +2,9 @@
 
 Dividends have int-only or mixed int/Fraction coefficients, and divisors have
 a unit (±1) or a non-unit leading coefficient, so exact division runs both in
-int and in Fraction arithmetic.  `derandomize` makes every run draw the same
+int and in Fraction arithmetic.  The gcd is checked against `sympy` on pairs
+with a planted common factor, through the heuristic and through the
+pseudo-remainder fallback.  `derandomize` makes every run draw the same
 examples.
 """
 
@@ -10,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcactus.qarith import LaurentPoly, RatFunc, _divmod_poly
+from qcactus import qarith
+from qcactus.qarith import ONE, LaurentPoly, RatFunc, _divmod_poly, poly_gcd
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -115,3 +118,72 @@ def test_ratfunc_canonical_form(n1, d1, n2, d2):
         results.append(a / b)
     for r in results:
         assert_canonical(r)
+
+
+FACTORS = st.one_of(polys(INTS), polys(MIXED)).filter(lambda p: not p.is_zero())
+
+
+def oracle_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The monic gcd in Q[v] of a and b with their v-powers removed, by sympy."""
+    if sympy is None:
+        pytest.skip("sympy is not installed")
+    v = sympy.Symbol("v")
+
+    def to_poly(p):
+        return sympy.Poly([sympy.Rational(p.coefficient(k)) for k in range(p.degree, p.valuation - 1, -1)],
+                          v, domain="QQ")
+
+    g = sympy.gcd(to_poly(a), to_poly(b)).monic()
+    return LaurentPoly({k: Fraction(int(c.p), int(c.q)) for (k,), c in g.terms()})
+
+
+@PROPS
+@given(FACTORS, FACTORS, FACTORS)
+def test_gcd_of_a_planted_common_factor(g, p, q):
+    a, b = g * p, g * q
+    expected = oracle_gcd(a, b)
+    assert poly_gcd(a, b) == expected
+    assert poly_gcd(b, a) == expected
+    assert_stored_canonical(expected)
+
+
+@PROPS
+@given(FACTORS, FACTORS, FACTORS)
+def test_gcd_fallback_agrees_with_the_heuristic(g, p, q):
+    a, b = g * p, g * q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qarith, "_heu_gcd", lambda fa, fb: None)
+        fallback = poly_gcd(a, b)
+    assert fallback == poly_gcd(a, b) == oracle_gcd(a, b)
+
+
+@PROPS
+@given(st.integers(-5, 5), st.one_of(UNIT, NONUNIT), FACTORS)
+def test_gcd_with_a_single_term_operand_is_one(exp, coeff, p):
+    mono = LaurentPoly.monomial(exp, coeff)
+    assert poly_gcd(mono, p) == ONE
+    assert poly_gcd(p, mono) == ONE
+
+
+def lp(*coeffs) -> LaurentPoly:
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
+def test_gcd_candidate_that_does_not_divide_is_rejected():
+    # at the first evaluation point 31, gcd(a(31), b(31)) = 37 reads back as
+    # v + 6 = b, which does not divide a: the operands are coprime
+    a, b = lp(1, 0, 1), lp(6, 1)
+    assert poly_gcd(a, b) == ONE
+    assert qarith._heu_gcd([1, 0, 1], [6, 1]) == [1]
+
+
+def test_gcd_candidate_is_made_primitive(monkeypatch):
+    # the cofactors (v+1)(v+2) and (v+3)(v+4) are even at every integer, so
+    # every evaluated gcd carries a spurious integer content
+    def no_fallback(fa, fb):
+        raise AssertionError("the pseudo-remainder fallback ran")
+
+    monkeypatch.setattr(qarith, "_prs_gcd", no_fallback)
+    g = lp(2, 0, 1)
+    a, b = g * lp(1, 1) * lp(2, 1), g * lp(3, 1) * lp(4, 1)
+    assert poly_gcd(a.shift(-3), b.shift(2)) == g

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from qcactus import repmodule, suites
+from qcactus import qarith, repmodule, suites
 
 
 class SerialPool:
@@ -99,3 +99,14 @@ def test_sigma_crash_is_a_failing_record_in_every_sigma_check(monkeypatch):
                 assert "injected" in rec["witness"]["error"]
             else:
                 assert rec["status"] == "pass", (target, name)
+
+
+def test_conjecture_gcds_need_no_fallback(monkeypatch):
+    # every gcd of a module computation is found by the heuristic gcd; the
+    # pseudo-remainder sequence is kept only as a fallback
+    def no_fallback(fa, fb):
+        raise AssertionError("the pseudo-remainder fallback ran")
+
+    monkeypatch.setattr(qarith, "_prs_gcd", no_fallback)
+    result = suites.conjecture_task((3, 3))
+    assert [c["status"] for c in result["checks"]] == ["pass"] * 4
