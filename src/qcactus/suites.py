@@ -7,6 +7,7 @@ them.  Anchors state the identity being verified.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -694,18 +695,22 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
 
         return fn
 
-    def cube():
-        m = linalg.mat_mul(mod.matrix("N1").rows, mod.matrix("N2").rows)
-        m3 = linalg.mat_mul(linalg.mat_mul(m, m), m)
-        if not linalg.is_identity(m3):
+    @functools.cache
+    def braid_sides():
+        # L = N1 N2 N1 and R = N2 N1 N2, shared by braid and cube, since
+        # (N1 N2)^3 = L R; a crash is not cached, so it fails both checks
+        n1, n2 = mod.matrix("N1").rows, mod.matrix("N2").rows
+        m = linalg.mat_mul(n1, n2)
+        return linalg.mat_mul(m, n1), linalg.mat_mul(n2, m)
+
+    def braid():
+        lhs, rhs = braid_sides()
+        if lhs != rhs:
             return {"lambda": [l1, l2]}
         return None
 
-    def braid():
-        n1, n2 = mod.matrix("N1").rows, mod.matrix("N2").rows
-        lhs = linalg.mat_mul(n1, linalg.mat_mul(n2, n1))
-        rhs = linalg.mat_mul(n2, linalg.mat_mul(n1, n2))
-        if lhs != rhs:
+    def cube():
+        if not linalg.is_identity(linalg.mat_mul(*braid_sides())):
             return {"lambda": [l1, l2]}
         return None
 

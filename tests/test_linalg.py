@@ -135,3 +135,116 @@ def test_rank_and_nullspace():
         for entry, coord in zip(row, x):
             total = total + entry * coord
         assert total.is_zero()
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    one = RatFunc.one()
+    with pytest.raises(ValueError, match="shapes"):
+        linalg.mat_mul([[one, one]], [[one]])
+    with pytest.raises(ValueError, match="shapes"):
+        linalg.mat_mul([[one], [one, one]], [[one], [one]])
+
+
+def test_is_identity_rejects_non_square():
+    one, zero = RatFunc.one(), RatFunc.zero()
+    assert not linalg.is_identity([[one, one]])
+    assert not linalg.is_identity([[one], [zero]])
+    assert not linalg.is_identity([[one, zero], [zero]])
+
+
+# -- reference arithmetic without memos, for the memoized mat_mul and rref -----
+
+
+def pool_matrix(rng, nrows, ncols):
+    # entries from a small pool holding each value with its negative, so dot
+    # products and row updates repeat and some dot products cancel to zero
+    v = RatFunc.monomial(1)
+    q = RatFunc(LaurentPoly({0: 1}), LaurentPoly({0: 1, 1: 1}))
+    base = [RatFunc.one(), v, q, v * q + RatFunc.one()]
+    pool = base + [-x for x in base] + [RatFunc.zero()] * 4
+    return [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def ref_mul(a, b):
+    out = []
+    for row in a:
+        acc = []
+        for j in range(len(b[0])):
+            total = RatFunc.zero()
+            for k, x in enumerate(row):
+                total = total + x * b[k][j]
+            acc.append(total)
+        out.append(acc)
+    return out
+
+
+def ref_rref(a):
+    # Gauss-Jordan on the first nonzero entry of each column; the reduced row
+    # echelon form is unique, so any pivot rule gives the same matrix
+    m = [row[:] for row in a]
+    pivots, r = [], 0
+    for col in range(len(m[0])):
+        rows = [i for i in range(r, len(m)) if not m[i][col].is_zero()]
+        if not rows:
+            continue
+        m[r], m[rows[0]] = m[rows[0]], m[r]
+        inv = m[r][col].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def test_memoized_mat_mul_equals_reference_product():
+    rng = random.Random(11)
+    cancelled = 0
+    for _ in range(30):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = pool_matrix(rng, n, k), pool_matrix(rng, k, m)
+        expected = ref_mul(a, b)
+        assert linalg.mat_mul(a, b) == expected
+        cancelled += sum(
+            expected[i][j].is_zero()
+            and any(not a[i][t].is_zero() and not b[t][j].is_zero() for t in range(k))
+            for i in range(n) for j in range(m)
+        )
+    assert cancelled > 0
+
+
+def test_memoized_rref_and_invert_equal_reference_gauss_jordan():
+    rng = random.Random(5)
+    for _ in range(30):
+        a = pool_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+        assert linalg.rref(a) == ref_rref(a)
+    inverted = 0
+    while inverted < 10:
+        n = rng.randint(2, 5)
+        a = pool_matrix(rng, n, n)
+        ref, pivots = ref_rref([row + e for row, e in zip(a, linalg.identity(n))])
+        if pivots == list(range(n)):
+            assert linalg.invert(a) == [row[n:] for row in ref]
+            inverted += 1
+
+
+def test_mat_mul_forms_a_repeated_row_once(monkeypatch):
+    # b has distinct columns and no zeros, so each dot product of one row is
+    # new, and the second copy of that row repeats all of them
+    rng = random.Random(3)
+    row = [RatFunc.monomial(e, c) for e, c in ((0, 2), (1, -1), (2, 3))]
+    b = [[RatFunc.monomial(rng.randint(-2, 2), rng.randint(1, 9)) for _ in range(4)]
+         for _ in range(3)]
+    assert len({tuple(b[k][j] for k in range(3)) for j in range(4)}) == 4
+    calls = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    expected = ref_mul([row, row], b)
+    reference_calls = len(calls)
+    calls.clear()
+    assert linalg.mat_mul([row, row], b) == expected
+    assert 2 * len(calls) == reference_calls == 24

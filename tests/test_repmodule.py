@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -163,6 +164,11 @@ class TestInvolutionMatrices:
         assert at(linalg.invert(mod.matrix(f"C{i}").rows)) == c_inv
         assert at(mod.matrix(f"N{i}").rows) == _fraction_mul(_fraction_mul(c, p), c_inv)
 
+    @pytest.mark.parametrize("lam", [(3, 3), (4, 4)])
+    def test_integer_oracle(self, lam):
+        verdicts = integer_oracle(rm.ModuleVLambda(*lam))
+        assert verdicts == dict.fromkeys(("involution-1", "involution-2", "braid", "cube"), True)
+
     def test_crystal_shadow(self, adjoint):
         for i in (1, 2):
             n = adjoint.matrix(f"N{i}")
@@ -192,6 +198,102 @@ def _fraction_inverse(a):
 
 def _fraction_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col) if x and y) for col in zip(*b)] for row in a]
+
+
+# -- integer oracle for the conjecture identities ---------------------------------
+# Each N_i becomes an integer matrix: scale it by v^s_i D_i, where D_i is the
+# product of its distinct entry denominators and s_i clears negative exponents,
+# and pack every polynomial entry as its value at v = 2^b.  Evaluation at 2^b
+# is a ring map, so each identity scaled by these scalars holds at 2^b when it
+# holds over Z[v]; conversely a nonzero integer polynomial whose coefficients
+# are below 2^b - 1 in size does not vanish at 2^b, and b is chosen above a
+# 1-norm bound on every coefficient of both sides.  No RatFunc product,
+# poly_gcd or linalg.mat_mul is involved.
+
+
+def _int_mul(a, b):
+    """Sparse product of {row: {col: int}} matrices, dropping zeros."""
+    out = {}
+    for r, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for c, y in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + x * y
+        acc = {c: z for c, z in acc.items() if z}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _scalar(dim, value):
+    return {r: {r: value} for r in range(dim)}
+
+
+def _scaled(a, value):
+    return {r: {c: x * value for c, x in row.items()} for r, row in a.items()}
+
+
+def _norm1(p):
+    return sum(abs(c) for _, c in p.items())
+
+
+def _pack(p, shift, b):
+    assert all(isinstance(c, int) for _, c in p.items())
+    return sum(c << (b * (e + shift)) for e, c in p.items())
+
+
+class _Cleared:
+    """v^s D N for one N_i, as 1-norm bounds and then packed at v = 2^b."""
+
+    def __init__(self, rows):
+        self.entries = {(r, c): e for r, row in enumerate(rows)
+                        for c, e in enumerate(row) if not e.is_zero()}
+        self.dens = list({e.den for e in self.entries.values()})
+        self.shift = max(0, max(-e.num.valuation for e in self.entries.values()))
+
+    def norms(self):
+        dens = [_norm1(d) for d in self.dens]
+        scale = math.prod(dens)
+        out = {}
+        for (r, c), e in self.entries.items():
+            others = scale // dens[self.dens.index(e.den)]
+            out.setdefault(r, {})[c] = _norm1(e.num) * others
+        return out, scale
+
+    def packed(self, b):
+        dens = [_pack(d, 0, b) for d in self.dens]
+        scale = math.prod(dens)
+        out = {}
+        for (r, c), e in self.entries.items():
+            others = scale // dens[self.dens.index(e.den)]
+            out.setdefault(r, {})[c] = _pack(e.num, self.shift, b) * others
+        return out, scale << (b * self.shift)
+
+
+def _conjecture_sides(dim, m1, s1, m2, s2):
+    """Both sides of (N1)^2 = 1, (N2)^2 = 1, N1 N2 N1 = N2 N1 N2 and
+    (N1 N2)^3 = 1 after scaling N_i to M_i = s_i N_i."""
+    m12 = _int_mul(m1, m2)
+    return {
+        "involution-1": (_int_mul(m1, m1), _scalar(dim, s1 * s1)),
+        "involution-2": (_int_mul(m2, m2), _scalar(dim, s2 * s2)),
+        "braid": (_scaled(_int_mul(m12, m1), s2), _scaled(_int_mul(m2, m12), s1)),
+        "cube": (_int_mul(_int_mul(m12, m12), m12), _scalar(dim, (s1 * s2) ** 3)),
+    }
+
+
+def integer_oracle(mod):
+    """The conjecture identities of one module decided over Z, by name."""
+    cleared = [_Cleared(mod.matrix(f"N{i}").rows) for i in (1, 2)]
+    (n1, t1), (n2, t2) = (c.norms() for c in cleared)
+    bound = 0
+    for lhs, rhs in _conjecture_sides(mod.dim, n1, t1, n2, t2).values():
+        top = [x for side in (lhs, rhs) for row in side.values() for x in row.values()]
+        bound = max(bound, 2 * max(top))
+    b = bound.bit_length() + 1
+    (p1, u1), (p2, u2) = (c.packed(b) for c in cleared)
+    sides = _conjecture_sides(mod.dim, p1, u1, p2, u2)
+    return {name: lhs == rhs for name, (lhs, rhs) in sides.items()}
 
 
 class TestLusztigT:

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from qcactus import qarith, repmodule, suites
+from qcactus import linalg, qarith, repmodule, suites
 
 
 class SerialPool:
@@ -99,6 +99,51 @@ def test_sigma_crash_is_a_failing_record_in_every_sigma_check(monkeypatch):
                 assert "injected" in rec["witness"]["error"]
             else:
                 assert rec["status"] == "pass", (target, name)
+
+
+def test_braid_and_cube_share_their_products(monkeypatch):
+    mod = repmodule.ModuleVLambda(1, 1)
+    mod.matrix("N1"), mod.matrix("N2")
+    products = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+    checks = suites.conjecture_checks(mod)
+    assert [c["status"] for c in checks] == ["pass"] * 4
+    # N1 N1 and N2 N2; M = N1 N2, L = M N1 and R = N2 M; then L R for the cube
+    assert len(products) == 6
+
+
+def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkeypatch):
+    def crash(*args):
+        raise RuntimeError("injected")
+
+    def crash_n2(i, mod):
+        return crash() if i == 2 else matrix_n(i, mod)
+
+    matrix_n, mat_mul = repmodule.matrix_N, linalg.mat_mul
+    mod = repmodule.ModuleVLambda(1, 1)
+    n1, n2 = mod.matrix("N1").rows, mod.matrix("N2").rows
+
+    def crash_after_n(a, b):
+        # the involutions multiply N_i by itself; the first product of a
+        # product is L = (N1 N2) N1, shared by braid and cube
+        return mat_mul(a, b) if a is n1 or a is n2 else crash()
+
+    names = ("involution-N1(1,1)", "involution-N2(1,1)", "braid(1,1)", "cube(1,1)")
+    for target, patch, fresh, crashed in (
+        (repmodule, ("matrix_N", crash_n2), True, names[1:]),
+        (linalg, ("mat_mul", crash_after_n), False, names[2:]),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(target, *patch)
+            checks = suites.conjecture_checks(repmodule.ModuleVLambda(1, 1) if fresh else mod)
+        assert [c["name"] for c in checks] == list(names)
+        for rec in checks:
+            if rec["name"] in crashed:
+                assert rec["status"] == "fail", (patch[0], rec["name"])
+                assert "injected" in rec["witness"]["error"]
+            else:
+                assert rec["status"] == "pass", (patch[0], rec["name"])
 
 
 def test_conjecture_gcds_need_no_fallback(monkeypatch):
