@@ -1,14 +1,14 @@
-"""Exact linear algebra over the rational-function field.
+"""Exact linear algebra over the rational-function field, on sparse rows.
+
+A matrix is a list of `Row`s, dicts {col: RatFunc} that store no zeros and
+read zero off their support, so every routine visits only the stored entries
+of the change-of-basis matrices downstream, a few per row.
 
 One elimination routine, `rref`, a Gauss-Jordan over RatFunc, serves every
 solver: `rank` and `nullspace` read its pivots, and `invert` reduces [A | I]
 and returns the right half.  The pivot is the diagonal entry when it is
 nonzero, so a triangular matrix is reduced without row swaps or fill; only
-when it is zero is the entry of lowest exponent span below it swapped up.  A
-pivot row is scaled and a row update applied only at the columns where the
-pivot row is nonzero, and a product visits only the nonzero entries of both
-factors, so the sparse change-of-basis matrices downstream are handled
-without visiting their zeros.
+when it is zero is the entry of lowest exponent span below it swapped up.
 
 The entries of these matrices take few distinct values, so within one call
 each distinct piece of arithmetic is formed once: `mat_mul` keys each dot
@@ -20,116 +20,111 @@ local to the call.
 
 from __future__ import annotations
 
-from .qarith import LaurentPoly, RatFunc
+from collections import defaultdict
 
-Matrix = list[list[RatFunc]]
+from .qarith import RatFunc
+
+_ZERO = RatFunc.zero()
+
+
+class Row(dict):
+    """A sparse matrix row {col: RatFunc}: no zeros stored, zero off the support."""
+
+    __slots__ = ()
+
+    def __missing__(self, col: int) -> RatFunc:
+        return _ZERO
+
+
+Matrix = list[Row]
 
 
 def identity(n: int) -> Matrix:
-    one, zero = RatFunc.one(), RatFunc.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    one = RatFunc.one()
+    return [Row({i: one}) for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product; raises ValueError when a row of `a` is not len(b) long.
-    Entries with the same nonzero factor pairs share one sum."""
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("matrix shapes do not match for a product")
-    m = len(b[0]) if b else 0
-    zero = RatFunc.zero()
-    # the nonzero entries of each row of b, so the inner loop skips its zeros
-    b_support = [[(j, y) for j, y in enumerate(brow) if not y.is_zero()] for brow in b]
+    """Exact product; raises ValueError when a column key of `a` does not
+    index a row of `b`.  Entries with the same factor pairs share one sum."""
+    n = len(b)
     dots: dict[tuple, RatFunc] = {}
     out = []
     for row in a:
-        factors: list[list[RatFunc]] = [[] for _ in range(m)]
-        for x, brow in zip(row, b_support):
-            if brow and not x.is_zero():
-                for j, y in brow:
-                    factors[j] += (x, y)
-        acc = [zero] * m
-        for j, pairs in enumerate(factors):
-            if pairs:
-                key = tuple(pairs)
-                if key not in dots:
-                    total = zero
-                    for x, y in zip(pairs[::2], pairs[1::2]):
-                        total = total + x * y
-                    dots[key] = total
-                acc[j] = dots[key]
+        if row and max(row) >= n:
+            raise ValueError("matrix shapes do not match for a product")
+        factors: dict[int, list[RatFunc]] = defaultdict(list)
+        for k, x in row.items():
+            for j, y in b[k].items():
+                factors[j] += (x, y)
+        acc = Row()
+        for j, pairs in factors.items():
+            key = tuple(pairs)
+            total = dots.get(key)
+            if total is None:
+                total = _ZERO
+                for x, y in zip(pairs[::2], pairs[1::2]):
+                    total = total + x * y
+                dots[key] = total
+            if not total.is_zero():
+                acc[j] = total
         out.append(acc)
     return out
 
 
 def is_identity(a: Matrix) -> bool:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        return False
-    for i in range(n):
-        for j in range(n):
-            entry = a[i][j]
-            if i == j:
-                if not entry.is_one():
-                    return False
-            elif not entry.is_zero():
-                return False
-    return True
+    return all(len(row) == 1 and row[i].is_one() for i, row in enumerate(a))
 
 
 def invert(a: Matrix) -> Matrix:
     """Exact inverse, the right half of rref([A | I]); raises ValueError on a
     singular matrix."""
     n = len(a)
-    if any(len(row) != n for row in a):
+    if any(row and max(row) >= n for row in a):
         raise ValueError("matrix must be square")
-    red, pivots = rref([row + e for row, e in zip(a, identity(n))])
+    one = RatFunc.one()
+    red, pivots = rref([{**row, n + i: one} for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def _span(p: LaurentPoly) -> int:
-    return p.span if not p.is_zero() else -1
+    return [Row({j - n: x for j, x in row.items() if j >= n}) for row in red]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over RatFunc plus the pivot columns."""
-    m = [row[:] for row in a]
+    m = [Row(row) for row in a]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     pivots = []
     # row updates already formed in this call, by (old entry, factor, pivot entry)
     updates: dict[tuple, RatFunc] = {}
     r = 0
-    for col in range(ncols):
+    # elimination fills only columns where a pivot row is nonzero, so no
+    # column outside the original support ever holds a pivot
+    for col in sorted(set().union(*m)):
         if r >= nrows:
             break
-        if m[r][col].is_zero():
-            # off the diagonal, the entry of lowest exponent span
-            best = None
-            for i in range(r + 1, nrows):
-                if not m[i][col].is_zero():
-                    s = _span(m[i][col].num) + _span(m[i][col].den)
-                    if best is None or s < best[1]:
-                        best = (i, s)
-            if best is None:
+        if col not in m[r]:
+            # off the diagonal, the entry of lowest exponent span, the first on a tie
+            below = [(m[i][col].num.span + m[i][col].den.span, i)
+                     for i in range(r + 1, nrows) if col in m[i]]
+            if not below:
                 continue
-            i = best[0]
+            i = min(below)[1]
             m[r], m[i] = m[i], m[r]
         inv = m[r][col].inverse()
-        prow = m[r]
-        support = [j for j, y in enumerate(prow) if not y.is_zero()]
-        for j in support:
-            prow[j] = prow[j] * inv
+        m[r] = prow = Row({j: y * inv for j, y in m[r].items()})
         for i2 in range(nrows):
-            f = m[i2][col]
-            if i2 != r and not f.is_zero():
-                row = m[i2]
-                for j in support:
-                    key = (row[j], f, prow[j])
-                    if key not in updates:
-                        updates[key] = row[j] - f * prow[j]
-                    row[j] = updates[key]
+            row = m[i2]
+            f = row.get(col)
+            if i2 != r and f is not None:
+                for j, y in prow.items():
+                    key = (row[j], f, y)
+                    new = updates.get(key)
+                    if new is None:
+                        new = updates[key] = key[0] - f * y
+                    if new.is_zero():
+                        row.pop(j, None)
+                    else:
+                        row[j] = new
         pivots.append(col)
         r += 1
     return m, pivots
@@ -139,17 +134,16 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[list[RatFunc]]:
-    """Basis of the right kernel, one vector per free column."""
+def nullspace(a: Matrix, ncols: int) -> Matrix:
+    """Basis of the right kernel of a matrix with `ncols` columns, one vector
+    per free column."""
     red, pivots = rref(a)
-    ncols = len(a[0]) if a else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    zero, one = RatFunc.zero(), RatFunc.one()
+    one = RatFunc.one()
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = Row({fc: one})
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+            if fc in red[r]:
+                vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis

@@ -66,9 +66,6 @@ class ModuleVector:
             return ModuleVector({}, self.module)
         return ModuleVector({m: c * factor for m, c in self.coeffs.items()}, self.module)
 
-    def coefficient(self, m: Pattern) -> RatFunc:
-        return self.coeffs.get(m, RatFunc.zero())
-
     def __eq__(self, other):
         return isinstance(other, ModuleVector) and self.coeffs == other.coeffs
 
@@ -85,12 +82,18 @@ _MINUS_ONE = RatFunc.scalar(-1)
 
 @dataclass
 class OperatorMatrix:
-    """A square matrix over RatFunc in the fixed pattern-basis order."""
+    """A square matrix over RatFunc in the fixed pattern-basis order, kept as
+    the sparse rows that `linalg` composes."""
 
-    rows: list[list[RatFunc]]
+    sparse: linalg.Matrix
+
+    @property
+    def rows(self) -> list[list[RatFunc]]:  # the dense view, zeros included
+        n = len(self.sparse)
+        return [[row[j] for j in range(n)] for row in self.sparse]
 
     def column(self, j: int) -> dict[int, RatFunc]:
-        return {i: row[j] for i, row in enumerate(self.rows) if not row[j].is_zero()}
+        return {i: row[j] for i, row in enumerate(self.sparse) if j in row}
 
     def to_json(self) -> list:
         return [[entry.to_json() for entry in row] for row in self.rows]
@@ -244,8 +247,7 @@ def gt_vector(i: int, m: Pattern, mod: ModuleVLambda) -> ModuleVector:
 def operator_matrix(mod: ModuleVLambda, fn) -> OperatorMatrix:
     """The matrix of a linear operator given by its action `fn` on basis
     patterns: column j is fn(mod.basis[j])."""
-    zero = RatFunc.zero()
-    rows = [[zero] * mod.dim for _ in range(mod.dim)]
+    rows = [linalg.Row() for _ in range(mod.dim)]
     for j, m in enumerate(mod.basis):
         for target, c in fn(m).coeffs.items():
             rows[mod.index[target]][j] = c
@@ -268,8 +270,8 @@ def matrix_P(i: int, mod: ModuleVLambda) -> OperatorMatrix:
 def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     """Matrix of the index-i involution on the pattern basis, by conjugating
     the crystal permutation with the change of basis."""
-    c = mod.matrix(f"C{i}").rows
-    p = mod.matrix(f"P{i}").rows
+    c = mod.matrix(f"C{i}").sparse
+    p = mod.matrix(f"P{i}").sparse
     c_inv = linalg.invert(c)
     cp = linalg.mat_mul(c, p)
     return OperatorMatrix(linalg.mat_mul(cp, c_inv))
@@ -348,11 +350,11 @@ class _StringDecomposition:
         for beta in block_order:
             idxs = mod.weight_blocks[beta]
             l = beta[i]
-            kernel = self._kernel_vectors(raising.rows, beta, idxs)
+            kernel = self._kernel_vectors(raising.sparse, beta, idxs)
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:
-                top = ModuleVector({mod.basis[k]: c for k, c in zip(idxs, coords)}, mod)
+                top = ModuleVector({mod.basis[idxs[k]]: c for k, c in coords.items()}, mod)
                 chain = [top]
                 for depth in range(1, l + 1):
                     chain.append(act_divided(i, "F", depth, top))
@@ -366,27 +368,27 @@ class _StringDecomposition:
         if len(self.lines) != mod.dim:
             raise RuntimeError("string vectors do not fill the module")
         vectors = [v for chain in self.strings for v in chain]
-        self.basis = operator_matrix(mod, lambda m: vectors[mod.index[m]]).rows
+        self.basis = operator_matrix(mod, lambda m: vectors[mod.index[m]]).sparse
         self.inverse = linalg.invert(self.basis)
 
-    def _kernel_vectors(self, raising, beta: Weight, idxs) -> list[list[RatFunc]]:
+    def _kernel_vectors(self, raising, beta: Weight, idxs) -> linalg.Matrix:
         mod = self.module
         target = beta + mod.datum.simple_root(self.i)
         target_idxs = mod.weight_blocks.get(target, [])
         if not target_idxs:
             # the raising operator kills the whole block
-            return [
-                [RatFunc.one() if a == b else RatFunc.zero() for b in range(len(idxs))]
-                for a in range(len(idxs))
-            ]
-        return linalg.nullspace([[raising[r][k] for k in idxs] for r in target_idxs])
+            return linalg.identity(len(idxs))
+        block = [linalg.Row({c: raising[r][k] for c, k in enumerate(idxs) if k in raising[r]})
+                 for r in target_idxs]
+        return linalg.nullspace(block, len(idxs))
 
 
 def matrix_flip(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     """The index-i involution by flipping every i-string: S R S^{-1}, where R
     reverses the depths within each string."""
     dec = mod.strings(i)
-    flipped = [[row[c] for c in dec.reversal] for row in dec.basis]
+    # the reversal is an involution, so column c of S moves to reversal[c]
+    flipped = [linalg.Row({dec.reversal[c]: x for c, x in row.items()}) for row in dec.basis]
     return OperatorMatrix(linalg.mat_mul(flipped, dec.inverse))
 
 
@@ -433,13 +435,13 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     lines = dec.lines if dec else [(mod.highest_weight, beta) for beta in mod.weights]
     branches = []
     for sign in ("+", "-"):
-        out = mod.matrix(f"T{word[0]}{sign}").rows
+        out = mod.matrix(f"T{word[0]}{sign}").sparse
         for i in word[1:]:
-            out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}").rows)
+            out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}").sparse)
         if dec:
             out = linalg.mat_mul(out, dec.basis)
         pref = [_prefactor(d, J, w0J, lam, beta, sign) for lam, beta in lines]
-        out = [[x * p for x, p in zip(row, pref)] for row in out]
+        out = [linalg.Row({j: x * pref[j] for j, x in row.items()}) for row in out]
         branches.append(linalg.mat_mul(out, dec.inverse) if dec else out)
     if branches[0] != branches[1]:
         raise ArithmeticError("the two prefactor branches disagree")
@@ -453,9 +455,9 @@ def sigma_J(J, vec: ModuleVector) -> ModuleVector:
     if not J:
         raise ValueError("J must be nonempty")
     mod = vec.module
-    image = linalg.mat_mul(mod.matrix("sigma" + "".join(map(str, J))).rows,
-                           [[vec.coefficient(m)] for m in mod.basis])
-    return ModuleVector({m: x for m, (x,) in zip(mod.basis, image)}, mod)
+    column = [linalg.Row({0: vec.coeffs[m]} if m in vec.coeffs else ()) for m in mod.basis]
+    image = linalg.mat_mul(mod.matrix("sigma" + "".join(map(str, J))).sparse, column)
+    return ModuleVector({m: row[0] for m, row in zip(mod.basis, image)}, mod)
 
 
 # -- extremal vectors -------------------------------------------------------------------------

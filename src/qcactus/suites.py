@@ -485,13 +485,13 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
 
     def involutions(mod):
         for J in ((1,), (2,), (1, 2)):
-            s = sigma(mod, J).rows
+            s = sigma(mod, J).sparse
             if not linalg.is_identity(linalg.mat_mul(s, s)):
                 return {"J": list(J)}
         return None
 
     def conjugation(mod):
-        full, one, two = (sigma(mod, J).rows for J in ((1, 2), (1,), (2,)))
+        full, one, two = (sigma(mod, J).sparse for J in ((1, 2), (1,), (2,)))
         if linalg.mat_mul(full, one) != linalg.mat_mul(two, full):
             return {"relation": "sigma^I sigma^1 = sigma^2 sigma^I"}
         if linalg.mat_mul(full, two) != linalg.mat_mul(one, full):
@@ -500,7 +500,7 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
 
     def braid(mod):
         for sign in ("+", "-"):
-            t1, t2 = mod.matrix(f"T1{sign}").rows, mod.matrix(f"T2{sign}").rows
+            t1, t2 = mod.matrix(f"T1{sign}").sparse, mod.matrix(f"T2{sign}").sparse
             lhs = linalg.mat_mul(t1, linalg.mat_mul(t2, t1))
             if lhs != linalg.mat_mul(t2, linalg.mat_mul(t1, t2)):
                 return {"sign": sign}
@@ -573,15 +573,13 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
                 ):
                     return {"law": "sigma translation", "w": coxeter.reduced_word(w), "i": i}
         # linear independence of the extremal family
-        rows = []
         family = [repmodule.extremal_vector(w, mod) for w in dc.elements()]
         distinct = []
         for v in family:
             if all(v != u for u in distinct):
                 distinct.append(v)
-        for v in distinct:
-            rows.append([v.coefficient(m) for m in mod.basis])
-        rank = linalg.rank(rows)
+        rank = linalg.rank([linalg.Row({mod.index[m]: c for m, c in v.coeffs.items()})
+                            for v in distinct])
         if rank != len(distinct):
             return {"law": "extremal independence", "rank": rank}
         return None
@@ -686,31 +684,37 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
     l1, l2 = mod.l1, mod.l2
     checks: list[dict] = []
 
+    def n(i):
+        return mod.matrix(f"N{i}").sparse
+
     def involution(i):
         def fn():
-            n = mod.matrix(f"N{i}").rows
-            if not linalg.is_identity(linalg.mat_mul(n, n)):
+            if not linalg.is_identity(linalg.mat_mul(n(i), n(i))):
                 return {"lambda": [l1, l2], "i": i}
             return None
 
         return fn
 
     @functools.cache
-    def braid_sides():
-        # L = N1 N2 N1 and R = N2 N1 N2, shared by braid and cube, since
-        # (N1 N2)^3 = L R; a crash is not cached, so it fails both checks
-        n1, n2 = mod.matrix("N1").rows, mod.matrix("N2").rows
-        m = linalg.mat_mul(n1, n2)
-        return linalg.mat_mul(m, n1), linalg.mat_mul(n2, m)
+    def shared():
+        # M = N1 N2 and R = N2 M, shared by braid and cube; a crash is not
+        # cached, so it fails both checks
+        m = linalg.mat_mul(n(1), n(2))
+        return m, linalg.mat_mul(n(2), m)
 
     def braid():
-        lhs, rhs = braid_sides()
-        if lhs != rhs:
+        m, rhs = shared()
+        if linalg.mat_mul(m, n(1)) != rhs:
             return {"lambda": [l1, l2]}
         return None
 
     def cube():
-        if not linalg.is_identity(linalg.mat_mul(*braid_sides())):
+        # (N1 N2)^3 = N1 N2 N1 R, formed right to left so that every product
+        # has a factor N_i, whose entries are small
+        chain = shared()[1]
+        for i in (1, 2, 1):
+            chain = linalg.mat_mul(n(i), chain)
+        if not linalg.is_identity(chain):
             return {"lambda": [l1, l2]}
         return None
 

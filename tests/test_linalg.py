@@ -6,6 +6,19 @@ from qcactus import linalg, repmodule
 from qcactus.qarith import LaurentPoly, RatFunc
 
 
+def sparse(rows):
+    """Dense rows of RatFunc as linalg rows, dropping the zeros."""
+    return [linalg.Row({j: x for j, x in enumerate(row) if not x.is_zero()}) for row in rows]
+
+
+def dense(a, ncols):
+    return [[row[j] for j in range(ncols)] for row in a]
+
+
+def stores_no_zero(a):
+    return all(not x.is_zero() for row in a for x in row.values())
+
+
 def rnd_entry(rng, density=0.7):
     if rng.random() > density:
         return RatFunc.zero()
@@ -17,6 +30,17 @@ def test_identity_and_multiply():
     eye = linalg.identity(3)
     assert linalg.is_identity(eye)
     assert linalg.mat_mul(eye, eye) == eye
+    assert dense(eye, 3) == [[RatFunc.one() if i == j else RatFunc.zero() for j in range(3)]
+                             for i in range(3)]
+
+
+def test_row_reads_zero_off_its_support():
+    v = RatFunc.monomial(1)
+    row = linalg.Row({2: v})
+    assert row[2] == v
+    assert row[0].is_zero() and row[7].is_zero()
+    # reading off the support stores nothing
+    assert row == {2: v}
 
 
 def test_invert_random_matrices():
@@ -24,7 +48,7 @@ def test_invert_random_matrices():
     built = 0
     while built < 12:
         n = rng.randint(1, 5)
-        a = [[rnd_entry(rng) for _ in range(n)] for _ in range(n)]
+        a = sparse([[rnd_entry(rng) for _ in range(n)] for _ in range(n)])
         try:
             inv = linalg.invert(a)
         except ValueError:
@@ -37,7 +61,7 @@ def test_invert_random_matrices():
 def test_invert_with_denominators():
     v = RatFunc.monomial(1)
     q2 = RatFunc(LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: 1}))
-    a = [[v, q2], [RatFunc.zero(), RatFunc.one()]]
+    a = sparse([[v, q2], [RatFunc.zero(), RatFunc.one()]])
     inv = linalg.invert(a)
     assert linalg.is_identity(linalg.mat_mul(a, inv))
 
@@ -46,26 +70,27 @@ def test_invert_block_diagonal_components():
     # two decoupled blocks: row updates restricted to the pivot row's support
     # must leave every entry between the blocks zero
     one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
-    a = [
+    a = sparse([
         [v, zero, one],
         [zero, one + one, zero],
         [zero, zero, one],
-    ]
+    ])
     inv = linalg.invert(a)
     assert linalg.is_identity(linalg.mat_mul(a, inv))
+    assert all(1 not in inv[i] and i not in inv[1] for i in (0, 2))
 
 
 def test_singular_raises():
     one = RatFunc.one()
     with pytest.raises(ValueError):
-        linalg.invert([[one, one], [one, one]])
+        linalg.invert(sparse([[one, one], [one, one]]))
 
 
 def test_singular_middle_column_raises():
     # the middle column repeats the first, so the third pivot of [A | I]
     # falls into the identity half
     one, zero = RatFunc.one(), RatFunc.zero()
-    a = [[one, one, zero], [zero, zero, one], [one, one, one]]
+    a = sparse([[one, one, zero], [zero, zero, one], [one, one, one]])
     with pytest.raises(ValueError, match="singular"):
         linalg.invert(a)
 
@@ -73,7 +98,7 @@ def test_singular_middle_column_raises():
 def test_non_square_raises():
     one = RatFunc.one()
     with pytest.raises(ValueError, match="square"):
-        linalg.invert([[one, one]])
+        linalg.invert(sparse([[one, one]]))
 
 
 def test_invert_lower_triangular_pivot_below_diagonal():
@@ -81,26 +106,26 @@ def test_invert_lower_triangular_pivot_below_diagonal():
     # entries are nonzero, so elimination pivots on the diagonal throughout,
     # swaps no rows, and the inverse stays lower triangular
     one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
-    a = [
+    a = sparse([
         [one + v * v * v, zero, zero],
         [v + v * v, one + v * v, zero],
         [one, v, v],
-    ]
+    ])
     inv = linalg.invert(a)
     assert linalg.is_identity(linalg.mat_mul(a, inv))
     assert linalg.is_identity(linalg.mat_mul(inv, a))
-    assert all(inv[i][j].is_zero() for i in range(3) for j in range(i + 1, 3))
+    assert all(max(row) <= i for i, row in enumerate(inv))
 
 
 def test_zero_diagonal_pivots_on_the_lowest_span_entry_below(monkeypatch):
     # the diagonal of column 0 is zero: of the two entries below it, the one
     # of span 0 in the last row is swapped up and inverted first
     one, zero, v = RatFunc.one(), RatFunc.zero(), RatFunc.monomial(1)
-    a = [
+    a = sparse([
         [zero, one, zero],
         [one + v * v * v, zero, one],
         [one + one, v, v],
-    ]
+    ])
     inverted = []
     inverse = RatFunc.inverse
     monkeypatch.setattr(RatFunc, "inverse", lambda x: inverted.append(x) or inverse(x))
@@ -111,45 +136,51 @@ def test_zero_diagonal_pivots_on_the_lowest_span_entry_below(monkeypatch):
 
 
 def transpose(a):
-    return [list(col) for col in zip(*a)]
+    out = [linalg.Row() for _ in a]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def test_invert_lower_triangular_c2_matches_its_upper_transpose():
     # C2 is lower triangular in basis order and its transpose upper triangular:
     # both are reduced on the diagonal, and the inverses must agree
-    c2 = repmodule.ModuleVLambda(3, 3).matrix("C2").rows
-    assert all(c2[i][j].is_zero() for i in range(len(c2)) for j in range(i + 1, len(c2)))
+    c2 = repmodule.ModuleVLambda(3, 3).matrix("C2").sparse
+    assert all(max(row) <= i for i, row in enumerate(c2))
     assert linalg.invert(c2) == transpose(linalg.invert(transpose(c2)))
 
 
 def test_rank_and_nullspace():
     one, zero = RatFunc.one(), RatFunc.zero()
     v = RatFunc.monomial(1)
-    a = [[one, v], [v, v * v]]
+    a = sparse([[one, v], [v, v * v]])
     assert linalg.rank(a) == 1
-    basis = linalg.nullspace(a)
+    basis = linalg.nullspace(a, 2)
     assert len(basis) == 1
-    x = basis[0]
     for row in a:
         total = RatFunc.zero()
-        for entry, coord in zip(row, x):
-            total = total + entry * coord
+        for j, entry in row.items():
+            total = total + entry * basis[0][j]
         assert total.is_zero()
+    # a column with no entries is free
+    assert linalg.nullspace(sparse([[one, zero]]), 2) == [{1: one}]
 
 
 def test_mat_mul_rejects_mismatched_shapes():
+    # a column key of a must index a row of b
     one = RatFunc.one()
     with pytest.raises(ValueError, match="shapes"):
-        linalg.mat_mul([[one, one]], [[one]])
+        linalg.mat_mul(sparse([[one, one]]), sparse([[one]]))
     with pytest.raises(ValueError, match="shapes"):
-        linalg.mat_mul([[one], [one, one]], [[one], [one]])
+        linalg.mat_mul([linalg.Row(), linalg.Row({2: one})], sparse([[one], [one]]))
 
 
 def test_is_identity_rejects_non_square():
     one, zero = RatFunc.one(), RatFunc.zero()
-    assert not linalg.is_identity([[one, one]])
-    assert not linalg.is_identity([[one], [zero]])
-    assert not linalg.is_identity([[one, zero], [zero]])
+    assert not linalg.is_identity(sparse([[one, one]]))
+    assert not linalg.is_identity(sparse([[one], [zero]]))
+    assert not linalg.is_identity(sparse([[zero, one], [one, zero]]))
 
 
 # -- reference arithmetic without memos, for the memoized mat_mul and rref -----
@@ -208,7 +239,9 @@ def test_memoized_mat_mul_equals_reference_product():
         n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         a, b = pool_matrix(rng, n, k), pool_matrix(rng, k, m)
         expected = ref_mul(a, b)
-        assert linalg.mat_mul(a, b) == expected
+        product = linalg.mat_mul(sparse(a), sparse(b))
+        assert dense(product, m) == expected
+        assert stores_no_zero(product)
         cancelled += sum(
             expected[i][j].is_zero()
             and any(not a[i][t].is_zero() and not b[t][j].is_zero() for t in range(k))
@@ -220,15 +253,20 @@ def test_memoized_mat_mul_equals_reference_product():
 def test_memoized_rref_and_invert_equal_reference_gauss_jordan():
     rng = random.Random(5)
     for _ in range(30):
-        a = pool_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        assert linalg.rref(a) == ref_rref(a)
+        ncols = rng.randint(1, 6)
+        a = pool_matrix(rng, rng.randint(1, 5), ncols)
+        red, pivots = linalg.rref(sparse(a))
+        assert (dense(red, ncols), pivots) == ref_rref(a)
+        assert stores_no_zero(red)
     inverted = 0
     while inverted < 10:
         n = rng.randint(2, 5)
         a = pool_matrix(rng, n, n)
-        ref, pivots = ref_rref([row + e for row, e in zip(a, linalg.identity(n))])
+        ref, pivots = ref_rref([row + e for row, e in zip(a, dense(linalg.identity(n), n))])
         if pivots == list(range(n)):
-            assert linalg.invert(a) == [row[n:] for row in ref]
+            inv = linalg.invert(sparse(a))
+            assert dense(inv, n) == [row[n:] for row in ref]
+            assert stores_no_zero(inv)
             inverted += 1
 
 
@@ -246,5 +284,5 @@ def test_mat_mul_forms_a_repeated_row_once(monkeypatch):
     expected = ref_mul([row, row], b)
     reference_calls = len(calls)
     calls.clear()
-    assert linalg.mat_mul([row, row], b) == expected
+    assert dense(linalg.mat_mul(sparse([row, row]), sparse(b)), 4) == expected
     assert 2 * len(calls) == reference_calls == 24

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -91,7 +90,7 @@ class TestGTBasis:
 
     def test_matrix_c_vector_module_is_identity(self, vec3):
         c = vec3.matrix("C1")
-        assert linalg.is_identity(c.rows)
+        assert linalg.is_identity(c.sparse)
 
     def test_matrix_c_columns_match_gt_vectors(self, adjoint):
         for i in (1, 2):
@@ -142,13 +141,13 @@ class TestInvolutionMatrices:
         for l1, l2 in [(1, 0), (1, 1), (2, 1)]:
             mod = rm.ModuleVLambda(l1, l2)
             for i in (1, 2):
-                n = mod.matrix(f"N{i}").rows
+                n = mod.matrix(f"N{i}").sparse
                 assert linalg.is_identity(linalg.mat_mul(n, n)), (l1, l2, i)
 
     def test_cube_small(self):
         for l1, l2 in [(1, 1), (2, 1), (3, 1)]:
             mod = rm.ModuleVLambda(l1, l2)
-            m = linalg.mat_mul(mod.matrix("N1").rows, mod.matrix("N2").rows)
+            m = linalg.mat_mul(mod.matrix("N1").sparse, mod.matrix("N2").sparse)
             m3 = linalg.mat_mul(linalg.mat_mul(m, m), m)
             assert linalg.is_identity(m3), (l1, l2)
 
@@ -161,10 +160,10 @@ class TestInvolutionMatrices:
         at = lambda rows: [[e.evaluate(x) for e in row] for row in rows]
         c, p = at(mod.matrix(f"C{i}").rows), at(mod.matrix(f"P{i}").rows)
         c_inv = _fraction_inverse(c)
-        assert at(linalg.invert(mod.matrix(f"C{i}").rows)) == c_inv
+        assert at(rm.OperatorMatrix(linalg.invert(mod.matrix(f"C{i}").sparse)).rows) == c_inv
         assert at(mod.matrix(f"N{i}").rows) == _fraction_mul(_fraction_mul(c, p), c_inv)
 
-    @pytest.mark.parametrize("lam", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("lam", [(3, 3), (4, 4), (5, 5)])
     def test_integer_oracle(self, lam):
         verdicts = integer_oracle(rm.ModuleVLambda(*lam))
         assert verdicts == dict.fromkeys(("involution-1", "involution-2", "braid", "cube"), True)
@@ -202,13 +201,15 @@ def _fraction_mul(a, b):
 
 # -- integer oracle for the conjecture identities ---------------------------------
 # Each N_i becomes an integer matrix: scale it by v^s_i D_i, where D_i is the
-# product of its distinct entry denominators and s_i clears negative exponents,
+# lcm of its distinct entry denominators and s_i clears negative exponents,
 # and pack every polynomial entry as its value at v = 2^b.  Evaluation at 2^b
 # is a ring map, so each identity scaled by these scalars holds at 2^b when it
 # holds over Z[v]; conversely a nonzero integer polynomial whose coefficients
 # are below 2^b - 1 in size does not vanish at 2^b, and b is chosen above a
-# 1-norm bound on every coefficient of both sides.  No RatFunc product,
-# poly_gcd or linalg.mat_mul is involved.
+# 1-norm bound on every coefficient of both sides.  D_i comes from poly_gcd,
+# but every cofactor D_i / den is checked by multiplication before packing, so
+# a wrong gcd cannot make the oracle pass; no RatFunc product or
+# linalg.mat_mul is involved.
 
 
 def _int_mul(a, b):
@@ -246,28 +247,29 @@ class _Cleared:
     """v^s D N for one N_i, as 1-norm bounds and then packed at v = 2^b."""
 
     def __init__(self, rows):
-        self.entries = {(r, c): e for r, row in enumerate(rows)
-                        for c, e in enumerate(row) if not e.is_zero()}
-        self.dens = list({e.den for e in self.entries.values()})
-        self.shift = max(0, max(-e.num.valuation for e in self.entries.values()))
+        entries = {(r, c): e for r, row in enumerate(rows) for c, e in row.items()}
+        dens = {e.den for e in entries.values()}
+        self.scale = qarith.ONE
+        for den in dens:
+            self.scale = self.scale * den.divexact(qarith.poly_gcd(self.scale, den))
+        cofactors = {den: self.scale.divexact(den) for den in dens}
+        for den, cofactor in cofactors.items():
+            assert cofactor * den == self.scale, "a cofactor of the lcm does not multiply back"
+        self.polys = {rc: e.num * cofactors[e.den] for rc, e in entries.items()}
+        self.shift = max(0, -self.scale.valuation, *(-p.valuation for p in self.polys.values()))
+
+    def _matrix(self, entry):
+        out = {}
+        for (r, c), p in self.polys.items():
+            out.setdefault(r, {})[c] = entry(p)
+        return out
 
     def norms(self):
-        dens = [_norm1(d) for d in self.dens]
-        scale = math.prod(dens)
-        out = {}
-        for (r, c), e in self.entries.items():
-            others = scale // dens[self.dens.index(e.den)]
-            out.setdefault(r, {})[c] = _norm1(e.num) * others
-        return out, scale
+        return self._matrix(_norm1), _norm1(self.scale)
 
     def packed(self, b):
-        dens = [_pack(d, 0, b) for d in self.dens]
-        scale = math.prod(dens)
-        out = {}
-        for (r, c), e in self.entries.items():
-            others = scale // dens[self.dens.index(e.den)]
-            out.setdefault(r, {})[c] = _pack(e.num, self.shift, b) * others
-        return out, scale << (b * self.shift)
+        pack = lambda p: _pack(p, self.shift, b)
+        return self._matrix(pack), pack(self.scale)
 
 
 def _conjecture_sides(dim, m1, s1, m2, s2):
@@ -284,7 +286,7 @@ def _conjecture_sides(dim, m1, s1, m2, s2):
 
 def integer_oracle(mod):
     """The conjecture identities of one module decided over Z, by name."""
-    cleared = [_Cleared(mod.matrix(f"N{i}").rows) for i in (1, 2)]
+    cleared = [_Cleared(mod.matrix(f"N{i}").sparse) for i in (1, 2)]
     (n1, t1), (n2, t2) = (c.norms() for c in cleared)
     bound = 0
     for lhs, rhs in _conjecture_sides(mod.dim, n1, t1, n2, t2).values():
@@ -504,7 +506,7 @@ class TestExtremalVectors:
             v = rm.extremal_vector(w, adjoint)
             if all(v != u for u in family):
                 family.append(v)
-        rows = [[v.coefficient(m) for m in adjoint.basis] for v in family]
+        rows = [linalg.Row({adjoint.index[m]: c for m, c in v.coeffs.items()}) for v in family]
         assert linalg.rank(rows) == len(family)
 
     def test_T_on_extremal_pairs(self, adjoint):

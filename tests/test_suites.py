@@ -109,8 +109,9 @@ def test_braid_and_cube_share_their_products(monkeypatch):
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
     checks = suites.conjecture_checks(mod)
     assert [c["status"] for c in checks] == ["pass"] * 4
-    # N1 N1 and N2 N2; M = N1 N2, L = M N1 and R = N2 M; then L R for the cube
-    assert len(products) == 6
+    # N1 N1 and N2 N2; M = N1 N2, R = N2 M and L = M N1 for braid; then the
+    # cube as N1 (N2 (N1 R)), three products that each have a factor N_i
+    assert len(products) == 8
 
 
 def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkeypatch):
@@ -122,17 +123,23 @@ def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkey
 
     matrix_n, mat_mul = repmodule.matrix_N, linalg.mat_mul
     mod = repmodule.ModuleVLambda(1, 1)
-    n1, n2 = mod.matrix("N1").rows, mod.matrix("N2").rows
+    n1, n2 = mod.matrix("N1").sparse, mod.matrix("N2").sparse
 
-    def crash_after_n(a, b):
-        # the involutions multiply N_i by itself; the first product of a
-        # product is L = (N1 N2) N1, shared by braid and cube
-        return mat_mul(a, b) if a is n1 or a is n2 else crash()
+    def crash_in(product):
+        # crash the products of one step; the involutions square N_i, M = N1 N2
+        # and R = N2 M are shared by braid and cube, L = M N1 is braid's alone,
+        # and the cube's chain starts from N1 R
+        steps = {"R": lambda a, b: a is n2 and b is not n2,
+                 "L": lambda a, b: a is not n1 and b is n1,
+                 "N1 R": lambda a, b: a is n1 and b is not n1 and b is not n2}
+        return "mat_mul", lambda a, b: crash() if steps[product](a, b) else mat_mul(a, b)
 
     names = ("involution-N1(1,1)", "involution-N2(1,1)", "braid(1,1)", "cube(1,1)")
     for target, patch, fresh, crashed in (
         (repmodule, ("matrix_N", crash_n2), True, names[1:]),
-        (linalg, ("mat_mul", crash_after_n), False, names[2:]),
+        (linalg, crash_in("R"), False, names[2:]),
+        (linalg, crash_in("L"), False, names[2:3]),
+        (linalg, crash_in("N1 R"), False, names[3:]),
     ):
         with monkeypatch.context() as patched:
             patched.setattr(target, *patch)
