@@ -5,6 +5,11 @@ single formal variable v.  Half-integral powers of q never appear: every
 exponent of q is stored as the doubled exponent of v.  RatFunc is a quotient
 of two Laurent polynomials kept in a canonical reduced form, so equality of
 values is equality of representations.
+
+Exact division and the gcd work on a cached strided primitive form
+c * v^e * I(v^s), I a primitive integer polynomial: one long division in
+Z[w] per quotient, and `poly_gcd` returns the cofactors that its check of the
+candidate gcd computed, so reducing a rational function divides once.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ class LaurentPoly:
     """A Laurent polynomial in v over Q, stored as {exponent: coefficient}.
 
     Instances are immutable; all operations return new objects.  Stored
-    coefficients are never zero.
+    coefficients are never zero.  `_form` caches `_strided`.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c", "_hash", "_form")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -44,6 +49,7 @@ class LaurentPoly:
                     c[int(k)] = a
         self._c = c
         self._hash = None
+        self._form = None
 
     # -- constructors ------------------------------------------------------
 
@@ -102,16 +108,10 @@ class LaurentPoly:
                 c[k] = s if type(s) is int else _coeff(s)
             else:
                 c.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return _lp(c)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k: -a for k, a in self._c.items()}
-        out._hash = None
-        return out
+        return _lp({k: -a for k, a in self._c.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -123,22 +123,14 @@ class LaurentPoly:
             other = _coeff(other)
             if not other:
                 return ZERO
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {k: p if type(p := a * other) is int else _coeff(p)
-                      for k, a in self._c.items()}
-            out._hash = None
-            return out
+            return _lp({k: p if type(p := a * other) is int else _coeff(p) for k, a in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._c or not other._c:
             return ZERO
         if len(other._c) == 1:
             (k2, a2), = other._c.items()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {k + k2: p if type(p := a * a2) is int else _coeff(p)
-                      for k, a in self._c.items()}
-            out._hash = None
-            return out
+            return _lp({k + k2: p if type(p := a * a2) is int else _coeff(p) for k, a in self._c.items()})
         c = {}
         for k1, a1 in self._c.items():
             for k2, a2 in other._c.items():
@@ -148,10 +140,7 @@ class LaurentPoly:
                     c[k] = s
                 else:
                     c.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k: a if type(a) is int else _coeff(a) for k, a in c.items()}
-        out._hash = None
-        return out
+        return _lp({k: a if type(a) is int else _coeff(a) for k, a in c.items()})
 
     __rmul__ = __mul__
 
@@ -159,19 +148,13 @@ class LaurentPoly:
         """Multiply by v^k."""
         if k == 0 or not self._c:
             return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return _lp({e + k: a for e, a in self._c.items()})
 
     def compose_monomial(self, c: int) -> "LaurentPoly":
         """Substitute v -> v^c (c a nonzero integer)."""
         if c == 0:
             raise ValueError("substitution exponent must be nonzero")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e * c: a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return _lp({e * c: a for e, a in self._c.items()})
 
     def evaluate(self, x: Fraction) -> Fraction:
         """Evaluate at a nonzero rational v = x."""
@@ -183,12 +166,46 @@ class LaurentPoly:
             total += a * x**k
         return total
 
+    def _strided(self):
+        """The form (val, s, content, ints) with self = content * v^val * I(v^s),
+        I(w) = sum(ints[i] w^i) a primitive integer polynomial with I(0) != 0,
+        s the gcd of the exponent offsets (0 for a single term) and content a
+        nonzero rational.  Computed once and cached; nonzero polynomials only."""
+        if self._form is None:
+            c = self._c
+            val = min(c)
+            s = _int_gcd(*[k - val for k in c])
+            try:
+                nums = c
+                content = g = _int_gcd(*c.values())
+            except TypeError:  # a Fraction coefficient
+                den = _int_lcm(*[x.denominator for x in c.values() if type(x) is not int])
+                nums = {k: int(x * den) for k, x in c.items()}
+                g = _int_gcd(*nums.values())
+                content = Fraction(g, den)
+            step = s or 1
+            ints = [0] * ((max(c) - val) // step + 1)
+            for k, x in nums.items():
+                ints[(k - val) // step] = x if g == 1 else x // g
+            self._form = (val, s, content, ints)
+        return self._form
+
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError if the remainder is nonzero."""
-        q, r = _divmod_poly(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
+        """Exact division; raises ValueError if the remainder is nonzero.
+
+        Integer long division of the primitive forms spread to their joint
+        stride.  By Gauss's lemma an exact quotient of primitive integer
+        polynomials is primitive, so the quotient is created with its form."""
+        if not other._c:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self._c:
+            return ZERO
+        va, sa, ca, fa = self._strided()
+        vb, sb, cb, fb = other._strided()
+        s = _int_gcd(sa, sb)
+        fq = _div_ints(_spread(fa, sa // (s or 1)), _spread(fb, sb // (s or 1)))
+        exact = type(ca) is int and type(cb) is int and not ca % cb
+        return _of_form(va - vb, s, ca // cb if exact else _coeff(Fraction(ca) / cb), fq)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -242,54 +259,52 @@ ONE = LaurentPoly({0: 1})
 # -- polynomial division and gcd ---------------------------------------------
 
 
-def _divmod_poly(a: LaurentPoly, b: LaurentPoly):
-    """Division with remainder, treating v-units as invertible.
-
-    Coefficients stay as given: integer operands over a divisor with leading
-    coefficient ±1 are divided in int arithmetic, anything else in Fraction.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return ZERO, ZERO
-    sa, sb = a.valuation, b.valuation
-    ra = {k - sa: c for k, c in a.items()}
-    rb = {k - sb: c for k, c in b.items()}
-    db = max(rb)
-    lead_b = rb.pop(db)
-    inv = lead_b if lead_b in (1, -1) else 1 / Fraction(lead_b)
-    q = {}
-    # each step pops the leading term, so the loop ends even if it failed to cancel
-    for da in range(max(ra), db - 1, -1):
-        f = ra.pop(da, 0) * inv
-        if not f:
-            continue
-        e = da - db
-        q[e] = f
-        for k, c in rb.items():
-            t = ra.get(k + e, 0) - f * c
-            if t:
-                ra[k + e] = t
-            else:
-                ra.pop(k + e, None)
-    quot = LaurentPoly(q).shift(sa - sb)
-    rem = LaurentPoly(ra).shift(sa)
-    return quot, rem
+def _lp(c: dict, form=None) -> LaurentPoly:
+    """A LaurentPoly over the canonical dict c, with its strided form if known."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = c
+    out._hash = None
+    out._form = form
+    return out
 
 
-def _int_list(p: LaurentPoly) -> list[int]:
-    """Dense integer coefficient list of p shifted to valuation 0, made primitive."""
-    c = p._c
-    val = min(c)
-    out = [0] * (max(c) - val + 1)
-    if all(type(x) is int for x in c.values()):
-        for k, x in c.items():
-            out[k - val] = x
+def _of_form(val: int, s: int, content, ints: list[int]) -> LaurentPoly:
+    """The polynomial content * v^val * I(v^s), created with that form."""
+    if content == 1:
+        c = {val + s * i: x for i, x in enumerate(ints) if x}
     else:
-        den = _int_lcm(*(x.denominator for x in c.values() if type(x) is not int))
-        for k, x in c.items():
-            out[k - val] = int(x * den)
-    return _primitive(out)
+        c = {val + s * i: p if type(p := x * content) is int else _coeff(p) for i, x in enumerate(ints) if x}
+    return _lp(c, (val, s, content, ints))
+
+
+def _spread(ints: list[int], k: int) -> list[int]:
+    """The list of I(w^k); k = 0 stands for a single term."""
+    if k < 2:
+        return ints
+    out = [0] * ((len(ints) - 1) * k + 1)
+    out[::k] = ints
+    return out
+
+
+def _div_ints(a: list[int], b: list[int]) -> list[int]:
+    """Quotient of a by b in Z[w], lowest term first, by long division from the
+    top; raises ValueError unless b divides a exactly."""
+    db = len(b) - 1
+    if len(a) <= db or a[0] % b[0]:
+        raise ValueError("division is not exact")
+    lead, low = b[-1], b[:-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for base in range(len(a) - 1 - db, -1, -1):
+        f, rem = divmod(r[base + db], lead)
+        if rem:
+            raise ValueError("division is not exact")
+        if f:
+            q[base] = f
+            r[base:base + db] = [x - f * y for x, y in zip(r[base:base + db], low)]
+    if any(r[:db]):
+        raise ValueError("division is not exact")
+    return q
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -305,33 +320,47 @@ def _primitive(a: list[int]) -> list[int]:
     return a
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd in Q[v] up to v-units.
+def poly_gcd(a: LaurentPoly, b: LaurentPoly):
+    """(g, a/g, b/g): the monic gcd g in Q[v] up to v-units of a and b, not
+    both zero, and the two cofactors.
 
-    A single-term operand is a unit.  Otherwise the heuristic gcd by integer
-    evaluation is tried first, and the primitive pseudo-remainder sequence
-    runs only if no candidate of the heuristic divides both operands.
+    A single-term operand is a unit.  Otherwise the gcd is taken of the
+    primitive integer forms in w = v^s, s the joint stride of a and b, since
+    gcd(A(v^s), B(v^s)) = G(v^s): the heuristic gcd by integer evaluation is
+    tried first, and the primitive pseudo-remainder sequence runs only if no
+    candidate of the heuristic divides both operands.  The two exact
+    divisions that accept g are the cofactors.
     """
-    if a.is_zero():
-        return _monic_unit(b)
-    if b.is_zero():
-        return _monic_unit(a)
+    if a.is_zero() or b.is_zero():  # the gcd is the other operand made monic
+        _, s, _, ints = (a + b)._strided()
+        return _divide_out(a, b, s, ints)
     if len(a._c) == 1 or len(b._c) == 1:
-        return ONE
-    fa, fb = _int_list(a), _int_list(b)
-    g = _heu_gcd(fa, fb) or _prs_gcd(fa, fb)
+        return ONE, a, b
+    _, sa, _, fa = a._strided()
+    _, sb, _, fb = b._strided()
+    s = _int_gcd(sa, sb)
+    fa, fb = _spread(fa, sa // s), _spread(fb, sb // s)
+    return _heu_gcd(a, b, s, fa, fb) or _divide_out(a, b, s, _prs_gcd(fa, fb))
+
+
+def _divide_out(a: LaurentPoly, b: LaurentPoly, s: int, g: list[int]):
+    """(g(v^s) made monic, a/g, b/g) for a primitive integer list g; the
+    divisions raise ValueError if g does not divide both."""
     if len(g) == 1:
-        return ONE
-    return _monic_unit(LaurentPoly(dict(enumerate(g))))
+        return ONE, a, b
+    monic = _of_form(0, s, _coeff(Fraction(1, g[-1])), g)
+    return monic, a.divexact(monic), b.divexact(monic)
 
 
-def _heu_gcd(fa: list[int], fb: list[int]) -> list[int] | None:
-    """GCDHEU (Char, Geddes and Gonnet, 1989) on primitive integer lists.
+def _heu_gcd(a: LaurentPoly, b: LaurentPoly, s: int, fa: list[int], fb: list[int]):
+    """GCDHEU (Char, Geddes and Gonnet, 1989) on the primitive integer lists
+    fa, fb of a and b in w = v^s.
 
-    gcd(a(xi), b(xi)) is read back as a polynomial from its balanced base-xi
-    digits.  For xi >= 2 min(|a|, |b|) + 2 that candidate, made primitive, is
-    the gcd if and only if it divides both a and b in Z[v], so it is returned
-    only after that exact test.  None when no evaluation point verifies.
+    gcd(fa(xi), fb(xi)) is read back as a polynomial from its balanced base-xi
+    digits.  For xi >= 2 min(|fa|, |fb|) + 2 that candidate, made primitive,
+    is the gcd if and only if it divides both fa and fb in Z[w], so it is
+    returned, as `_divide_out`'s triple, only when both divisions are exact.
+    None when no evaluation point verifies.
     """
     # the theorem's bound 2 min(|a|, |b|) + 2, with a margin
     xi = 2 * min(max(map(abs, fa)), max(map(abs, fb))) + 29
@@ -345,10 +374,10 @@ def _heu_gcd(fa: list[int], fb: list[int]) -> list[int] | None:
                 d -= xi
             g.append(d)
             h = (h - d) // xi
-        g = _primitive(g)
-        if len(g) == 1 or (_divides(g, fa) and _divides(g, fb)):
-            return g
-        xi = xi * 73794 // 27011  # grow by about 2.73, the usual GCDHEU step
+        try:
+            return _divide_out(a, b, s, _primitive(g))
+        except ValueError:
+            xi = xi * 73794 // 27011  # grow by about 2.73, the usual GCDHEU step
     return None
 
 
@@ -357,22 +386,6 @@ def _horner(a: list[int], x: int) -> int:
     for c in reversed(a):
         value = value * x + c
     return value
-
-
-def _divides(g: list[int], a: list[int]) -> bool:
-    """Whether g divides a in Z[v], by exact long division from the top."""
-    dg = len(g) - 1
-    r = list(a)
-    lead = g[-1]
-    for top in range(len(r) - 1, dg - 1, -1):
-        f, rem = divmod(r[top], lead)
-        if rem:
-            return False
-        if f:
-            base = top - dg
-            for i in range(dg):
-                r[base + i] -= f * g[i]
-    return not any(r[:dg])
 
 
 def _prs_gcd(fa: list[int], fb: list[int]) -> list[int]:
@@ -393,17 +406,6 @@ def _prs_gcd(fa: list[int], fb: list[int]) -> list[int]:
             r = _trim(r)
         fa, fb = fb, _primitive(_trim(r))
     return fa
-
-
-def _monic_unit(p: LaurentPoly) -> LaurentPoly:
-    """Shift to valuation 0 and divide by the leading coefficient."""
-    if p.is_zero():
-        return ZERO
-    p = p.shift(-p.valuation)
-    lead = p.coefficient(p.degree)
-    if lead != 1:
-        p = p * (Fraction(1) / Fraction(lead))
-    return p
 
 
 # -- rational functions --------------------------------------------------------
@@ -470,22 +472,18 @@ class RatFunc:
             return RatFunc(self.num + other.num, ONE, _canonical=True)
         if self.den == other.den:
             num = self.num + other.num
-            g = poly_gcd(num, self.den)
-            if g.is_one():
-                return _unit_normalize(num, self.den)
-            return _unit_normalize(num.divexact(g), self.den.divexact(g))
+            if not num._c:
+                return _RF_ZERO
+            _, num, den = poly_gcd(num, self.den)
+            return _unit_normalize(num, den)
         # common factor of the two denominators bounds the reduction needed
-        d = poly_gcd(self.den, other.den)
+        d, qa, qb = poly_gcd(self.den, other.den)
         if d.is_one():
             num = self.num * other.den + other.num * self.den
             return _unit_normalize(num, self.den * other.den)
-        qa = self.den.divexact(d)
-        qb = other.den.divexact(d)
-        t = self.num * qb + other.num * qa
-        g = poly_gcd(t, d)
-        if g.is_one():
-            return _unit_normalize(t, qa * other.den)
-        return _unit_normalize(t.divexact(g), qa * other.den.divexact(g))
+        g, t, dg = poly_gcd(self.num * qb + other.num * qa, d)
+        # the sum is t / (qa qb dg)
+        return _unit_normalize(t, qa * other.den if g.is_one() else qa * qb * dg)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _canonical=True)
@@ -506,15 +504,9 @@ class RatFunc:
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not d2.is_one():
-            g = poly_gcd(n1, d2)
-            if not g.is_one():
-                n1 = n1.divexact(g)
-                d2 = d2.divexact(g)
+            _, n1, d2 = poly_gcd(n1, d2)
         if not d1.is_one():
-            g = poly_gcd(n2, d1)
-            if not g.is_one():
-                n2 = n2.divexact(g)
-                d1 = d1.divexact(g)
+            _, n2, d1 = poly_gcd(n2, d1)
         return _unit_normalize(n1 * n2, d1 * d2)
 
     def inverse(self) -> "RatFunc":
@@ -597,10 +589,7 @@ def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return _RF_ZERO
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num = num.divexact(g)
-        den = den.divexact(g)
+    _, num, den = poly_gcd(num, den)
     return _unit_normalize(num, den)
 
 

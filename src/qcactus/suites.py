@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import cartan, coxeter, crystal, gkmodel, linalg, repmodule
@@ -745,6 +744,9 @@ def sweep(lams, jobs: int = 1) -> list[dict]:
     jobs = max(1, min(jobs, len(lams)))
     if jobs == 1:
         return [conjecture_task(lam) for lam in lams]
+    # imported here: the process pool is half the import time of the CLI
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(conjecture_task, lams))
 

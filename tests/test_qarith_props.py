@@ -1,19 +1,21 @@
 """Property tests for the canonical forms of qarith.
 
 Dividends have int-only or mixed int/Fraction coefficients, and divisors have
-a unit (±1) or a non-unit leading coefficient, so exact division runs both in
-int and in Fraction arithmetic.  The gcd is checked against `sympy` on pairs
-with a planted common factor, through the heuristic and through the
+a unit (±1) or a non-unit leading coefficient, so exact division runs over
+every kind of content.  The gcd and its cofactors are checked against `sympy`
+and by multiplication on pairs with a planted common factor, on operands in
+v, v^2 and v^3 and with mixed strides, through the heuristic and through the
 pseudo-remainder fallback.  `derandomize` makes every run draw the same
 examples.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from qcactus import qarith
-from qcactus.qarith import ONE, LaurentPoly, RatFunc, _divmod_poly, poly_gcd
+from qcactus.qarith import ONE, LaurentPoly, RatFunc, _of_form, poly_gcd
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -77,25 +79,85 @@ def assert_canonical(r: RatFunc):
         assert sympy.gcd(to_poly(r.num), to_poly(r.den)).as_expr() == 1
 
 
+STRIDES = st.sampled_from([1, 2, 3])
+
+
+def strided(p: LaurentPoly, s: int, k: int = 0) -> LaurentPoly:
+    """p(v^s) v^k."""
+    return p.compose_monomial(s).shift(k)
+
+
+def assert_form_rebuilds(p: LaurentPoly):
+    """The cached strided form, if any, is p itself, primitive in its stride."""
+    if p._form is not None:
+        val, s, content, ints = p._form
+        assert _of_form(val, s, content, ints) == p
+        assert ints[0] and ints[-1] and math.gcd(*ints) == 1
+
+
 @PROPS
-@given(DIVIDENDS, DIVISORS)
-def test_divexact_inverts_product(a, b):
+@given(DIVIDENDS, DIVISORS, STRIDES, STRIDES)
+def test_divexact_inverts_product(a, b, s, t):
+    a, b = strided(a, s), strided(b, s * t)
     prod = a * b
     q = prod.divexact(b)
     assert q == a
     assert_stored_canonical(prod)
     assert_stored_canonical(q)
+    # the quotient carries its form, and dividing by it again uses that form
+    assert_form_rebuilds(q)
+    if not a.is_zero():
+        assert (-q * 3).divexact(-q * Fraction(3, 2)).shift(5) == LaurentPoly.monomial(5, 2)
+        assert prod.divexact(q) == b
 
 
 @PROPS
-@given(DIVIDENDS, DIVISORS)
-def test_divmod_reconstructs_dividend(a, b):
-    q, r = _divmod_poly(a, b)
-    assert q * b + r == a
-    # the remainder lies in [val(a), val(a) + span(b)), below b's leading term
-    assert r.is_zero() or (r.valuation >= a.valuation and r.degree < a.valuation + b.span)
-    assert_stored_canonical(q)
-    assert_stored_canonical(r)
+@given(DIVIDENDS, DIVISORS, st.integers(-4, 12), st.one_of(UNIT, NONUNIT), STRIDES)
+def test_divexact_raises_on_an_inexact_division(a, b, e, c, s):
+    # b is not a single term, so it does not divide c v^e, nor a b + c v^e
+    a, b = strided(a, s), strided(b, s)
+    if len(b.items()) < 2:
+        return
+    with pytest.raises(ValueError):
+        (a * b + LaurentPoly.monomial(e, c)).divexact(b)
+
+
+@pytest.mark.parametrize("num, den, quotient", [
+    ({0: 1, 1: 1}, {0: 2, 1: 2}, {0: Fraction(1, 2)}),
+    ({0: 3, 1: 5, 2: 2}, {0: 3, 1: 2}, {0: 1, 1: 1}),
+    ({0: 1, 6: 1}, {0: 1, 2: 1}, {0: 1, 2: -1, 4: 1}),
+    ({-3: 1, 3: 1}, {-1: Fraction(1, 3), 1: Fraction(1, 3)}, {-2: 3, 0: -3, 2: 3}),
+    ({4: 7}, {1: -2}, {3: Fraction(-7, 2)}),
+])
+def test_divexact_examples(num, den, quotient):
+    q = LaurentPoly(num).divexact(LaurentPoly(den))
+    assert q == LaurentPoly(quotient)
+    assert_form_rebuilds(q)
+
+
+@pytest.mark.parametrize("num, den", [
+    ({0: 1, 2: 1}, {0: 1, 1: 1}),
+    # each is 1 + w in its own stride, but 1 + v^2 does not divide 1 + v^4
+    ({0: 1, 4: 1}, {0: 1, 2: 1}),
+    ({0: 1, 1: 1}, {0: 2, 1: 1}),
+    ({0: 3, 1: 5, 2: 4}, {0: 3, 1: 2}),
+    ({0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}),
+])
+def test_divexact_rejects_inexact_examples(num, den):
+    with pytest.raises(ValueError):
+        LaurentPoly(num).divexact(LaurentPoly(den))
+
+
+@PROPS
+@given(DIVIDENDS, st.integers(-3, 3), st.one_of(UNIT, NONUNIT))
+def test_cached_form_rebuilds_its_polynomial(p, k, c):
+    if p.is_zero():
+        return
+    p._strided()
+    for q in (p, -p, p.shift(k), p * c, p * LaurentPoly.monomial(k, c), strided(p, 2)):
+        q._strided()
+        assert_form_rebuilds(q)
+        assert q == LaurentPoly(dict(q.items()))
 
 
 @PROPS
@@ -123,6 +185,21 @@ def test_ratfunc_canonical_form(n1, d1, n2, d2):
 FACTORS = st.one_of(polys(INTS), polys(MIXED)).filter(lambda p: not p.is_zero())
 
 
+def planted(g, p, q, s, t, k):
+    """a = (g p)(v^s) and b = g(v^s) q(v^(s t)) v^k: strides s and s, 2s or 3s."""
+    return strided(g * p, s), strided(g, s) * strided(q, s * t, k)
+
+
+def assert_gcd_triple(a, b, triple, expected):
+    g, ca, cb = triple
+    assert g == expected
+    assert g * ca == a
+    assert g * cb == b
+    for p in (g, ca, cb):
+        assert_stored_canonical(p)
+        assert_form_rebuilds(p)
+
+
 def oracle_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """The monic gcd in Q[v] of a and b with their v-powers removed, by sympy."""
     if sympy is None:
@@ -138,31 +215,59 @@ def oracle_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 @PROPS
-@given(FACTORS, FACTORS, FACTORS)
-def test_gcd_of_a_planted_common_factor(g, p, q):
-    a, b = g * p, g * q
+@given(FACTORS, FACTORS, FACTORS, STRIDES, STRIDES, st.integers(-3, 3))
+def test_gcd_of_a_planted_common_factor(g, p, q, s, t, k):
+    a, b = planted(g, p, q, s, t, k)
     expected = oracle_gcd(a, b)
-    assert poly_gcd(a, b) == expected
-    assert poly_gcd(b, a) == expected
+    assert_gcd_triple(a, b, poly_gcd(a, b), expected)
+    assert_gcd_triple(b, a, poly_gcd(b, a), expected)
     assert_stored_canonical(expected)
 
 
 @PROPS
-@given(FACTORS, FACTORS, FACTORS)
-def test_gcd_fallback_agrees_with_the_heuristic(g, p, q):
-    a, b = g * p, g * q
+@given(FACTORS, FACTORS, FACTORS, STRIDES, STRIDES, st.integers(-3, 3))
+def test_gcd_fallback_agrees_with_the_heuristic(g, p, q, s, t, k):
+    a, b = planted(g, p, q, s, t, k)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qarith, "_heu_gcd", lambda fa, fb: None)
+        mp.setattr(qarith, "_heu_gcd", lambda *args: None)
         fallback = poly_gcd(a, b)
-    assert fallback == poly_gcd(a, b) == oracle_gcd(a, b)
+    assert fallback == poly_gcd(a, b)
+    assert_gcd_triple(a, b, fallback, oracle_gcd(a, b))
 
 
 @PROPS
-@given(st.integers(-5, 5), st.one_of(UNIT, NONUNIT), FACTORS)
-def test_gcd_with_a_single_term_operand_is_one(exp, coeff, p):
-    mono = LaurentPoly.monomial(exp, coeff)
-    assert poly_gcd(mono, p) == ONE
-    assert poly_gcd(p, mono) == ONE
+@given(st.integers(-5, 5), st.one_of(UNIT, NONUNIT), FACTORS, STRIDES)
+def test_gcd_with_a_single_term_operand_is_one(exp, coeff, p, s):
+    mono, p = LaurentPoly.monomial(exp, coeff), strided(p, s)
+    assert poly_gcd(mono, p) == (ONE, mono, p)
+    assert poly_gcd(p, mono) == (ONE, p, mono)
+
+
+@PROPS
+@given(FACTORS, STRIDES)
+def test_gcd_with_zero_is_the_monic_other_operand(p, s):
+    p = strided(p, s)
+    zero = LaurentPoly()
+    for a, b in ((zero, p), (p, zero)):
+        assert_gcd_triple(a, b, poly_gcd(a, b), oracle_gcd(p, p))
+
+
+@pytest.mark.parametrize("a, b, g", [
+    # strides 2 and 3: joint stride 1, gcd 1 + v
+    ({0: 1, 2: -1}, {0: 1, 3: 1}, {0: 1, 1: 1}),
+    # strides 4 and 6: in w = v^2, gcd(w^2 - 1, w^3 - 1) = w - 1
+    ({0: -1, 4: 1}, {0: -1, 6: 1}, {0: -1, 2: 1}),
+    # strides 3 and 3 with a non-unit content: (3 + 3v^3) / (2 + 2v^3)
+    ({1: 3, 4: 3}, {-2: 2, 1: 2}, {0: 1, 3: 1}),
+    # stride 2 against stride 1: v^2 + 1 is not a factor of v^3 + 1
+    ({0: 1, 2: 1}, {0: 1, 3: 1}, {0: 1}),
+])
+def test_gcd_across_strides(a, b, g):
+    a, b = LaurentPoly(a), LaurentPoly(b)
+    assert_gcd_triple(a, b, poly_gcd(a, b), LaurentPoly(g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qarith, "_heu_gcd", lambda *args: None)
+        assert_gcd_triple(a, b, poly_gcd(a, b), LaurentPoly(g))
 
 
 def lp(*coeffs) -> LaurentPoly:
@@ -173,8 +278,8 @@ def test_gcd_candidate_that_does_not_divide_is_rejected():
     # at the first evaluation point 31, gcd(a(31), b(31)) = 37 reads back as
     # v + 6 = b, which does not divide a: the operands are coprime
     a, b = lp(1, 0, 1), lp(6, 1)
-    assert poly_gcd(a, b) == ONE
-    assert qarith._heu_gcd([1, 0, 1], [6, 1]) == [1]
+    assert poly_gcd(a, b) == (ONE, a, b)
+    assert qarith._heu_gcd(a, b, 1, [1, 0, 1], [6, 1]) == (ONE, a, b)
 
 
 def test_gcd_candidate_is_made_primitive(monkeypatch):
@@ -186,4 +291,4 @@ def test_gcd_candidate_is_made_primitive(monkeypatch):
     monkeypatch.setattr(qarith, "_prs_gcd", no_fallback)
     g = lp(2, 0, 1)
     a, b = g * lp(1, 1) * lp(2, 1), g * lp(3, 1) * lp(4, 1)
-    assert poly_gcd(a.shift(-3), b.shift(2)) == g
+    assert poly_gcd(a.shift(-3), b.shift(2))[0] == g

@@ -206,10 +206,10 @@ def _fraction_mul(a, b):
 # is a ring map, so each identity scaled by these scalars holds at 2^b when it
 # holds over Z[v]; conversely a nonzero integer polynomial whose coefficients
 # are below 2^b - 1 in size does not vanish at 2^b, and b is chosen above a
-# 1-norm bound on every coefficient of both sides.  D_i comes from poly_gcd,
-# but every cofactor D_i / den is checked by multiplication before packing, so
-# a wrong gcd cannot make the oracle pass; no RatFunc product or
-# linalg.mat_mul is involved.
+# 1-norm bound on every coefficient of both sides.  D_i and the cofactors
+# D_i / den come from poly_gcd, but every cofactor is checked by
+# multiplication before packing, so a wrong gcd cannot make the oracle pass;
+# no RatFunc product or linalg.mat_mul is involved.
 
 
 def _int_mul(a, b):
@@ -251,8 +251,9 @@ class _Cleared:
         dens = {e.den for e in entries.values()}
         self.scale = qarith.ONE
         for den in dens:
-            self.scale = self.scale * den.divexact(qarith.poly_gcd(self.scale, den))
-        cofactors = {den: self.scale.divexact(den) for den in dens}
+            self.scale = self.scale * qarith.poly_gcd(self.scale, den)[2]
+        # den is monic, so gcd(scale, den) = den and its cofactor is scale / den
+        cofactors = {den: qarith.poly_gcd(self.scale, den)[1] for den in dens}
         for den, cofactor in cofactors.items():
             assert cofactor * den == self.scale, "a cofactor of the lcm does not multiply back"
         self.polys = {rc: e.num * cofactors[e.den] for rc, e in entries.items()}

@@ -1,3 +1,4 @@
+import concurrent.futures
 from collections import Counter
 
 import pytest
@@ -34,7 +35,7 @@ class SerialPool:
     ([], 4, []),
 ])
 def test_sweep_clamps_jobs(monkeypatch, lams, jobs, workers):
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
     results = suites.sweep(lams, jobs)
     assert SerialPool.sizes == workers
