@@ -194,6 +194,13 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _coxeter_type(text: str) -> coxeter.CoxeterDatum:
+    """A type whose group is enumerated now, so that one over the cap is a usage error."""
+    d = coxeter.CoxeterDatum.from_type(text)
+    d.elements()
+    return d
+
+
 def _ops(text: str) -> str:
     crystal.parse_ops(text)
     return text
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = p.add_subparsers(dest="sub", required=True)
     k = sc.add_parser("kernel", help="kernel of the action on a coset space")
     k.add_argument("--type", required=True, dest="datum", metavar="TYPE",
-                   type=_arg(coxeter.CoxeterDatum.from_type))
+                   type=_arg(_coxeter_type))
     k.add_argument("--subset", default="", type=_arg(coxeter.parse_subset))
     k.add_argument("--out", default=None, type=_arg(_out_path))
 

@@ -1,9 +1,10 @@
-"""Finite Coxeter groups through their integer action on the root lattice.
+"""Finite Coxeter groups through their action on a crystallographic root system.
 
-Elements are integer matrices in the simple-root basis, so equality is
-structural and the length function is a count of positive roots sent
-negative.  Only finite crystallographic types (and products of them) are
-supported; construction fails loudly if enumeration exceeds the cap.
+An element is the permutation it induces on the roots, so a product is a
+gather, equality is structural and the length function is a count of
+positive roots sent negative.  Only finite crystallographic types (and
+products of them) are supported; construction fails loudly if the roots or
+the enumeration exceed their caps.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 
 DEFAULT_CAP = 10_000
+MAX_ROOTS = 255
 
 # Cartan matrices of the supported irreducible types, a[i][j] = alpha_j(alpha_i^vee).
 def _cartan_A(n):
@@ -72,42 +74,56 @@ def _orders_from_cartan(a) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element as its integer matrix on the root lattice.
+def _reflect(a, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i on simple-root coordinates: s_i(alpha_j) = alpha_j - a_ij alpha_i."""
+    return root[:i] + (root[i] - sum(x * y for x, y in zip(a[i], root)),) + root[i + 1:]
 
-    Column j of the matrix is the image of the j-th simple root.
+
+def _close_roots(a) -> tuple[tuple[int, ...], ...]:
+    """The positive roots, sorted: the orbit of the simple roots under the
+    reflections.  Elements are byte permutations, so at most MAX_ROOTS roots."""
+    n = len(a)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    queue = list(simple)
+    while queue:
+        root = queue.pop()
+        for i in range(n):
+            img = _reflect(a, i, root)
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+        if len(seen) > MAX_ROOTS:
+            raise ValueError(f"more than {MAX_ROOTS} roots; group too large or not finite")
+    return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
+
+
+@dataclass(frozen=True, slots=True)
+class GroupElement:
+    """A group element as the permutation it induces on the roots.
+
+    perm[k] is the index in datum.roots of w(root_k).  The roots span the
+    lattice, so the permutation determines w; equality and hash compare it.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
+    perm: bytes
     datum: "CoxeterDatum" = field(compare=False, hash=False, repr=False)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(_mat_mul(self.matrix, other.matrix), self.datum)
-
-    def apply(self, root: tuple[int, ...]) -> tuple[int, ...]:
-        m = self.matrix
-        n = len(root)
-        return tuple(sum(m[k][j] * root[j] for j in range(n)) for k in range(n))
+        # self acts after other
+        return GroupElement(bytes(map(self.perm.__getitem__, other.perm)), self.datum)
 
     def inverse(self) -> "GroupElement":
-        word = reduced_word(self)
-        return from_word(self.datum, tuple(reversed(word)))
+        p = self.perm
+        return GroupElement(bytes(sorted(range(len(p)), key=p.__getitem__)), self.datum)
 
     def is_identity(self) -> bool:
-        return self.matrix == self.datum.identity.matrix
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+        return self.perm == self.datum.identity.perm
 
 
 class CoxeterDatum:
     """A finite Coxeter group presented by orders m_ij, realized on the root
-    lattice of a crystallographic Cartan matrix."""
+    system of a crystallographic Cartan matrix."""
 
     def __init__(self, cartan):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
@@ -117,16 +133,15 @@ class CoxeterDatum:
         self.n = n
         self.indices = tuple(range(1, n + 1))
         self.m = _orders_from_cartan(self.cartan)
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        self.identity = GroupElement(eye, self)
-        self.generators = {}
-        for i in range(n):
-            mat = [list(row) for row in eye]
-            # s_i(alpha_j) = alpha_j - a_ij alpha_i
-            for j in range(n):
-                mat[i][j] -= self.cartan[i][j]
-            self.generators[i + 1] = GroupElement(tuple(tuple(r) for r in mat), self)
-        self.positive_roots = self._close_roots()
+        # root coordinates are read only to number each generator's permutation
+        self.positive_roots = _close_roots(self.cartan)
+        self.roots = self.positive_roots + tuple(tuple(-x for x in r) for r in self.positive_roots)
+        index = {r: k for k, r in enumerate(self.roots)}
+        self.identity = GroupElement(bytes(range(len(self.roots))), self)
+        self.generators = {
+            i + 1: GroupElement(bytes(index[_reflect(self.cartan, i, r)] for r in self.roots), self)
+            for i in range(n)
+        }
         self._elements = None
 
     @staticmethod
@@ -134,21 +149,6 @@ class CoxeterDatum:
         d = CoxeterDatum(cartan_matrix_of_type(name))
         d.type_name = name
         return d
-
-    def _close_roots(self):
-        simple = [tuple(1 if j == i else 0 for j in range(self.n)) for i in range(self.n)]
-        seen = set(simple)
-        queue = list(simple)
-        while queue:
-            root = queue.pop()
-            for g in self.generators.values():
-                img = g.apply(root)
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-            if len(seen) > 2 * DEFAULT_CAP:
-                raise ValueError("root system exceeds the enumeration cap; group not finite?")
-        return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
 
     def elements(self) -> tuple[GroupElement, ...]:
         """All group elements, enumerated once and cached."""
@@ -162,18 +162,18 @@ class CoxeterDatum:
         for j in J:
             if j not in self.generators:
                 raise ValueError(f"unknown generator index {j}")
-        seen = {self.identity.matrix: self.identity}
+        seen = {self.identity.perm: self.identity}
         frontier = [self.identity]
         while frontier:
             nxt = []
             for w in frontier:
                 for j in J:
                     u = self.generators[j] * w
-                    if u.matrix not in seen:
-                        seen[u.matrix] = u
+                    if u.perm not in seen:
+                        seen[u.perm] = u
                         nxt.append(u)
             if len(seen) > DEFAULT_CAP:
-                raise ValueError(f"enumeration cap {DEFAULT_CAP} exceeded")
+                raise ValueError(f"more than {DEFAULT_CAP} elements; enumeration cap exceeded")
             frontier = nxt
         return tuple(seen.values())
 
@@ -190,12 +190,8 @@ def from_word(d: CoxeterDatum, word) -> GroupElement:
 
 def length(w: GroupElement) -> int:
     """Number of positive roots sent to negative roots."""
-    count = 0
-    for root in w.datum.positive_roots:
-        img = w.apply(root)
-        if all(x <= 0 for x in img):
-            count += 1
-    return count
+    n = len(w.datum.positive_roots)
+    return sum(map(n.__le__, w.perm[:n]))
 
 
 def reduced_word(w: GroupElement) -> tuple[int, ...]:
@@ -245,7 +241,7 @@ def star_involution(d: CoxeterDatum, J, j: int) -> int:
     w0 = longest_element(d, J)
     conj = w0 * d.generators[j] * w0
     for k in J:
-        if conj.matrix == d.generators[k].matrix:
+        if conj == d.generators[k]:
             return k
     raise RuntimeError("conjugate of a generator is not a generator of W_J")
 
@@ -282,17 +278,14 @@ def kernel_parabolic(d: CoxeterDatum, J, mode: str = "formula") -> frozenset:
         j0 = frozenset(d.indices) - closure
         return frozenset(d.subgroup_elements(j0))
     if mode == "bruteforce":
-        elements = d.elements()
-        wj = d.subgroup_elements(J)
-        coset_rep = {}
-        for w in elements:
-            rep = min((w * h).matrix for h in wj)
-            coset_rep[w.matrix] = rep
-        kernel = []
-        for k in elements:
-            if all(coset_rep[(k * w).matrix] == coset_rep[w.matrix] for w in elements):
-                kernel.append(k)
-        return frozenset(kernel)
+        perms = [w.perm for w in d.elements()]
+        wj = [h.perm for h in d.subgroup_elements(J)]
+        # bare perms keep elements out of the hot loop; the least perm in w W_J names it
+        coset = {w: min(bytes(map(w.__getitem__, h)) for h in wj) for w in perms}
+        return frozenset(
+            k for k in d.elements()
+            if all(coset[bytes(map(k.perm.__getitem__, w))] == coset[w] for w in perms)
+        )
     raise ValueError(f"unknown mode {mode!r}")
 
 

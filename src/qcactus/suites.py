@@ -201,7 +201,7 @@ def coxeter_suite(seed: int = 1) -> list[dict]:
                 products = {}
                 for u in wj:
                     for u2 in wperp:
-                        key = (u * u2).matrix
+                        key = u * u2
                         if key in products:
                             return {"type": name, "J": sorted(J), "collision": True}
                         products[key] = (u, u2)

@@ -163,6 +163,8 @@ def test_module_export_bad_tag(tmp_path):
     ["suite", "--name", "qarith", "--out", "."],
     ["suite", "--name", "qarith", "--out", ""],
     ["coxeter", "kernel", "--type", "A2", "--subset", "1,1"],
+    ["coxeter", "kernel", "--type", "A4xA4", "--subset", "1"],
+    ["coxeter", "kernel", "--type", "x".join(["A4"] * 13)],
     ["module", "export", "--l1", "1", "--l2", "0", "--which", "N1,N1", "--out", "unused.json"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):

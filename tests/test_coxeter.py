@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qcactus import coxeter as cx
@@ -145,16 +147,95 @@ def test_closed_factorization(data):
             products = {}
             for u in d.subgroup_elements(J):
                 for u2 in d.subgroup_elements(perp):
-                    key = (u * u2).matrix
+                    key = u * u2
                     assert key not in products, (name, sorted(J))
                     products[key] = True
             assert len(products) == len(d.elements()), (name, sorted(J))
+
+
+def test_inverse(data):
+    for name, d in data.items():
+        for w in d.elements():
+            assert (w * w.inverse()).is_identity(), name
+            assert (w.inverse() * w).is_identity(), name
+            assert w.inverse().inverse() == w, name
+
+
+# An integer-matrix oracle off the permutation path: s_i acts on the root
+# lattice by s_i(alpha_j) = alpha_j - a_ij alpha_i, column j the image of
+# alpha_j, and products are matrix products taken here.
+
+
+def cartan_reflection(a, i):
+    n = len(a)
+    return [[int(r == c) - (a[i][c] if r == i else 0) for c in range(n)] for r in range(n)]
+
+
+def mat_mul(x, y):
+    n = len(y)
+    return [[sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+
+def matrix_of(w):
+    """The matrix read off perm: column j is w(alpha_j), found among the roots."""
+    d = w.datum
+    cols = [d.roots[w.perm[d.roots.index(tuple(int(k == j) for k in range(d.n)))]]
+            for j in range(d.n)]
+    return [[cols[c][r] for c in range(d.n)] for r in range(d.n)]
+
+
+def pairs(d):
+    elements = d.elements()
+    if len(elements) <= 48:
+        return [(u, v) for u in elements for v in elements]
+    rng = random.Random(13)
+    return [(rng.choice(elements), rng.choice(elements)) for _ in range(600)]
+
+
+def test_generators_are_the_cartan_reflections(data):
+    for name, d in data.items():
+        for i in d.indices:
+            assert matrix_of(d.generators[i]) == cartan_reflection(d.cartan, i - 1), (name, i)
+        assert matrix_of(d.identity) == [[int(r == c) for c in d.indices] for r in d.indices]
+
+
+def test_matrix_oracle_is_multiplicative(data):
+    for name, d in data.items():
+        for u, v in pairs(d):
+            assert matrix_of(u * v) == mat_mul(matrix_of(u), matrix_of(v)), name
+
+
+def test_length_counts_positive_roots_sent_negative(data):
+    for name, d in data.items():
+        for w in d.elements():
+            m = matrix_of(w)
+            negative = sum(
+                1 for root in d.positive_roots
+                if all(sum(m[r][c] * root[c] for c in range(d.n)) <= 0 for r in range(d.n))
+            )
+            assert cx.length(w) == negative, name
+
+
+def test_distinct_permutations_give_distinct_matrices(data):
+    for name, d in data.items():
+        matrices = {tuple(map(tuple, matrix_of(w))) for w in d.elements()}
+        assert len(matrices) == len(d.elements()) == len({w.perm for w in d.elements()}), name
 
 
 def test_infinite_type_rejected():
     # the rank-2 matrix with product of off-diagonals 4 generates an infinite group
     with pytest.raises(ValueError):
         cx.CoxeterDatum([[2, -2], [-2, 2]])
+    # affine A2: every m_ij is 3, but the root system never closes
+    with pytest.raises(ValueError, match="roots"):
+        cx.CoxeterDatum([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+
+
+def test_too_many_roots_rejected():
+    # 13 copies of A4 have 260 roots, more than a byte permutation can number
+    with pytest.raises(ValueError, match="255 roots"):
+        cx.CoxeterDatum.from_type("x".join(["A4"] * 13))
+    assert len(cx.CoxeterDatum.from_type("x".join(["A4"] * 12)).roots) == 240
 
 
 def test_unknown_type():
