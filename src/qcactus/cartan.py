@@ -168,23 +168,29 @@ def weyl_act(d: CartanDatum, w: GroupElement, lam: Weight) -> Weight:
     return out
 
 
+@lru_cache(maxsize=None)
+def _rho_coroot(d: CartanDatum, J: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """G^-1 (1, ..., 1) for the Gram matrix G = ((alpha_a, alpha_b))_{a,b in J}.
+
+    G is symmetric and positive definite, so elimination needs no row swaps,
+    and the coefficient sum of G^-1 x is the pairing of this vector with x."""
+    gram = [[form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
+    return tuple(c for (c,) in _eliminate(gram, [[1]] * len(J)))
+
+
 def rho_functionals(d: CartanDatum, J, mu: Weight) -> tuple[Fraction, Fraction]:
     """((mu, rho_J), rho_J^vee(mu)).
 
     rho_J^vee takes the J-root-span component of mu and sums its coefficients;
-    it kills everything orthogonal to the alpha_j, j in J.
+    it kills everything orthogonal to the alpha_j, j in J.  The coefficients
+    solve sum_j c_j (alpha_j, alpha_i) = (mu, alpha_i) for i in J.
     """
-    J = sorted(set(J))
-    rj = d.rho(J)
-    value_form = form(d, mu, rj)
+    J = tuple(sorted(set(J)))
+    value_form = form(d, mu, d.rho(J))
     if not J:
         return Fraction(0), Fraction(0)
-    # solve sum_j c_j (alpha_j, alpha_i) = (mu, alpha_i) for i in J; the Gram
-    # matrix is positive definite, so elimination needs no row swaps
-    gram = [[form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
-    rhs = [[form_with_root(d, mu, i)] for i in J]
-    coeffs = _eliminate(gram, rhs)
-    return value_form, sum((c for (c,) in coeffs), Fraction(0))
+    pairing = zip(_rho_coroot(d, J), J)
+    return value_form, sum((w * form_with_root(d, mu, i) for w, i in pairing), Fraction(0))
 
 
 def extremal_exponents(d: CartanDatum, word, lam: Weight) -> tuple[int, ...]:

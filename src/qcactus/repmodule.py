@@ -175,58 +175,45 @@ def _pattern_parts(i: int, m: Pattern) -> tuple[int, int, int, int]:
     return m.m2, m.m1, m.m21, m.m02
 
 
+def _add_term(out: dict[Pattern, RatFunc], m: Pattern, val: RatFunc):
+    """out[m] += val in place; ModuleVector drops any zero sum it is given."""
+    prev = out.get(m)
+    out[m] = val if prev is None else prev + val
+
+
 def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
     """Divided power E_i^(r) or F_i^(r) on a vector, by linear extension."""
+    if i not in (1, 2):
+        raise ValueError(f"index must be 1 or 2, got {i}")
+    if kind not in ("E", "F"):
+        raise ValueError(f"kind must be 'E' or 'F', got {kind!r}")
     if r < 0:
         raise ValueError("divided-power exponent must be nonnegative")
     if r == 0:
         return vec
-    mod = vec.module
-    out = mod.zero()
+    out: dict[Pattern, RatFunc] = {}
     for m, c in vec.coeffs.items():
         mi, mj, mij, m0i = _pattern_parts(i, m)
-        terms: dict[Pattern, RatFunc] = {}
         if kind == "E":
             lead = q_binomial(mi + mij, r)
             base = crystal.e_pow(i, r, m)
             cc, dd = mj + mij, mi + mij
-        elif kind == "F":
+        else:
             lead = q_binomial(mj + m0i, r)
             base = crystal.e_pow(i, -r, m)
             cc, dd = mi + m0i, mj + m0i
-        else:
-            raise ValueError(f"kind must be 'E' or 'F', got {kind!r}")
         if not lead.is_zero() and base.in_crystal:
-            terms[base] = _qpoly(lead)
+            _add_term(out, base, _qpoly(lead) * c)
         # corrections sit along the +shift line for both kinds; the module
-        # algebra and the commutator relation both pin this orientation
-        for t in range(1, r + 1):
-            target = crystal.shift(base, i, t)
-            if not target.in_crystal:
-                continue
+        # algebra and the commutator relation both pin this orientation.  The
+        # shift lowers (m12, m01) for i = 1 and (m21, m02) for i = 2 and raises
+        # the other two, which e_pow leaves at their nonnegative values in m
+        lowered = (base.m12, base.m01) if i == 1 else (base.m21, base.m02)
+        for t in range(1, min(r, *lowered) + 1):
             corr = cg_coeff(r, t, cc, dd)
-            if corr.is_zero():
-                continue
-            prev = terms.get(target)
-            val = RatFunc.of_poly(corr)
-            terms[target] = val if prev is None else prev + val
-        for target, coeff in terms.items():
-            contrib = ModuleVector({target: coeff * c}, mod)
-            out = out + contrib
-    return out
-
-
-def k_scale(i: int, n: int, vec: ModuleVector) -> ModuleVector:
-    """Scale each weight component by v^(n * beta(alpha_i^vee)); this is the
-    action of K_{(n/2) alpha_i}."""
-    if n == 0:
-        return vec
-    mod = vec.module
-    out = {}
-    for m, c in vec.coeffs.items():
-        exp = n * crystal.wt(i, m)
-        out[m] = c * RatFunc.monomial(exp) if exp else c
-    return ModuleVector(out, mod)
+            if not corr.is_zero():
+                _add_term(out, crystal.shift(base, i, t), RatFunc.of_poly(corr) * c)
+    return ModuleVector(out, vec.module)
 
 
 def cartan_scalar(i: int, m: Pattern) -> RatFunc:
@@ -281,40 +268,50 @@ def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
 
 
 def lusztig_T(i: int, sign: str, vec: ModuleVector) -> ModuleVector:
-    """The modified braid symmetry, as the finite triple sum of divided powers
-    sandwiched between half-weight scalings; maps V(beta) to V(s_i beta)."""
+    """The modified braid symmetry, Lusztig's triple sum of divided powers
+    sandwiched between half-weight scalings (Introduction to Quantum Groups,
+    5.2.1); maps V(beta) to V(s_i beta).
+
+    On the part of i-weight k only the terms F^(a) E^(b) F^(c) with
+    a - b + c = k (E^(a) F^(b) E^(c) with a - b + c = -k for sign '-') land in
+    weight -k; every other group of terms cancels, so a is set, not summed."""
+    if i not in (1, 2):
+        raise ValueError(f"index must be 1 or 2, got {i}")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     mod = vec.module
-    out = mod.zero()
     plus = sign == "+"
     inner_kind, mid_kind, outer_kind = ("F", "E", "F") if plus else ("E", "F", "E")
-    c = 0
-    while True:
-        vc = act_divided(i, inner_kind, c, vec)
-        if vc.is_zero():
-            break
-        b = 0
+    parts: dict[int, dict[Pattern, RatFunc]] = {}
+    for m, coeff in vec.coeffs.items():
+        parts.setdefault(crystal.wt(i, m), {})[m] = coeff
+    out: dict[Pattern, RatFunc] = {}
+    for weight, coeffs in parts.items():
+        part = ModuleVector(coeffs, mod)
+        c = 0
         while True:
-            wcb = act_divided(i, mid_kind, b, vc)
-            if wcb.is_zero():
+            vc = act_divided(i, inner_kind, c, part)
+            if vc.is_zero():
                 break
-            a = 0
+            # a = weight + b - c for '+' and b - c - weight for '-', never negative
+            b = max(0, c - weight if plus else c + weight)
             while True:
-                x = act_divided(i, outer_kind, a, wcb)
-                if x.is_zero():
+                wcb = act_divided(i, mid_kind, b, vc)
+                if wcb.is_zero():
                     break
-                # the half-weight scalings, commuted past the divided powers
+                a = weight + b - c if plus else b - c - weight
+                x = act_divided(i, outer_kind, a, wcb)
+                # the half-weight scalings, commuted past the divided powers;
+                # x has i-weight -weight, where K_{(shift/2) alpha_i} is v^(-shift*weight)
                 n = (a - c) if plus else (c - a)
                 shift = 2 * n + (-1 if plus else 1)
                 exp = 2 * (b - a * c) + 2 * n * ((a + c - b) if plus else (b - a - c))
-                out = out + k_scale(i, shift, x).scale(
-                    RatFunc.monomial(exp, -1 if b % 2 else 1)
-                )
-                a += 1
-            b += 1
-        c += 1
-    return out
+                scalar = RatFunc.monomial(exp - shift * weight, -1 if b % 2 else 1)
+                for m, coeff in x.coeffs.items():
+                    _add_term(out, m, coeff * scalar)
+                b += 1
+            c += 1
+    return ModuleVector(out, mod)
 
 
 def lusztig_T_word(word, sign: str, vec: ModuleVector) -> ModuleVector:

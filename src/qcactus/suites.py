@@ -421,10 +421,11 @@ def relations_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
             b = mod.basis_vector(m)
             for kind in ("E", "F"):
                 for i in (1, 2):
+                    powers = [act(i, kind, k, b) for k in range(bound + 1)]
                     for r in range(bound + 1):
                         for s in range(bound + 1 - r):
-                            lhs = act(i, kind, r, act(i, kind, s, b))
-                            rhs = act(i, kind, r + s, b).scale(
+                            lhs = act(i, kind, r, powers[s])
+                            rhs = powers[r + s].scale(
                                 RatFunc.of_poly(q_binomial(r + s, r).compose_monomial(2))
                             )
                             if lhs != rhs:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -60,6 +61,25 @@ def test_rho_functionals(d):
         for J in ((1,), (2,), (1, 2)):
             value = ct.rho_functionals(d, J, Weight(coords))[1]
             assert (2 * value).denominator == 1
+
+
+def _rho_functionals_per_call(d, J, mu):
+    # the J Gram system solved afresh for the weight mu
+    J = sorted(set(J))
+    gram = [[ct.form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
+    coeffs = ct._eliminate(gram, [[ct.form_with_root(d, mu, i)] for i in J])
+    return ct.form(d, mu, d.rho(J)), sum((c for (c,) in coeffs), Fraction(0))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_rho_functionals_match_a_per_call_solve(name):
+    d = ct.CartanDatum.from_type(name)
+    subsets = [J for k in range(1, d.n + 1) for J in itertools.combinations(d.indices, k)]
+    subsets.append(tuple(reversed(d.indices)))
+    for coords in itertools.product(range(-2, 3), repeat=d.n):
+        mu = Weight(coords)
+        for J in subsets:
+            assert ct.rho_functionals(d, J, mu) == _rho_functionals_per_call(d, J, mu), (J, coords)
 
 
 def test_extremal_exponents(d):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -432,6 +433,136 @@ class TestSigma:
             img = rm.sigma_J((1, 2), adjoint.basis_vector(m))
             target = cartan.weyl_act(d, w0, adjoint.weight_of(m))
             assert all(adjoint.weight_of(mm) == target for mm in img.coeffs)
+
+
+# -- oracles off the production divided-power path ----------------------------------------
+
+
+def _act_divided_reference(i, kind, r, vec):
+    """E_i^(r) or F_i^(r) pattern by pattern: every shift t in 1..r is tried
+    and kept when it lands in the crystal, and the terms are summed by
+    ModuleVector additions."""
+    if r == 0:
+        return vec
+    out = vec.module.zero()
+    for m, c in vec.coeffs.items():
+        mi, mj, mij, m0i = rm._pattern_parts(i, m)
+        if kind == "E":
+            lead, base = qarith.q_binomial(mi + mij, r), crystal.e_pow(i, r, m)
+            cc, dd = mj + mij, mi + mij
+        else:
+            lead, base = qarith.q_binomial(mj + m0i, r), crystal.e_pow(i, -r, m)
+            cc, dd = mi + m0i, mj + m0i
+        if not lead.is_zero() and base.in_crystal:
+            out = out + rm.ModuleVector({base: rm._qpoly(lead) * c}, vec.module)
+        for t in range(1, r + 1):
+            target = crystal.shift(base, i, t)
+            if target.in_crystal:
+                corr = RatFunc.of_poly(qarith.cg_coeff(r, t, cc, dd))
+                out = out + rm.ModuleVector({target: corr * c}, vec.module)
+    return out
+
+
+def _triple_sum_groups(i, sign, vec):
+    """Every term of the braid symmetry's triple sum of divided powers, with
+    a, b and c each run until its divided power vanishes, summed by the group
+    g = a - b + c and scaled by K on each output pattern's own weight."""
+    plus = sign == "+"
+    inner, mid, outer = ("F", "E", "F") if plus else ("E", "F", "E")
+    groups = {}
+    c = 0
+    while not (vc := _act_divided_reference(i, inner, c, vec)).is_zero():
+        b = 0
+        while not (wcb := _act_divided_reference(i, mid, b, vc)).is_zero():
+            a = 0
+            while not (x := _act_divided_reference(i, outer, a, wcb)).is_zero():
+                n = (a - c) if plus else (c - a)
+                shift = 2 * n + (-1 if plus else 1)
+                exp = 2 * (b - a * c) + 2 * n * ((a + c - b) if plus else (b - a - c))
+                scalar = RatFunc.monomial(exp, -1 if b % 2 else 1)
+                term = rm.ModuleVector(
+                    {m: x * RatFunc.monomial(shift * crystal.wt(i, m)) * scalar
+                     for m, x in x.coeffs.items()}, vec.module)
+                groups[a - b + c] = groups.get(a - b + c, vec.module.zero()) + term
+                a += 1
+            b += 1
+        c += 1
+    return groups
+
+
+def _lusztig_T_reference(i, sign, vec):
+    total = vec.module.zero()
+    for group in _triple_sum_groups(i, sign, vec).values():
+        total = total + group
+    return total
+
+
+class TestDividedPowerOracles:
+    @pytest.mark.parametrize("lam", suites.lambdas(5), ids="{0[0]}-{0[1]}".format)
+    def test_act_divided(self, lam):
+        mod = rm.ModuleVLambda(*lam)
+        # every basis pattern, then all of them at once with distinct coefficients
+        vectors = [mod.basis_vector(m) for m in mod.basis]
+        vectors.append(rm.ModuleVector(
+            {m: RatFunc.monomial(k, k % 3 - 1 or 2) for k, m in enumerate(mod.basis)}, mod))
+        for vec in vectors:
+            for i in (1, 2):
+                for kind in ("E", "F"):
+                    for r in range(sum(lam) + 3):
+                        assert rm.act_divided(i, kind, r, vec) == (
+                            _act_divided_reference(i, kind, r, vec)), (lam, str(vec), i, kind, r)
+
+    @pytest.mark.parametrize("lam", suites.lambdas(4), ids="{0[0]}-{0[1]}".format)
+    def test_matrix_T_columns(self, lam):
+        mod = rm.ModuleVLambda(*lam)
+        for i in (1, 2):
+            for sign in ("+", "-"):
+                for m in mod.basis:
+                    expected = _lusztig_T_reference(i, sign, mod.basis_vector(m))
+                    assert _column(mod, f"T{i}{sign}", m) == expected, (lam, i, sign, str(m))
+
+    def test_lusztig_T_on_mixed_weights(self):
+        mod = rm.ModuleVLambda(3, 2)
+        rng = random.Random(14)
+        for _ in range(8):
+            patterns = rng.sample(mod.basis, 5)
+            vec = rm.ModuleVector(
+                {m: RatFunc.monomial(rng.randint(-3, 3), rng.choice((1, -2, 3))) for m in patterns},
+                mod)
+            assert len({mod.weight_of(m) for m in patterns}) > 1
+            for i in (1, 2):
+                for sign in ("+", "-"):
+                    assert rm.lusztig_T(i, sign, vec) == _lusztig_T_reference(i, sign, vec)
+
+    def test_dropped_groups_cancel(self):
+        # on i-weight n only the group a - b + c = n (sign '+') or -n (sign '-')
+        # reaches weight -n; lusztig_T drops the others, which must sum to zero
+        mod = rm.ModuleVLambda(2, 2)
+        dropped = 0
+        for m in mod.basis:
+            for i in (1, 2):
+                n = crystal.wt(i, m)
+                for sign, kept in (("+", n), ("-", -n)):
+                    groups = _triple_sum_groups(i, sign, mod.basis_vector(m))
+                    assert not groups[kept].is_zero()
+                    for g, total in groups.items():
+                        if g != kept:
+                            dropped += 1
+                            assert total.is_zero(), (str(m), i, sign, g)
+        assert dropped
+
+    @pytest.mark.parametrize("call", [
+        lambda v: rm.act_divided(1, "X", 0, v),
+        lambda v: rm.act_divided(1, "X", 2, v.module.zero()),
+        lambda v: rm.act_divided(3, "E", 1, v.module.zero()),
+        lambda v: rm.act_divided(0, "F", 0, v),
+        lambda v: rm.lusztig_T(3, "+", v.module.zero()),
+        lambda v: rm.lusztig_T(0, "-", v),
+    ])
+    def test_bad_arguments_rejected(self, vec3, call):
+        with pytest.raises(ValueError) as err:
+            call(vec3.highest_vector())
+        assert "\n" not in str(err.value)
 
 
 class TestStringDecomposition:
