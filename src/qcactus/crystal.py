@@ -7,47 +7,74 @@ per-index involutions and a bijection onto Gelfand-Tsetlin-style arrays all
 act on the ambient set and preserve the component indices
 
     l1 = m01 + m1 + m21,    l2 = m02 + m2 + m12.
+
+A Pattern is a validated tuple of its six entries: it hashes as that tuple
+but equals only another Pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
-    m1: int
-    m2: int
-    m12: int
-    m21: int
-    m01: int
-    m02: int
+class _Entries(tuple):
+    """An immutable integer tuple with named `_fields`; it hashes as the tuple
+    but equals only its own type, never a plain tuple or a GKMonomial."""
 
-    def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not (type(other) is type(self) and tuple.__eq__(self, other))
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('{}={}'.format, self._fields, self))})"
+
+
+class Pattern(_Entries):
+    """Validated on construction; the operators below build their results,
+    which are valid by construction, with `_new`."""
+
+    __slots__ = ()
+    _fields = ("m1", "m2", "m12", "m21", "m01", "m02")
+    m1, m2, m12, m21, m01, m02 = (property(itemgetter(k)) for k in range(6))
+
+    def __new__(cls, m1: int, m2: int, m12: int, m21: int, m01: int, m02: int):
+        self = _new(cls, (m1, m2, m12, m21, m01, m02))
+        if m1 < 0 or m2 < 0:
             raise ValueError(f"m1, m2 must be nonnegative: {self}")
-        if self.m1 and self.m2:
+        if m1 and m2:
             raise ValueError(f"m1*m2 must vanish: {self}")
+        return self
 
     @property
     def in_crystal(self) -> bool:
         """All six entries nonnegative."""
-        return min(self.m12, self.m21, self.m01, self.m02) >= 0
+        return min(self[2:]) >= 0
 
     @property
     def l1(self) -> int:
-        return self.m01 + self.m1 + self.m21
+        return self[4] + self[0] + self[3]
 
     @property
     def l2(self) -> int:
-        return self.m02 + self.m2 + self.m12
+        return self[5] + self[1] + self[2]
 
     def entries(self) -> tuple[int, int, int, int, int, int]:
-        return (self.m1, self.m2, self.m12, self.m21, self.m01, self.m02)
+        return tuple(self)
 
     def __str__(self):
-        return ",".join(str(x) for x in self.entries())
+        return ",".join(map(str, self))
 
     @staticmethod
     def parse(text: str) -> "Pattern":
@@ -57,13 +84,13 @@ class Pattern:
         return Pattern(*parts)
 
 
-@dataclass(frozen=True, slots=True)
-class GTArray:
-    a1: int
-    a2: int
-    a3: int
-    l1: int
-    l2: int
+class GTArray(_Entries):
+    __slots__ = ()
+    _fields = ("a1", "a2", "a3", "l1", "l2")
+    a1, a2, a3, l1, l2 = (property(itemgetter(k)) for k in range(5))
+
+    def __new__(cls, a1: int, a2: int, a3: int, l1: int, l2: int):
+        return _new(cls, (a1, a2, a3, l1, l2))
 
 
 #: Offsets along which the change-of-basis corrections move, one per index.
@@ -72,18 +99,15 @@ STRING_SHIFT = {1: (0, 0, -1, 1, -1, 1), 2: (0, 0, 1, -1, 1, -1)}
 
 def shift(m: Pattern, i: int, t: int) -> Pattern:
     """Translate by t times the index-i string shift (stays in the ambient set)."""
-    v = STRING_SHIFT[i]
-    e = m.entries()
-    return Pattern(*(e[k] + t * v[k] for k in range(6)))
+    return _new(Pattern, [x + t * d for x, d in zip(m, STRING_SHIFT[i])])
 
 
 def wt(i: int, m: Pattern) -> int:
     """The i-weight m_{0i} - m_i + m_j - m_{ij}."""
-    e = m.entries()
     if i == 1:
-        return e[4] - e[0] + e[1] - e[2]
+        return m[4] - m[0] + m[1] - m[2]
     if i == 2:
-        return e[5] - e[1] + e[0] - e[3]
+        return m[5] - m[1] + m[0] - m[3]
     raise ValueError(f"index must be 1 or 2, got {i}")
 
 
@@ -92,26 +116,26 @@ def weight_pair(m: Pattern) -> tuple[int, int]:
 
 
 def e_pow(i: int, r: int, m: Pattern) -> Pattern:
-    """The string operator e_i^r on the ambient set; e_i^0 is the identity."""
-    if i not in (1, 2):
-        raise ValueError(f"index must be 1 or 2, got {i}")
-    mi = m.m1 if i == 1 else m.m2
-    mj = m.m2 if i == 1 else m.m1
-    new_i = max(mi - mj - r, 0)
-    new_j = max(mj - mi + r, 0)
-    corr = min(mi - r, mj)
+    """The string operator e_i^r on the ambient set; e_i^0 is the identity.
+    With x = m_i - m_j - r, (m_i, m_j) become (max(x, 0), max(-x, 0)), and m_ij
+    and m_0i - r gain min(m_i - r, m_j), which is m_j exactly when x >= 0."""
+    m1, m2, m12, m21, m01, m02 = m
     if i == 1:
-        return Pattern(
-            new_i, new_j, m.m12 + corr, m.m21, m.m01 + r + corr, m.m02
-        )
-    return Pattern(
-        new_j, new_i, m.m12, m.m21 + corr, m.m01, m.m02 + r + corr
-    )
+        x = m1 - m2 - r
+        if x >= 0:
+            return _new(Pattern, (x, 0, m12 + m2, m21, m01 + r + m2, m02))
+        return _new(Pattern, (0, -x, m12 + m1 - r, m21, m01 + m1, m02))
+    if i == 2:
+        x = m2 - m1 - r
+        if x >= 0:
+            return _new(Pattern, (0, x, m12, m21 + m1, m01, m02 + r + m1))
+        return _new(Pattern, (-x, 0, m12, m21 + m2 - r, m01, m02 + m2))
+    raise ValueError(f"index must be 1 or 2, got {i}")
 
 
 def sigma_outer(m: Pattern) -> Pattern:
     """(m1, m2, m12, m21, m01, m02) -> (m1, m2, m02, m01, m21, m12)."""
-    return Pattern(m.m1, m.m2, m.m02, m.m01, m.m21, m.m12)
+    return _new(Pattern, (m[0], m[1], m[5], m[4], m[3], m[2]))
 
 
 def sigma_i(i: int, m: Pattern) -> Pattern:
@@ -120,10 +144,8 @@ def sigma_i(i: int, m: Pattern) -> Pattern:
 
 
 def khat(m: Pattern) -> GTArray:
-    a1 = m.m1 + m.m21
-    a2 = m.m2 + m.m12 + m.m21
-    a3 = m.m12
-    return GTArray(a1, a2, a3, m.l1, m.l2)
+    m1, m2, m12, m21, m01, m02 = m
+    return GTArray(m1 + m21, m2 + m12 + m21, m12, m01 + m1 + m21, m02 + m2 + m12)
 
 
 def khat_inv(g: GTArray) -> Pattern:
@@ -158,8 +180,8 @@ def enumerate_component(l1: int, l2: int) -> list[Pattern]:
             for m2 in range(m2_top + 1):
                 for m12 in range(l2 - m2 + 1):
                     m02 = l2 - m2 - m12
-                    out.append(Pattern(m1, m2, m12, m21, m01, m02))
-    out.sort(key=Pattern.entries)
+                    out.append(_new(Pattern, (m1, m2, m12, m21, m01, m02)))
+    out.sort()
     return out
 
 

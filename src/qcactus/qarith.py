@@ -503,6 +503,11 @@ class RatFunc:
         if other.is_one():
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # no gcd if both are polynomials or one is the unit c*v^k: the den stays canonical
+        if d2.is_one() and (d1.is_one() or len(n2._c) == 1):
+            return RatFunc(n1 * n2, d1, _canonical=True)
+        if d1.is_one() and len(n1._c) == 1:
+            return RatFunc(n2 * n1, d2, _canonical=True)
         if not d2.is_one():
             _, n1, d2 = poly_gcd(n1, d2)
         if not d1.is_one():
@@ -631,6 +636,12 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
     return num.divexact(q_factorial(k))
 
 
+@lru_cache(maxsize=None)
+def q2_binomial(n: int, k: int) -> LaurentPoly:
+    """q_binomial(n, k) under v -> v^2, the Gaussian binomial in q = v^2."""
+    return q_binomial(n, k).compose_monomial(2)
+
+
 @dataclass(frozen=True)
 class StringTriple:
     """String data (l, k, s): length l, depth k, shift s."""
@@ -690,7 +701,5 @@ def cg_coeff(r: int, t: int, c: int, d: int) -> LaurentPoly:
     if r < 1 or t < 1 or t > r:
         raise ValueError(f"need r >= 1 and 1 <= t <= r, got r={r}, t={t}")
     if d - c >= r:
-        p = q_binomial(c, t) * q_binomial(d - t, r - t)
-    else:
-        p = q_binomial(d - c, t) * q_binomial(d - t, r)
-    return p.compose_monomial(2)
+        return q2_binomial(c, t) * q2_binomial(d - t, r - t)
+    return q2_binomial(d - c, t) * q2_binomial(d - t, r)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import cartan, coxeter, crystal, linalg
 from .cartan import Weight
 from .crystal import Pattern
-from .qarith import LaurentPoly, RatFunc, cg_coeff, q_binomial, q_int
+from .qarith import LaurentPoly, RatFunc, cg_coeff, q2_binomial, q_int
 
 
 def _qpoly(p: LaurentPoly) -> RatFunc:
@@ -195,15 +195,15 @@ def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
     for m, c in vec.coeffs.items():
         mi, mj, mij, m0i = _pattern_parts(i, m)
         if kind == "E":
-            lead = q_binomial(mi + mij, r)
+            lead = q2_binomial(mi + mij, r)
             base = crystal.e_pow(i, r, m)
             cc, dd = mj + mij, mi + mij
         else:
-            lead = q_binomial(mj + m0i, r)
+            lead = q2_binomial(mj + m0i, r)
             base = crystal.e_pow(i, -r, m)
             cc, dd = mi + m0i, mj + m0i
         if not lead.is_zero() and base.in_crystal:
-            _add_term(out, base, _qpoly(lead) * c)
+            _add_term(out, base, RatFunc.of_poly(lead) * c)
         # corrections sit along the +shift line for both kinds; the module
         # algebra and the commutator relation both pin this orientation.  The
         # shift lowers (m12, m01) for i = 1 and (m21, m02) for i = 2 and raises
@@ -399,18 +399,17 @@ def _sign_exponent(d, J, arg: Weight) -> int:
     return int(value)
 
 
-def _prefactor(d, J, w0J, lam: Weight, beta: Weight, branch: str) -> RatFunc:
+def _prefactor(d, J, rho_shift: Weight, lam: Weight, beta: Weight, branch: str) -> RatFunc:
     """(-1)-sign and v-power multiplying the braid symmetry on one isotypic
     weight component.
 
-    The linear term must pair lam with (rho_J - w0J(rho_J))/2, the half-sum of
-    the positive roots of the parabolic; only differences of W_J-translates of
-    rho_J are pinned down on isotypic components.
+    The linear term must pair lam with rho_shift/2 = (rho_J - w0J(rho_J))/2,
+    the half-sum of the positive roots of the parabolic; only differences of
+    W_J-translates of rho_J are pinned down on isotypic components.
     """
     sign_arg = lam - beta if branch == "+" else lam + beta
     sign = -1 if _sign_exponent(d, J, sign_arg) % 2 else 1
-    rho_j = d.rho(J)
-    half_pair = (cartan.form(d, lam, rho_j) - cartan.form(d, lam, cartan.weyl_act(d, w0J, rho_j)))
+    half_pair = cartan.form(d, lam, rho_shift)
     quad = cartan.form(d, lam, lam) - cartan.form(d, beta, beta)
     vexp = -quad - half_pair
     if vexp.denominator != 1:
@@ -428,6 +427,7 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     d = mod.datum
     w0J = coxeter.longest_element(d.coxeter, J)
     word = coxeter.reduced_word(w0J)
+    rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
     dec = mod.strings(J[0]) if len(J) == 1 else None
     lines = dec.lines if dec else [(mod.highest_weight, beta) for beta in mod.weights]
     branches = []
@@ -437,7 +437,7 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
             out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}").sparse)
         if dec:
             out = linalg.mat_mul(out, dec.basis)
-        pref = [_prefactor(d, J, w0J, lam, beta, sign) for lam, beta in lines]
+        pref = [_prefactor(d, J, rho_shift, lam, beta, sign) for lam, beta in lines]
         out = [linalg.Row({j: x * pref[j] for j, x in row.items()}) for row in out]
         branches.append(linalg.mat_mul(out, dec.inverse) if dec else out)
     if branches[0] != branches[1]:

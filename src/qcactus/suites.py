@@ -21,6 +21,7 @@ from .qarith import (
     StringTriple,
     kash_coeff,
     kash_coeff_underline,
+    q2_binomial,
     q_binomial,
     q_int,
 )
@@ -425,9 +426,7 @@ def relations_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
                     for r in range(bound + 1):
                         for s in range(bound + 1 - r):
                             lhs = act(i, kind, r, powers[s])
-                            rhs = powers[r + s].scale(
-                                RatFunc.of_poly(q_binomial(r + s, r).compose_monomial(2))
-                            )
+                            rhs = powers[r + s].scale(RatFunc.of_poly(q2_binomial(r + s, r)))
                             if lhs != rhs:
                                 return {
                                     "relation": "divided-power composition",

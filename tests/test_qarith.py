@@ -12,6 +12,7 @@ from qcactus.qarith import (
     cg_coeff,
     kash_coeff,
     kash_coeff_underline,
+    q2_binomial,
     q_binomial,
     q_factorial,
     q_int,
@@ -249,6 +250,22 @@ class TestCGCoefficient:
         assert cg_coeff(2, 1, 1, 4) == (q_binomial(1, 1) * q_binomial(3, 1)).compose_monomial(2)
         # d - c < r branch
         assert cg_coeff(2, 2, 3, 4) == (q_binomial(1, 2) * q_binomial(2, 2)).compose_monomial(2)
+
+    def test_substitution_after_the_product(self):
+        # cg_coeff multiplies the cached v -> v^2 images; the substitution is a
+        # ring map, so this is the product substituted afterwards
+        for n in range(-1, 9):
+            for k in range(-1, n + 2):
+                assert q2_binomial(n, k) == q_binomial(n, k).compose_monomial(2)
+        for r in range(1, 6):
+            for t in range(1, r + 1):
+                for c in range(7):
+                    for d in range(c, 9):
+                        if d - c >= r:
+                            p = q_binomial(c, t) * q_binomial(d - t, r - t)
+                        else:
+                            p = q_binomial(d - c, t) * q_binomial(d - t, r)
+                        assert cg_coeff(r, t, c, d) == p.compose_monomial(2), (r, t, c, d)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

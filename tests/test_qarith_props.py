@@ -182,6 +182,31 @@ def test_ratfunc_canonical_form(n1, d1, n2, d2):
         assert_canonical(r)
 
 
+RATFUNCS = st.one_of(
+    # c v^k over 1, a polynomial over 1, and a general quotient
+    st.builds(RatFunc.monomial, st.integers(-4, 4), st.one_of(UNIT, NONUNIT)),
+    DIVIDENDS.map(RatFunc.of_poly),
+    st.builds(RatFunc, DIVIDENDS, DIVISORS),
+)
+
+# a polynomial p g over 1 and a quotient n / (g d): their product must cancel g
+PLANTED = st.builds(
+    lambda p, g, n, d: (RatFunc.of_poly(p * g), RatFunc(n, g * d)),
+    DIVIDENDS, DIVISORS, DIVIDENDS, DIVISORS,
+)
+
+
+@PROPS
+@given(st.one_of(st.tuples(RATFUNCS, RATFUNCS), PLANTED))
+def test_ratfunc_product_is_the_normalized_quotient(pair):
+    # a product with a unit factor or of two polynomials skips the gcd; it is
+    # still the canonical form of (a.num b.num) / (a.den b.den)
+    for a, b in (pair, pair[::-1]):
+        p = a * b
+        assert p == qarith.rf_normalize(a.num * b.num, a.den * b.den)
+        assert_canonical(p)
+
+
 FACTORS = st.one_of(polys(INTS), polys(MIXED)).filter(lambda p: not p.is_zero())
 
 

@@ -371,6 +371,7 @@ class TestSigma:
         for J in ((1,), (2,), (1, 2)):
             w0J = coxeter.longest_element(d.coxeter, J)
             word = coxeter.reduced_word(w0J)
+            rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
             if len(J) == 2:
                 lines = [(mod.highest_weight, mod.weight_of(m), mod.basis_vector(m))
                          for m in mod.basis]
@@ -384,8 +385,37 @@ class TestSigma:
             for lam, beta, vec in lines:
                 image = rm.sigma_J(J, vec)
                 for sign in "+-":
-                    pref = rm._prefactor(d, J, w0J, lam, beta, sign)
+                    pref = rm._prefactor(d, J, rho_shift, lam, beta, sign)
                     assert image == rm.lusztig_T_word(word, sign, vec.scale(pref)), (J, sign)
+
+    def test_prefactor_matches_the_per_line_reference(self):
+        # reference: rho_J and w0J(rho_J) paired with lam on every line, as
+        # separate forms; the change pairs lam once with their difference
+        def reference(d, J, w0J, lam, beta, branch):
+            sign_arg = lam - beta if branch == "+" else lam + beta
+            sign = -1 if rm._sign_exponent(d, J, sign_arg) % 2 else 1
+            rho_j = d.rho(J)
+            half_pair = (cartan.form(d, lam, rho_j)
+                         - cartan.form(d, lam, cartan.weyl_act(d, w0J, rho_j)))
+            vexp = -(cartan.form(d, lam, lam) - cartan.form(d, beta, beta)) - half_pair
+            assert vexp.denominator == 1
+            return RatFunc.monomial(int(vexp), sign)
+
+        compared = 0
+        for l1, l2 in suites.lambdas(4):
+            mod = rm.ModuleVLambda(l1, l2)
+            d = mod.datum
+            for J in ((1,), (2,), (1, 2)):
+                w0J = coxeter.longest_element(d.coxeter, J)
+                rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
+                lines = (mod.strings(J[0]).lines if len(J) == 1
+                         else [(mod.highest_weight, beta) for beta in mod.weights])
+                for lam, beta in lines:
+                    for sign in "+-":
+                        assert rm._prefactor(d, J, rho_shift, lam, beta, sign) == reference(
+                            d, J, w0J, lam, beta, sign), (l1, l2, J, lam, beta, sign)
+                        compared += 1
+        assert compared == 2 * 3 * sum(rm.ModuleVLambda(*lam).dim for lam in suites.lambdas(4))
 
     def test_full_involution_on_highest(self, adjoint):
         w0 = coxeter.longest_element(adjoint.datum.coxeter, (1, 2))
@@ -408,8 +438,8 @@ class TestSigma:
         # a "-" branch whose prefactor is off by a sign must not go unnoticed
         prefactor = rm._prefactor
 
-        def skewed(d, J, w0J, lam, beta, branch):
-            value = prefactor(d, J, w0J, lam, beta, branch)
+        def skewed(d, J, rho_shift, lam, beta, branch):
+            value = prefactor(d, J, rho_shift, lam, beta, branch)
             return value if branch == "+" else -value
 
         monkeypatch.setattr(rm, "_prefactor", skewed)
