@@ -14,10 +14,12 @@ candidate gcd computed, so reducing a rational function divides once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import index
 
 
 def _coeff(x):
@@ -44,9 +46,10 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for k, a in coeffs.items():
+                k = index(k)
                 a = _coeff(a) if not isinstance(a, int) else a
                 if a:
-                    c[int(k)] = a
+                    c[k] = a
         self._c = c
         self._hash = None
         self._form = None
@@ -156,15 +159,41 @@ class LaurentPoly:
             raise ValueError("substitution exponent must be nonzero")
         return _lp({e * c: a for e, a in self._c.items()})
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        """Evaluate at a nonzero rational v = x."""
-        x = Fraction(x)
-        if x == 0:
+    def evaluate(self, x) -> Fraction:
+        """Evaluate at a nonzero rational v = x (an int, float or Fraction)."""
+        return Fraction(*self._evaluate_ints(*x.as_integer_ratio()))
+
+    def _evaluate_ints(self, p: int, q: int) -> tuple[int, int]:
+        """(n, d) with self(p/q) = n/d and d != 0, by one homogeneous integer
+        Horner pass: n0 = sum(D a_k p^(k - val) q^(deg - k)), D the lcm of the
+        coefficient denominators, and self(p/q) = n0 p^val / (D q^deg).
+        Reads only the coefficients."""
+        if not p:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        total = Fraction(0)
-        for k, a in self._c.items():
-            total += a * x**k
-        return total
+        c = self._c
+        if not c:
+            return 0, 1
+        den = _int_lcm(*[a.denominator for a in c.values() if type(a) is not int])
+        terms = sorted(c.items(), reverse=True)
+        if den > 1:
+            terms = [(k, a.numerator * (den // a.denominator)) for k, a in terms]
+        deg = val = terms[0][0]
+        n, qpow = 0, 1
+        for k, a in terms:
+            gap = val - k
+            qpow *= q**gap
+            n = n * p**gap + a * qpow
+            val = k
+        # self(p/q) = n p^val / (den q^deg)
+        if val >= 0:
+            n *= p**val
+        else:
+            den *= p**-val
+        if deg <= 0:
+            n *= q**-deg
+        else:
+            den *= q**deg
+        return n, den
 
     def _strided(self):
         """The form (val, s, content, ints) with self = content * v^val * I(v^s),
@@ -249,7 +278,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        return LaurentPoly({int(k): Fraction(s) for k, s in data})
+        """Inverse of `to_json`; an exponent that is not an integer or that
+        appears twice raises ValueError."""
+        c = {}
+        for k, s in data:
+            try:
+                k = index(k)
+            except TypeError:
+                raise ValueError(f"exponent must be an integer, got {k!r}") from None
+            if k in c:
+                raise ValueError(f"exponent {k} appears twice")
+            c[k] = Fraction(s)
+        return LaurentPoly(c)
 
 
 ZERO = LaurentPoly()
@@ -526,13 +566,15 @@ class RatFunc:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        den = self.den.evaluate(x)
-        if den == 0:
+    def evaluate(self, x) -> Fraction:
+        """Evaluate at a nonzero rational v = x: one Fraction from the two
+        integer pairs of `LaurentPoly._evaluate_ints`."""
+        p, q = x.as_integer_ratio()
+        dn, dd = self.den._evaluate_ints(p, q)
+        if not dn:
             raise ZeroDivisionError(f"denominator vanishes at v = {x}")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.evaluate(x) / den
+        nn, nd = self.num._evaluate_ints(p, q)
+        return Fraction(nn * dd, nd * dn)
 
     def order_at_zero(self) -> int:
         """Order of vanishing at v = 0 (negative for a pole); the canonical
@@ -657,12 +699,22 @@ class StringTriple:
 
 
 def _factorial_ratio(parts_num, parts_den) -> RatFunc:
-    num = ONE
-    for n in parts_num:
-        num = num * q_factorial(n)
-    den = ONE
-    for n in parts_den:
-        den = den * q_factorial(n)
+    """prod (n)_v! over parts_num divided by prod (n)_v! over parts_den.
+
+    The (j)_v factors that both sides share are cancelled before the one gcd,
+    so (k)_v!/(k-s)_v! is a plain product; the canonical form is unique, so
+    the value is the one the full ratio reduces to."""
+    count = Counter()
+    for sign, parts in ((1, parts_num), (-1, parts_den)):
+        for n in parts:
+            for j in range(2, n + 1):
+                count[j] += sign
+    num = den = ONE
+    for j, e in count.items():
+        for _ in range(e):
+            num = num * q_int(j)
+        for _ in range(-e):
+            den = den * q_int(j)
     return RatFunc(num, den)
 
 

@@ -97,9 +97,10 @@ def qarith_suite(seed: int = 1) -> list[dict]:
                 return {"law": "commutative", "iteration": k}
             if not a.is_zero() and not (a * a.inverse()).is_one():
                 return {"law": "inverse", "iteration": k}
+            abc = a * b + c
             for x in spots:
                 try:
-                    if (a * b + c).evaluate(x) != a.evaluate(x) * b.evaluate(x) + c.evaluate(x):
+                    if abc.evaluate(x) != a.evaluate(x) * b.evaluate(x) + c.evaluate(x):
                         return {"law": "specialization", "at": str(x), "iteration": k}
                 except ZeroDivisionError:
                     continue

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcactus import cli
+from qcactus import cli, repmodule
 from qcactus.qarith import RatFunc
 
 
@@ -124,6 +124,23 @@ def test_module_export(capsys, tmp_path):
     n1 = payload["matrices"]["N1"]
     assert RatFunc.from_json(n1[0][2]).is_one()
     assert RatFunc.from_json(n1[0][0]).is_zero()
+
+
+def test_module_export_reloads_through_from_json(capsys, tmp_path):
+    out_file = tmp_path / "matrices.json"
+    code, _ = run(
+        capsys, "module", "export", "--l1", "2", "--l2", "1",
+        "--which", "C1,C2,N1,N2", "--out", str(out_file),
+    )
+    assert code == 0
+    matrices = json.loads(out_file.read_text())["matrices"]
+    for tag, rows in matrices.items():
+        expected = repmodule.ModuleVLambda(2, 1).matrix(tag).rows
+        for row, row_expected in zip(rows, expected, strict=True):
+            for entry, value in zip(row, row_expected, strict=True):
+                reloaded = RatFunc.from_json(entry)
+                assert reloaded == value
+                assert reloaded.to_json() == entry
 
 
 def test_module_export_bad_tag(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcactus import qarith
 from qcactus.qarith import (
     LaurentPoly,
     ONE,
@@ -60,6 +61,23 @@ class TestLaurentPoly:
         p = poly({2: 1, 0: -3, -1: Fraction(1, 2)})
         x = Fraction(3, 2)
         assert p.evaluate(x) == x**2 - 3 + Fraction(1, 2) / x
+
+    def test_exponent_keys_must_be_integers(self):
+        for bad in (1.5, 2.0, Fraction(1, 2), "1"):
+            with pytest.raises(TypeError):
+                poly({bad: 1})
+        with pytest.raises(TypeError):
+            poly({1.5: 0})
+        assert poly({True: 3, False: 1}) == poly({1: 3, 0: 1})
+
+    def test_from_json_rejects_aliasing_input(self):
+        for data in ([[1, "2"], [1, "3"]], [[1.7, "2"]], [["1", "2"]]):
+            with pytest.raises(ValueError) as exc:
+                LaurentPoly.from_json(data)
+            assert "\n" not in str(exc.value)
+        with pytest.raises(ValueError):
+            RatFunc.from_json({"num": [[0, "1"], [0, "1"]], "den": [[0, "1"]]})
+        assert LaurentPoly.from_json([[-1, "1/2"], [3, "-4"]]) == poly({-1: Fraction(1, 2), 3: -4})
 
     def test_serialization_roundtrip(self):
         p = poly({-2: Fraction(1, 3), 5: -4})
@@ -182,6 +200,74 @@ class TestQCombinatorics:
             q_factorial(-1)
 
 
+def _fraction_sum(p: LaurentPoly, x) -> Fraction:
+    """The value of p at x as a sum of Fraction terms."""
+    x = Fraction(x)
+    return sum((Fraction(a) * x**k for k, a in p.items()), Fraction(0))
+
+
+class TestEvaluate:
+    POLYS = [
+        ZERO,
+        ONE,
+        poly({-3: 2}),
+        poly({2: 1, 0: -3, -1: Fraction(1, 2)}),
+        poly({-5: Fraction(-7, 3), -2: 4, 4: Fraction(5, 6)}),
+        poly({-4: 1, -2: Fraction(1, 9)}),
+        poly({3: Fraction(2, 5), 7: -1}),
+        q_binomial(7, 3),
+        q_factorial(5),
+    ]
+    POINTS = [1, -1, 3, -2, Fraction(3, 2), Fraction(-5, 7), Fraction(1, 60), 0.5, -1.25, 3.0]
+
+    def test_matches_a_fraction_sum(self):
+        for p in self.POLYS:
+            for x in self.POINTS:
+                value = p.evaluate(x)
+                assert type(value) is Fraction
+                assert value == _fraction_sum(p, x), (p, x)
+
+    def test_zero_point_raises(self):
+        for p in (ZERO, ONE, poly({-1: 2})):
+            for zero in (0, Fraction(0), 0.0):
+                with pytest.raises(ZeroDivisionError):
+                    p.evaluate(zero)
+
+    def test_rational_function(self):
+        for num in self.POLYS:
+            for den in self.POLYS[1:]:
+                f = RatFunc(num, den)
+                for x in self.POINTS:
+                    d = _fraction_sum(den, x)
+                    if d == 0:
+                        continue
+                    value = f.evaluate(x)
+                    assert type(value) is Fraction
+                    assert value == _fraction_sum(num, x) / d
+
+    def test_vanishing_denominator(self):
+        f = RatFunc(ONE, poly({1: 1, 0: -2}))  # 1/(v - 2)
+        for x in (2, Fraction(2), 2.0):
+            with pytest.raises(ZeroDivisionError, match="denominator vanishes at v = 2"):
+                f.evaluate(x)
+        g = RatFunc(ONE, poly({2: 1, 0: 1}))  # 1/(v^2 + 1) over -2
+        assert g.evaluate(-2) == Fraction(1, 5)
+
+    def test_reads_only_the_coefficients(self, monkeypatch):
+        f = RatFunc(poly({-2: Fraction(1, 3), 1: 4}), poly({0: 1, 3: Fraction(-1, 2)}))
+        expected = f.evaluate(Fraction(-3, 4))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluation reached the gcd path")
+
+        monkeypatch.setattr(LaurentPoly, "_strided", forbidden)
+        monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
+        monkeypatch.setattr(qarith, "poly_gcd", forbidden)
+        g = RatFunc(f.num, f.den, _canonical=True)
+        assert g.evaluate(Fraction(-3, 4)) == expected
+        assert g.num.evaluate(5) == _fraction_sum(g.num, 5)
+
+
 class TestStringCoefficients:
     def test_domain(self):
         assert StringTriple(2, 1, 1).in_domain
@@ -216,6 +302,25 @@ class TestStringCoefficients:
                             q_factorial(k)
                         )
                         assert lhs == kash_coeff(kind, StringTriple(l, k, s)) * ratio
+
+    def test_cancelled_ratio_equals_the_full_ratio(self):
+        # the full factorial ratios, with no shared factor cancelled
+        def ratio(parts_num, parts_den):
+            num = den = ONE
+            for n in parts_num:
+                num = num * q_factorial(n)
+            for n in parts_den:
+                den = den * q_factorial(n)
+            return RatFunc(num, den)
+
+        for l in range(13):
+            for k in range(l + 1):
+                for s in range(k - l, k + 1):
+                    t = StringTriple(l, k, s)
+                    assert kash_coeff("low", t) == ratio([k], [k - s])
+                    assert kash_coeff("up", t) == ratio([l - k + s], [l - k])
+                    assert kash_coeff_underline("low", t).is_one()
+                    assert kash_coeff_underline("up", t) == ratio([l - k + s, k - s], [l - k, k])
 
     def test_symmetry(self):
         for l in range(13):

@@ -317,3 +317,36 @@ def test_gcd_candidate_is_made_primitive(monkeypatch):
     g = lp(2, 0, 1)
     a, b = g * lp(1, 1) * lp(2, 1), g * lp(3, 1) * lp(4, 1)
     assert poly_gcd(a.shift(-3), b.shift(2))[0] == g
+
+
+POINTS = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.fractions(min_value=-9, max_value=9, max_denominator=60).filter(bool),
+    st.floats(min_value=-9, max_value=9, allow_nan=False, allow_infinity=False).filter(bool),
+)
+
+
+def fraction_sum(p: LaurentPoly, x) -> Fraction:
+    """The value of p at x as a sum of Fraction terms."""
+    x = Fraction(x)
+    return sum((Fraction(a) * x**k for k, a in p.items()), Fraction(0))
+
+
+@PROPS
+@given(DIVIDENDS, DIVIDENDS, POINTS, STRIDES)
+def test_evaluate_is_the_fraction_sum(a, b, x, s):
+    a = strided(a, s, -4)
+    value = a.evaluate(x)
+    assert type(value) is Fraction and value == fraction_sum(a, x)
+    if b.is_zero():
+        return
+    f = RatFunc(a, b)
+    den = fraction_sum(f.den, x)
+    if den == 0:
+        with pytest.raises(ZeroDivisionError, match="denominator vanishes"):
+            f.evaluate(x)
+        return
+    value = f.evaluate(x)
+    assert type(value) is Fraction and value == fraction_sum(f.num, x) / den
+    if fraction_sum(b, x):
+        assert value == fraction_sum(a, x) / fraction_sum(b, x)
