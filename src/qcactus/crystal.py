@@ -190,16 +190,23 @@ def parse_ops(text: str) -> list:
     right to left.
 
     Tokens: "sigma", "sigma1", "sigma2", "e1^r", "e2^r" (r any integer),
-    "e1", "e2".  Raises ValueError on any other token.
+    "e1", "e2".  Raises ValueError on any other token, or if there is none.
     """
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("no operators given")
     ops = []
-    for token in reversed([t.strip() for t in text.split(",") if t.strip()]):
+    for token in reversed(tokens):
         if token == "sigma":
             ops.append(sigma_outer)
         elif token in ("sigma1", "sigma2"):
             ops.append(partial(sigma_i, int(token[-1])))
         elif token.startswith(("e1^", "e2^")):
-            ops.append(partial(e_pow, int(token[1]), int(token[3:])))
+            try:
+                r = int(token[3:])
+            except ValueError:
+                raise ValueError(f"non-integer power in operator token {token!r}") from None
+            ops.append(partial(e_pow, int(token[1]), r))
         elif token in ("e1", "e2"):
             ops.append(partial(e_pow, int(token[1]), 1))
         else:

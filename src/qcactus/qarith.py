@@ -698,12 +698,15 @@ class StringTriple:
         return 0 <= self.k <= self.l and self.k - self.l <= self.s <= self.k
 
 
-def _factorial_ratio(parts_num, parts_den) -> RatFunc:
+@lru_cache(maxsize=None)
+def _factorial_ratio(parts_num: tuple, parts_den: tuple) -> RatFunc:
     """prod (n)_v! over parts_num divided by prod (n)_v! over parts_den.
 
     The (j)_v factors that both sides share are cancelled before the one gcd,
     so (k)_v!/(k-s)_v! is a plain product; the canonical form is unique, so
-    the value is the one the full ratio reduces to."""
+    the value is the one the full ratio reduces to.  Cached by the part
+    tuples, so a string coefficient that recurs at another length l is the
+    same object."""
     count = Counter()
     for sign, parts in ((1, parts_num), (-1, parts_den)):
         for n in parts:
@@ -718,20 +721,18 @@ def _factorial_ratio(parts_num, parts_den) -> RatFunc:
     return RatFunc(num, den)
 
 
-@lru_cache(maxsize=None)
 def kash_coeff(kind: str, t: StringTriple) -> RatFunc:
     """String-shift coefficient of the given kind ("low" or "up"); zero
     outside the domain."""
     if not t.in_domain:
         return RatFunc.zero()
     if kind == "low":
-        return _factorial_ratio([t.k], [t.k - t.s])
+        return _factorial_ratio((t.k,), (t.k - t.s,))
     if kind == "up":
-        return _factorial_ratio([t.l - t.k + t.s], [t.l - t.k])
+        return _factorial_ratio((t.l - t.k + t.s,), (t.l - t.k,))
     raise ValueError(f"unknown coefficient kind: {kind!r}")
 
 
-@lru_cache(maxsize=None)
 def kash_coeff_underline(kind: str, t: StringTriple) -> RatFunc:
     """Divided-power normalization of kash_coeff; identically 1 for "low"."""
     if not t.in_domain:
@@ -739,7 +740,7 @@ def kash_coeff_underline(kind: str, t: StringTriple) -> RatFunc:
     if kind == "low":
         return RatFunc.one()
     if kind == "up":
-        return _factorial_ratio([t.l - t.k + t.s, t.k - t.s], [t.l - t.k, t.k])
+        return _factorial_ratio((t.l - t.k + t.s, t.k - t.s), (t.l - t.k, t.k))
     raise ValueError(f"unknown coefficient kind: {kind!r}")
 
 

@@ -134,18 +134,27 @@ def qarith_suite(seed: int = 1) -> list[dict]:
         return None
 
     def composition_law():
+        # a factor pair's product is formed once; equality is structural, so a
+        # later occurrence compares against the lhs the product matched, which
+        # is a cached coefficient, and no product is kept
+        matched = {}
         for l in range(MAX_STRING_LENGTH + 1):
             for k in range(l + 1):
                 for s in range(-l, l + 1):
                     for t in range(-l, l + 1):
                         if s * t < 0:
                             continue
+                        whole = StringTriple(l, k, s + t)
+                        first, second = StringTriple(l, k, s), StringTriple(l, k - s, t)
                         for kind in ("low", "up"):
-                            lhs = kash_coeff(kind, StringTriple(l, k, s + t))
-                            rhs = kash_coeff(kind, StringTriple(l, k, s)) * kash_coeff(
-                                kind, StringTriple(l, k - s, t)
-                            )
-                            if lhs != rhs:
+                            lhs = kash_coeff(kind, whole)
+                            pair = (kash_coeff(kind, first), kash_coeff(kind, second))
+                            known = matched.get(pair)
+                            if known is None:
+                                if lhs != pair[0] * pair[1]:
+                                    return {"kind": kind, "l": l, "k": k, "s": s, "t": t}
+                                matched[pair] = lhs
+                            elif lhs != known:
                                 return {"kind": kind, "l": l, "k": k, "s": s, "t": t}
         return None
 
@@ -255,12 +264,28 @@ def coxeter_suite(seed: int = 1) -> list[dict]:
 # -- crystal combinatorics -----------------------------------------------------------
 
 
-def _random_pattern(rng, bound=20):
+def _randint(rng):
+    """rng.randint as a closure over rng.getrandbits, drawing the same stream:
+    the rejection loop of Random._randbelow, without randrange's checks."""
+    getrandbits = rng.getrandbits
+
+    def randint(a, b):
+        n = b - a + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+
+    return randint
+
+
+def _random_pattern(rng, randint, bound=20):
     if rng.random() < 0.5:
-        m1, m2 = rng.randint(0, bound), 0
+        m1, m2 = randint(0, bound), 0
     else:
-        m1, m2 = 0, rng.randint(0, bound)
-    return Pattern(m1, m2, *(rng.randint(-bound, bound) for _ in range(4)))
+        m1, m2 = 0, randint(0, bound)
+    return Pattern(m1, m2, *(randint(-bound, bound) for _ in range(4)))
 
 
 def weyl_dimension(l1: int, l2: int) -> int:
@@ -284,12 +309,13 @@ def weyl_dimension(l1: int, l2: int) -> int:
 def crystal_suite(seed: int = 1) -> list[dict]:
     checks: list[dict] = []
     rng = random.Random(seed)
+    randint = _randint(rng)  # rng.choice((1, 2)) is randint(1, 2)
 
     def operator_identities():
         for it in range(CRYSTAL_SAMPLES):
-            m = _random_pattern(rng)
-            r, s = rng.randint(-10, 10), rng.randint(-10, 10)
-            i = rng.choice((1, 2))
+            m = _random_pattern(rng, randint)
+            r, s = randint(-10, 10), randint(-10, 10)
+            i = randint(1, 2)
             j = 3 - i
             if crystal.e_pow(i, r, crystal.e_pow(i, s, m)) != crystal.e_pow(i, r + s, m):
                 return {"law": "composition", "m": str(m), "i": i, "r": r, "s": s}
@@ -304,9 +330,9 @@ def crystal_suite(seed: int = 1) -> list[dict]:
 
     def involution_identities():
         for it in range(CRYSTAL_SAMPLES):
-            m = _random_pattern(rng)
-            r = rng.randint(-10, 10)
-            i = rng.choice((1, 2))
+            m = _random_pattern(rng, randint)
+            r = randint(-10, 10)
+            i = randint(1, 2)
             j = 3 - i
             if crystal.sigma_i(i, crystal.sigma_i(i, m)) != m:
                 return {"law": "involution", "m": str(m), "i": i}
@@ -332,7 +358,7 @@ def crystal_suite(seed: int = 1) -> list[dict]:
 
     def bijection_roundtrip():
         for it in range(CRYSTAL_SAMPLES):
-            m = _random_pattern(rng)
+            m = _random_pattern(rng, randint)
             if crystal.khat_inv(crystal.khat(m)) != m:
                 return {"m": str(m)}
         return None

@@ -27,6 +27,21 @@ def test_crystal_apply_right_to_left(capsys):
     assert out.strip() == "0,0,0,1,0,0"
 
 
+@pytest.mark.parametrize("ops, message", [
+    ("", "no operators given"),
+    (",", "no operators given"),
+    (" , ", "no operators given"),
+    ("e1^x", "'e1^x'"),
+    ("sigma,e2^", "'e2^'"),
+])
+def test_crystal_apply_bad_ops_name_the_fault(capsys, ops, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", ops])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --ops: " in err and message in err and "int()" not in err
+
+
 def test_coxeter_kernel_faithful(capsys):
     code, out = run(capsys, "coxeter", "kernel", "--type", "A2", "--subset", "1")
     assert code == 0
@@ -159,6 +174,8 @@ def test_module_export_bad_tag(tmp_path):
     ["crystal", "apply", "--pattern", "1,1,0,0,0,0", "--ops", "sigma"],
     ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "bogus"],
     ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "e1^x"],
+    ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", ""],
+    ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", ","],
     ["gk", "normalform", "--expr", "z3"],
     ["coxeter", "kernel", "--type", "Z9"],
     ["coxeter", "kernel", "--type", "A2", "--subset", "x"],

@@ -148,6 +148,11 @@ def test_apply_ops_right_to_left():
     assert cr.apply_ops(m, "sigma1") == cr.sigma_i(1, m)
     with pytest.raises(ValueError):
         cr.apply_ops(m, "rotate")
+    for text in ("", ",", " , "):
+        with pytest.raises(ValueError, match="no operators given"):
+            cr.parse_ops(text)
+    with pytest.raises(ValueError, match="'e1\\^x'"):
+        cr.parse_ops("sigma,e1^x")
 
 
 # -- reference: the frozen-dataclass patterns and their operators ------------------

@@ -322,6 +322,14 @@ class TestStringCoefficients:
                     assert kash_coeff_underline("low", t).is_one()
                     assert kash_coeff_underline("up", t) == ratio([l - k + s, k - s], [l - k, k])
 
+    def test_equal_coefficients_at_other_lengths_are_one_object(self):
+        # cached by the factorial ratio's parts, not by the string triple
+        assert kash_coeff("low", StringTriple(5, 3, 1)) is kash_coeff("low", StringTriple(9, 3, 1))
+        assert kash_coeff("up", StringTriple(5, 2, 2)) is kash_coeff("low", StringTriple(7, 5, 2))
+        assert kash_coeff_underline("up", StringTriple(6, 2, 1)) is kash_coeff_underline(
+            "up", StringTriple(6, 2, 1)
+        )
+
     def test_symmetry(self):
         for l in range(13):
             for k in range(l + 1):

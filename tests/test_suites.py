@@ -163,3 +163,63 @@ def test_conjecture_gcds_need_no_fallback(monkeypatch):
     monkeypatch.setattr(qarith, "_prs_gcd", no_fallback)
     result = suites.conjecture_task((3, 3))
     assert [c["status"] for c in result["checks"]] == ["pass"] * 4
+
+
+def _composition_law(monkeypatch):
+    """The record of qarith's composition-law check, the other checks skipped."""
+    run = suites._run
+    monkeypatch.setattr(
+        suites, "_run",
+        lambda checks, name, anchor, fn: run(checks, name, anchor, fn)
+        if name == "composition-law" else None,
+    )
+    (record,) = suites.qarith_suite(3)
+    return record
+
+
+def test_composition_law_reports_a_planted_fault_with_its_first_witness(monkeypatch):
+    # c(9,4,3) times v^2: the pairs s + t = 3 at l = 9 met at smaller l hold
+    # the true c(.,4,3), so the fault shows where the product first disagrees
+    kash_coeff = suites.kash_coeff
+    faulty = qarith.StringTriple(9, 4, 3)
+
+    def planted(kind, t):
+        c = kash_coeff(kind, t)
+        return c * qarith.RatFunc.monomial(2) if (kind, t) == ("low", faulty) else c
+
+    monkeypatch.setattr(suites, "kash_coeff", planted)
+    record = _composition_law(monkeypatch)
+    assert record["status"] == "fail"
+    assert record["witness"] == {"kind": "low", "l": 9, "k": 4, "s": 1, "t": 2}
+
+
+def test_composition_law_forms_each_distinct_product_once(monkeypatch):
+    pairs = set()
+    for l in range(suites.MAX_STRING_LENGTH + 1):
+        for k in range(l + 1):
+            for s in range(-l, l + 1):
+                for t in range(-l, l + 1):
+                    if s * t >= 0:
+                        for kind in ("low", "up"):
+                            pairs.add((qarith.kash_coeff(kind, qarith.StringTriple(l, k, s)),
+                                       qarith.kash_coeff(kind, qarith.StringTriple(l, k - s, t))))
+    calls = []
+    mul = qarith.RatFunc.__mul__
+    monkeypatch.setattr(qarith.RatFunc, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert _composition_law(monkeypatch)["status"] == "pass"
+    assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_randint_draws_the_stream_of_random_randint(seed):
+    # every range the crystal suite draws from; rng.choice((1, 2)) is (1, 2)
+    for a, b in ((0, 20), (-20, 20), (-10, 10), (1, 2)):
+        expected, rng = suites.random.Random(seed), suites.random.Random(seed)
+        randint = suites._randint(rng)
+        assert [randint(a, b) for _ in range(10_000)] == [
+            expected.randint(a, b) for _ in range(10_000)
+        ]
+        assert rng.getstate() == expected.getstate()
+    expected, rng = suites.random.Random(seed), suites.random.Random(seed)
+    randint = suites._randint(rng)
+    assert [randint(1, 2) for _ in range(1000)] == [expected.choice((1, 2)) for _ in range(1000)]
