@@ -138,7 +138,7 @@ def cmd_gk_normalform(element) -> int:
 
 def cmd_suite(name: str, seed: int, out: str | None) -> int:
     started = time.perf_counter()
-    checks = suites.run_suite(name, seed)
+    checks = suites.run_suite(name, seed, suites.usable_cpus())
     return _emit(_report("suite", {"name": name, "seed": seed}, checks, started), out)
 
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named property suite")
     p.add_argument("--name", required=True, choices=(*suites.SUITES, "all"))
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_arg(_natural), default=1)
     p.add_argument("--out", default=None, type=_arg(_out_path))
     return parser
 

@@ -8,6 +8,7 @@ them.  Anchors state the identity being verified.
 from __future__ import annotations
 
 import functools
+import os
 import random
 import time
 from fractions import Fraction
@@ -764,18 +765,33 @@ def conjecture_task(lam: tuple[int, int]) -> dict:
     }
 
 
-def sweep(lams, jobs: int = 1) -> list[dict]:
-    """conjecture_task on every weight, in the order given, on `jobs` worker
-    processes clamped to between 1 and the number of weights."""
-    lams = list(lams)
-    jobs = max(1, min(jobs, len(lams)))
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, otherwise the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_map(fn, items, jobs: int) -> list:
+    """`fn` on every item, results in the order given, on `jobs` worker
+    processes clamped to between 1 and the smaller of the number of items and
+    the usable CPUs.  With one worker it runs in this process."""
+    items = list(items)
+    jobs = max(1, min(jobs, len(items), usable_cpus()))
     if jobs == 1:
-        return [conjecture_task(lam) for lam in lams]
+        return [fn(item) for item in items]
     # imported here: the process pool is half the import time of the CLI
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(conjecture_task, lams))
+        return list(pool.map(fn, items))
+
+
+def sweep(lams, jobs: int = 1) -> list[dict]:
+    """conjecture_task on every weight, in the order given, on up to `jobs`
+    worker processes."""
+    return _pool_map(conjecture_task, lams, jobs)
 
 
 def gk_suite(seed: int = 1) -> list[dict]:
@@ -919,15 +935,20 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 1) -> list[dict]:
+def _family(task: tuple[str, int]) -> list[dict]:
+    """The records of one family of `run_suite("all", seed)`, named `key:check`.
+    Only the key and the seed cross to a worker process."""
+    key, seed = task
+    return [dict(rec, name=f"{key}:{rec['name']}") for rec in SUITES[key](seed)]
+
+
+def run_suite(name: str, seed: int = 1, jobs: int = 1) -> list[dict]:
+    """The records of one named suite, or of every family in `SUITES` order for
+    `all`.  `all` runs its families on up to `jobs` worker processes, and its
+    records do not depend on `jobs`; a single suite runs in this process."""
     if name == "all":
-        out = []
-        for key, suite in SUITES.items():
-            for rec in suite(seed):
-                rec = dict(rec)
-                rec["name"] = f"{key}:{rec['name']}"
-                out.append(rec)
-        return out
+        families = _pool_map(_family, [(key, seed) for key in SUITES], jobs)
+        return [rec for records in families for rec in records]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](seed)

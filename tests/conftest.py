@@ -1,0 +1,26 @@
+import concurrent.futures
+
+import pytest
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stands in for the process pool, which then runs its tasks in this
+    process; returns the list of worker counts it was asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcactus import cli, repmodule
+from qcactus import cli, repmodule, suites
 from qcactus.qarith import RatFunc
 
 
@@ -200,6 +200,7 @@ def test_module_export_bad_tag(tmp_path):
     ["coxeter", "kernel", "--type", "A4xA4", "--subset", "1"],
     ["coxeter", "kernel", "--type", "x".join(["A4"] * 13)],
     ["module", "export", "--l1", "1", "--l2", "0", "--which", "N1,N1", "--out", "unused.json"],
+    ["suite", "--name", "coxeter", "--seed", "-3"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -218,3 +219,16 @@ def test_suite_seed_determinism(capsys):
         {k: v for k, v in c.items() if k != "seconds"} for c in checks
     ]
     assert strip(r1["checks"]) == strip(r2["checks"])
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, []), (2, [2])])
+def test_suite_all_runs_on_one_worker_per_usable_cpu(monkeypatch, capsys, pool_sizes, cpus,
+                                                     workers):
+    families = {key: lambda seed: [{"name": "check", "status": "pass"}]
+                for key in suites.SUITES}
+    monkeypatch.setattr(suites, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(suites, "SUITES", families)
+    code, out = run(capsys, "suite", "--name", "all", "--seed", "3")
+    assert code == 0
+    assert pool_sizes == workers
+    assert [c["name"] for c in json.loads(out)["checks"]] == [f"{k}:check" for k in families]

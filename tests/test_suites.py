@@ -1,4 +1,3 @@
-import concurrent.futures
 from collections import Counter
 
 import pytest
@@ -6,27 +5,8 @@ import pytest
 from qcactus import linalg, qarith, repmodule, suites
 
 
-class SerialPool:
-    """Stands in for the process pool: runs the tasks in this process and
-    records the worker count it was asked for."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        SerialPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize("lams, jobs, workers", [
-    ([(0, 0), (1, 0), (0, 1)], 64, [3]),
+    ([(0, 0), (1, 0), (0, 1)], 64, [2]),
     ([(0, 0), (1, 0)], 2, [2]),
     ([(0, 0), (1, 0)], 1, []),
     ([(0, 0), (1, 0)], 0, []),
@@ -34,13 +14,67 @@ class SerialPool:
     ([(1, 1)], 8, []),
     ([], 4, []),
 ])
-def test_sweep_clamps_jobs(monkeypatch, lams, jobs, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
+def test_sweep_clamps_jobs(monkeypatch, pool_sizes, lams, jobs, workers):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
     results = suites.sweep(lams, jobs)
-    assert SerialPool.sizes == workers
+    assert pool_sizes == workers
     assert [tuple(r["lambda"]) for r in results] == lams
     assert all(c["status"] == "pass" for r in results for c in r["checks"])
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (64, 8, [5]),
+    (64, 2, [2]),
+    (3, 8, [3]),
+    (64, 1, []),
+])
+def test_pool_map_clamps_jobs_to_items_and_cpus(monkeypatch, pool_sizes, jobs, cpus, workers):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: cpus)
+    assert suites._pool_map(str, range(5), jobs) == ["0", "1", "2", "3", "4"]
+    assert pool_sizes == workers
+
+
+def test_usable_cpus_prefers_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 8)
+    assert suites.usable_cpus() == 1
+    monkeypatch.delattr(suites.os, "sched_getaffinity")
+    assert suites.usable_cpus() == 8
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
+    assert suites.usable_cpus() == 1
+
+
+def fake_families():
+    """Five families in place of `SUITES`, each naming its seed in its record."""
+    return {key: lambda seed, key=key: [{"name": key, "seed": seed}]
+            for key in suites.SUITES}
+
+
+@pytest.mark.parametrize("name, jobs, workers", [
+    ("all", 64, [2]),
+    ("all", 2, [2]),
+    ("all", 1, []),
+    ("all", 0, []),
+    ("coxeter", 64, []),
+    ("coxeter", 1, []),
+])
+def test_run_suite_starts_a_pool_for_all_only(monkeypatch, pool_sizes, name, jobs, workers):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(suites, "SUITES", fake_families())
+    records = suites.run_suite(name, 7, jobs)
+    assert pool_sizes == workers
+    if name == "all":
+        assert records == [{"name": f"{key}:{key}", "seed": 7} for key in suites.SUITES]
+    else:
+        assert records == [{"name": name, "seed": 7}]
+
+
+def test_run_suite_all_on_a_pool_equals_the_serial_run(monkeypatch):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
+    strip = lambda records: [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+    pooled = suites.run_suite("all", 3, 2)
+    assert len(pooled) == 79
+    assert strip(pooled) == strip(suites.run_suite("all", 3, 1))
 
 
 def test_relation_check_crash_is_a_failing_record(monkeypatch):
