@@ -56,7 +56,7 @@ _RULES: dict[tuple[int, int], tuple[tuple[RatFunc, tuple[int, ...]], ...]] = {
     (V2, V1): ((_ONE, (V1, V2)),),
 }
 
-DEFAULT_FUEL = 1_000_000
+REWRITE_BUDGET = 1_000_000
 #: largest divided-power exponent compared by embed_module
 EMBED_RMAX = 2
 
@@ -121,7 +121,7 @@ def generator(g: int) -> ModuleVector:
 
 def weight(x: ModuleVector) -> tuple[int, int]:
     """Common weight of a homogeneous element; raises if mixed."""
-    weights = {m.weight() for m in x.coeffs}
+    weights = {m.weight() for m in x}
     if len(weights) != 1:
         raise ValueError("element is not weight-homogeneous")
     return weights.pop()
@@ -130,7 +130,7 @@ def weight(x: ModuleVector) -> tuple[int, int]:
 def to_json(x: ModuleVector) -> list:
     return [
         {"monomial": list(m.entries()), "coeff": c.to_json()}
-        for m, c in sorted(x.coeffs.items(), key=lambda kv: kv[0].entries())
+        for m, c in sorted(x.items(), key=lambda kv: kv[0].entries())
     ]
 
 
@@ -141,20 +141,23 @@ def _monomial_of_word(word: tuple[int, ...]) -> GKMonomial:
     return GKMonomial(*ent)
 
 
+class RewriteBudgetExhausted(RuntimeError):
+    """A straightening needs more than REWRITE_BUDGET rewriting steps."""
+
+
 def normal_form(
-    words: list[tuple[RatFunc, tuple[int, ...]]],
-    strategy: str = "leftmost",
-    fuel: int = DEFAULT_FUEL,
+    words: list[tuple[RatFunc, tuple[int, ...]]], strategy: str = "leftmost"
 ) -> ModuleVector:
     """Rewrite a combination of words into normal-ordered monomials.
 
     `strategy` picks which reducible adjacent pair fires first ("leftmost" or
-    "rightmost"); a fuel counter guards against a non-terminating rule set.
+    "rightmost"); past REWRITE_BUDGET steps it raises RewriteBudgetExhausted.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     work = list(words)
-    done: dict[GKMonomial, RatFunc] = {}
+    fuel = REWRITE_BUDGET
+    done = ModuleVector()
     while work:
         coeff, word = work.pop()
         if coeff.is_zero():
@@ -169,31 +172,22 @@ def normal_form(
                 hit = (p, rule)
                 break
         if hit is None:
-            mono = _monomial_of_word(word)
-            s = done.get(mono)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                done.pop(mono, None)
-            else:
-                done[mono] = s
+            done.add(_monomial_of_word(word), coeff)
             continue
         fuel -= 1
-        if fuel <= 0:
-            raise RuntimeError("rewriting fuel exhausted; rule system looped")
+        if fuel < 0:
+            raise RewriteBudgetExhausted(f"rewriting budget of {REWRITE_BUDGET:,} steps exhausted")
         p, rule = hit
         head, tail = word[:p], word[p + 2:]
         for rc, repl in rule:
             work.append((coeff * rc, head + repl + tail))
-    return ModuleVector(done)
+    return done
 
 
 def multiply(a: ModuleVector, b: ModuleVector) -> ModuleVector:
     """Concatenate monomial words and straighten."""
-    out = ModuleVector()
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            out = out + normal_form([(ca * cb, ma.word() + mb.word())])
-    return out
+    return normal_form([(ca * cb, ma.word() + mb.word())
+                        for ma, ca in a.items() for mb, cb in b.items()])
 
 
 # -- the module-algebra action ---------------------------------------------------
@@ -226,8 +220,8 @@ def act_gen(k: int, kind: str, x: ModuleVector) -> ModuleVector:
     table = _E_TABLE if kind == "E" else _F_TABLE if kind == "F" else None
     if table is None:
         raise ValueError(f"kind must be 'E' or 'F', got {kind!r}")
-    out = ModuleVector()
-    for mono, coeff in x.coeffs.items():
+    words = []
+    for mono, coeff in x.items():
         word = mono.word()
         pre = 0  # (alpha_k, weight of the prefix)
         total = _alpha_pair(k, mono.weight())
@@ -238,9 +232,9 @@ def act_gen(k: int, kind: str, x: ModuleVector) -> ModuleVector:
                 post = total - pre - g_pair
                 exp = post - pre
                 new_word = word[:t] + (image,) + word[t + 1:]
-                out = out + normal_form([(coeff * RatFunc.monomial(exp), new_word)])
+                words.append((coeff * RatFunc.monomial(exp), new_word))
             pre += g_pair
-    return out
+    return normal_form(words)
 
 
 def act_divided(k: int, kind: str, r: int, x: ModuleVector) -> ModuleVector:
@@ -278,7 +272,7 @@ def sigma_hat(x: ModuleVector) -> ModuleVector:
     """The anti-involution: reverse each word and map generators through
     v_i -> z_{ji}, z_i -> z_i, z_{ij} -> v_j."""
     words = []
-    for mono, coeff in x.coeffs.items():
+    for mono, coeff in x.items():
         twisted = tuple(_TWIST[g] for g in reversed(mono.word()))
         words.append((coeff, twisted))
     return normal_form(words)
@@ -297,7 +291,7 @@ def embed_module(l1: int, l2: int) -> list[dict]:
                     gk = act_divided(i, kind, r, b_monomial(m))
                     sym = repmodule.act_divided(i, kind, r, mod.basis_vector(m))
                     expected = ModuleVector()
-                    for target, coeff in sym.coeffs.items():
+                    for target, coeff in sym.items():
                         expected = expected + b_monomial(target).scale(coeff)
                     if gk != expected:
                         mismatches.append(
@@ -368,4 +362,7 @@ def parse_expr(text: str) -> ModuleVector:
             word = word + (g,) * power
         after_factor = op is None
         idx += 1
-    return normal_form([(coeff, word)])
+    try:
+        return normal_form([(coeff, word)])
+    except RewriteBudgetExhausted as exc:
+        raise ValueError(str(exc)) from None

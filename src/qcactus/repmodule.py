@@ -18,8 +18,6 @@ scalars are explicit powers of v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cartan, coxeter, crystal, linalg
 from .cartan import Weight
 from .crystal import Pattern
@@ -30,33 +28,37 @@ def _qpoly(p: LaurentPoly) -> RatFunc:
     return RatFunc.of_poly(p.compose_monomial(2))
 
 
-class ModuleVector:
-    """A finite combination of basis keys with RatFunc coefficients.
-
-    The keys are the patterns of `module` for a vector of a ModuleVLambda, and
+class ModuleVector(linalg.Row):
+    """A finite combination of basis keys with RatFunc coefficients, kept as
+    the sparse `Row` {key: coefficient}, which stores no zeros.  The keys are
+    the patterns of `module` for a vector of a ModuleVLambda, and
     normal-ordered monomials (with no module) for an element of the model
-    algebra.  Zero coefficients are never stored.
+    algebra.
     """
 
-    __slots__ = ("coeffs", "module")
+    __slots__ = ("module",)
 
     def __init__(self, coeffs: dict | None = None, module: "ModuleVLambda | None" = None):
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
+        super().__init__({m: c for m, c in (coeffs or {}).items() if not c.is_zero()})
         self.module = module
 
+    def add(self, m, value: RatFunc) -> None:
+        """self[m] += value in place, dropping a zero sum."""
+        prev = self.get(m)
+        total = value if prev is None else prev + value
+        if total.is_zero():
+            self.pop(m, None)
+        else:
+            self[m] = total
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return ModuleVector(out, self.module)
+        out = ModuleVector(self, self.module)
+        for m, c in other.items():
+            out.add(m, c)
+        return out
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + other.scale(_MINUS_ONE)
@@ -64,36 +66,30 @@ class ModuleVector:
     def scale(self, factor: RatFunc) -> "ModuleVector":
         if factor.is_zero():
             return ModuleVector({}, self.module)
-        return ModuleVector({m: c * factor for m, c in self.coeffs.items()}, self.module)
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.coeffs == other.coeffs
+        return ModuleVector({m: c * factor for m, c in self.items()}, self.module)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self:
             return "0"
         return " + ".join(
-            f"({c})*{m}" for m, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].entries())
+            f"({c})*{m}" for m, c in sorted(self.items(), key=lambda kv: kv[0].entries())
         )
 
 
 _MINUS_ONE = RatFunc.scalar(-1)
 
 
-@dataclass
-class OperatorMatrix:
-    """A square matrix over RatFunc in the fixed pattern-basis order, kept as
-    the sparse rows that `linalg` composes."""
-
-    sparse: linalg.Matrix
+class OperatorMatrix(linalg.Matrix):
+    """A square matrix over RatFunc in the fixed pattern-basis order: the
+    sparse rows that `linalg` composes."""
 
     @property
     def rows(self) -> list[list[RatFunc]]:  # the dense view, zeros included
-        n = len(self.sparse)
-        return [[row[j] for j in range(n)] for row in self.sparse]
+        n = len(self)
+        return [[row[j] for j in range(n)] for row in self]
 
     def column(self, j: int) -> dict[int, RatFunc]:
-        return {i: row[j] for i, row in enumerate(self.sparse) if j in row}
+        return {i: row[j] for i, row in enumerate(self) if j in row}
 
     def to_json(self) -> list:
         return [[entry.to_json() for entry in row] for row in self.rows]
@@ -175,12 +171,6 @@ def _pattern_parts(i: int, m: Pattern) -> tuple[int, int, int, int]:
     return m.m2, m.m1, m.m21, m.m02
 
 
-def _add_term(out: dict[Pattern, RatFunc], m: Pattern, val: RatFunc):
-    """out[m] += val in place; ModuleVector drops any zero sum it is given."""
-    prev = out.get(m)
-    out[m] = val if prev is None else prev + val
-
-
 def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
     """Divided power E_i^(r) or F_i^(r) on a vector, by linear extension."""
     if i not in (1, 2):
@@ -191,8 +181,8 @@ def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
         raise ValueError("divided-power exponent must be nonnegative")
     if r == 0:
         return vec
-    out: dict[Pattern, RatFunc] = {}
-    for m, c in vec.coeffs.items():
+    out = ModuleVector({}, vec.module)
+    for m, c in vec.items():
         mi, mj, mij, m0i = _pattern_parts(i, m)
         if kind == "E":
             lead = q2_binomial(mi + mij, r)
@@ -203,7 +193,7 @@ def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
             base = crystal.e_pow(i, -r, m)
             cc, dd = mi + m0i, mj + m0i
         if not lead.is_zero() and base.in_crystal:
-            _add_term(out, base, RatFunc.of_poly(lead) * c)
+            out.add(base, RatFunc.of_poly(lead) * c)
         # corrections sit along the +shift line for both kinds; the module
         # algebra and the commutator relation both pin this orientation.  The
         # shift lowers (m12, m01) for i = 1 and (m21, m02) for i = 2 and raises
@@ -212,8 +202,8 @@ def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
         for t in range(1, min(r, *lowered) + 1):
             corr = cg_coeff(r, t, cc, dd)
             if not corr.is_zero():
-                _add_term(out, crystal.shift(base, i, t), RatFunc.of_poly(corr) * c)
-    return ModuleVector(out, vec.module)
+                out.add(crystal.shift(base, i, t), RatFunc.of_poly(corr) * c)
+    return out
 
 
 def cartan_scalar(i: int, m: Pattern) -> RatFunc:
@@ -236,7 +226,7 @@ def operator_matrix(mod: ModuleVLambda, fn) -> OperatorMatrix:
     patterns: column j is fn(mod.basis[j])."""
     rows = [linalg.Row() for _ in range(mod.dim)]
     for j, m in enumerate(mod.basis):
-        for target, c in fn(m).coeffs.items():
+        for target, c in fn(m).items():
             rows[mod.index[target]][j] = c
     return OperatorMatrix(rows)
 
@@ -257,8 +247,7 @@ def matrix_P(i: int, mod: ModuleVLambda) -> OperatorMatrix:
 def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     """Matrix of the index-i involution on the pattern basis, by conjugating
     the crystal permutation with the change of basis."""
-    c = mod.matrix(f"C{i}").sparse
-    p = mod.matrix(f"P{i}").sparse
+    c, p = mod.matrix(f"C{i}"), mod.matrix(f"P{i}")
     c_inv = linalg.invert(c)
     cp = linalg.mat_mul(c, p)
     return OperatorMatrix(linalg.mat_mul(cp, c_inv))
@@ -282,12 +271,11 @@ def lusztig_T(i: int, sign: str, vec: ModuleVector) -> ModuleVector:
     mod = vec.module
     plus = sign == "+"
     inner_kind, mid_kind, outer_kind = ("F", "E", "F") if plus else ("E", "F", "E")
-    parts: dict[int, dict[Pattern, RatFunc]] = {}
-    for m, coeff in vec.coeffs.items():
-        parts.setdefault(crystal.wt(i, m), {})[m] = coeff
-    out: dict[Pattern, RatFunc] = {}
-    for weight, coeffs in parts.items():
-        part = ModuleVector(coeffs, mod)
+    parts: dict[int, ModuleVector] = {}
+    for m, coeff in vec.items():
+        parts.setdefault(crystal.wt(i, m), ModuleVector({}, mod))[m] = coeff
+    out = ModuleVector({}, mod)
+    for weight, part in parts.items():
         c = 0
         while True:
             vc = act_divided(i, inner_kind, c, part)
@@ -307,11 +295,11 @@ def lusztig_T(i: int, sign: str, vec: ModuleVector) -> ModuleVector:
                 shift = 2 * n + (-1 if plus else 1)
                 exp = 2 * (b - a * c) + 2 * n * ((a + c - b) if plus else (b - a - c))
                 scalar = RatFunc.monomial(exp - shift * weight, -1 if b % 2 else 1)
-                for m, coeff in x.coeffs.items():
-                    _add_term(out, m, coeff * scalar)
+                for m, coeff in x.items():
+                    out.add(m, coeff * scalar)
                 b += 1
             c += 1
-    return ModuleVector(out, mod)
+    return out
 
 
 def lusztig_T_word(word, sign: str, vec: ModuleVector) -> ModuleVector:
@@ -347,7 +335,7 @@ class _StringDecomposition:
         for beta in block_order:
             idxs = mod.weight_blocks[beta]
             l = beta[i]
-            kernel = self._kernel_vectors(raising.sparse, beta, idxs)
+            kernel = self._kernel_vectors(raising, beta, idxs)
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:
@@ -365,7 +353,7 @@ class _StringDecomposition:
         if len(self.lines) != mod.dim:
             raise RuntimeError("string vectors do not fill the module")
         vectors = [v for chain in self.strings for v in chain]
-        self.basis = operator_matrix(mod, lambda m: vectors[mod.index[m]]).sparse
+        self.basis = operator_matrix(mod, lambda m: vectors[mod.index[m]])
         self.inverse = linalg.invert(self.basis)
 
     def _kernel_vectors(self, raising, beta: Weight, idxs) -> linalg.Matrix:
@@ -432,9 +420,9 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     lines = dec.lines if dec else [(mod.highest_weight, beta) for beta in mod.weights]
     branches = []
     for sign in ("+", "-"):
-        out = mod.matrix(f"T{word[0]}{sign}").sparse
+        out = mod.matrix(f"T{word[0]}{sign}")
         for i in word[1:]:
-            out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}").sparse)
+            out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}"))
         if dec:
             out = linalg.mat_mul(out, dec.basis)
         pref = [_prefactor(d, J, rho_shift, lam, beta, sign) for lam, beta in lines]
@@ -452,8 +440,8 @@ def sigma_J(J, vec: ModuleVector) -> ModuleVector:
     if not J:
         raise ValueError("J must be nonempty")
     mod = vec.module
-    column = [linalg.Row({0: vec.coeffs[m]} if m in vec.coeffs else ()) for m in mod.basis]
-    image = linalg.mat_mul(mod.matrix("sigma" + "".join(map(str, J))).sparse, column)
+    column = [linalg.Row({0: vec[m]} if m in vec else ()) for m in mod.basis]
+    image = linalg.mat_mul(mod.matrix("sigma" + "".join(map(str, J))), column)
     return ModuleVector({m: row[0] for m, row in zip(mod.basis, image)}, mod)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcactus import cli, repmodule, suites
+from qcactus import cli, gkmodel, repmodule, suites
 from qcactus.qarith import RatFunc
 
 
@@ -208,6 +208,15 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_gk_normalform_over_the_rewriting_budget_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(gkmodel, "REWRITE_BUDGET", 50)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gk", "normalform", "--expr", "z2^3*z1^3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "rewriting budget of 50 steps exhausted" in err and "Traceback" not in err
 
 
 def test_suite_seed_determinism(capsys):

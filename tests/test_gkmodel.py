@@ -6,6 +6,7 @@ from qcactus import crystal, gkmodel
 from qcactus import repmodule as rm
 from qcactus.gkmodel import (
     GEN_NAMES,
+    GEN_WEIGHT,
     GKMonomial,
     V1,
     V2,
@@ -34,6 +35,41 @@ def word_element(*gens):
 
 def monomial(*entries):
     return GKMonomial(*entries)
+
+
+def random_sum(rng):
+    """A straightened sum of up to four random words with random monomial
+    coefficients."""
+    return normal_form([(RatFunc.monomial(rng.randint(-3, 3), rng.choice((1, -1, 2))),
+                         tuple(rng.randrange(6) for _ in range(rng.randint(0, 4))))
+                        for _ in range(rng.randint(1, 4))])
+
+
+def multiply_per_term(a, b):
+    """The product straightened one pair of terms at a time, each result added
+    onto the running sum."""
+    out = ModuleVector()
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            out = out + normal_form([(ca * cb, ma.word() + mb.word())])
+    return out
+
+
+def act_gen_per_term(k, kind, x):
+    """The twisted derivation straightened one replaced word at a time."""
+    table = gkmodel._E_TABLE if kind == "E" else gkmodel._F_TABLE
+    out = ModuleVector()
+    for mono, coeff in x.items():
+        word, pre, total = mono.word(), 0, gkmodel._alpha_pair(k, mono.weight())
+        for t, g in enumerate(word):
+            g_pair = gkmodel._alpha_pair(k, GEN_WEIGHT[g])
+            image = table.get((k, g))
+            if image is not None:
+                exp = total - 2 * pre - g_pair
+                new_word = word[:t] + (image,) + word[t + 1:]
+                out = out + normal_form([(coeff * RatFunc.monomial(exp), new_word)])
+            pre += g_pair
+    return out
 
 
 class TestNormalForm:
@@ -73,9 +109,34 @@ class TestNormalForm:
             b = normal_form([(RatFunc.one(), word)], "rightmost")
             assert a == b, word
 
-    def test_fuel_exhaustion(self):
+    def test_fuel_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(gkmodel, "REWRITE_BUDGET", 1)
         with pytest.raises(RuntimeError):
-            normal_form([(RatFunc.one(), (Z2, Z1))], fuel=1)
+            normal_form([(RatFunc.one(), (Z2, Z1))])
+
+    def test_cancelling_words_store_no_zeros(self):
+        x = word_element(Z2, Z1)
+        assert normal_form([(RatFunc.one(), (Z2, Z1)), (RatFunc.scalar(-1), (Z2, Z1))]) == {}
+        assert (x - x) == {} and x + x == x.scale(RatFunc.scalar(2))
+
+
+class TestOneStraightening:
+    """multiply and act_gen straighten all their words in one normal_form
+    call; each must equal the sum of its terms straightened one by one."""
+
+    def test_multiply_matches_per_term(self):
+        rng = random.Random(19)
+        for _ in range(150):
+            a, b = random_sum(rng), random_sum(rng)
+            assert multiply(a, b) == multiply_per_term(a, b)
+
+    def test_act_gen_matches_per_term(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            x = random_sum(rng)
+            for k in (1, 2):
+                for kind in ("E", "F"):
+                    assert act_gen(k, kind, x) == act_gen_per_term(k, kind, x), (k, kind, str(x))
 
 
 class TestMultiply:
@@ -218,7 +279,7 @@ class TestEmbedding:
         mod = rm.ModuleVLambda(1, 0)
         sym = rm.act_divided(2, "E", 1, mod.basis_vector(m))
         expected = ModuleVector()
-        for target, coeff in sym.coeffs.items():
+        for target, coeff in sym.items():
             expected = expected + b_monomial(target).scale(coeff)
         assert gk == expected
 
@@ -226,12 +287,12 @@ class TestEmbedding:
         basis11 = {
             mono
             for m in crystal.enumerate_component(1, 1)
-            for mono in b_monomial(m).coeffs
+            for mono in b_monomial(m)
         }
         for ma in crystal.enumerate_component(1, 0):
             for mb in crystal.enumerate_component(0, 1):
                 prod = multiply(b_monomial(ma), b_monomial(mb))
-                assert set(prod.coeffs) <= basis11
+                assert set(prod) <= basis11
 
 
 class TestParse:
@@ -251,6 +312,21 @@ class TestParse:
             parse_expr("z3*z1")
         with pytest.raises(ValueError):
             parse_expr("z1^-2")
+
+    def test_over_the_rewriting_budget_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(gkmodel, "REWRITE_BUDGET", 50)
+        with pytest.raises(ValueError, match="rewriting budget of 50 steps"):
+            parse_expr("z2^3*z1^3")
+        monkeypatch.setattr(gkmodel, "REWRITE_BUDGET", 1000)
+        assert parse_expr("z2^3*z1^3") == word_element(Z2, Z2, Z2, Z1, Z1, Z1)
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        def recurse(words):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(gkmodel, "normal_form", recurse)
+        with pytest.raises(RecursionError):
+            parse_expr("z2*z1")
 
     def test_generator_names_cover_order(self):
         assert GEN_NAMES == ("z1", "z2", "z12", "z21", "v1", "v2")

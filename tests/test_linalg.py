@@ -146,7 +146,7 @@ def transpose(a):
 def test_invert_lower_triangular_c2_matches_its_upper_transpose():
     # C2 is lower triangular in basis order and its transpose upper triangular:
     # both are reduced on the diagonal, and the inverses must agree
-    c2 = repmodule.ModuleVLambda(3, 3).matrix("C2").sparse
+    c2 = repmodule.ModuleVLambda(3, 3).matrix("C2")
     assert all(max(row) <= i for i, row in enumerate(c2))
     assert linalg.invert(c2) == transpose(linalg.invert(transpose(c2)))
 

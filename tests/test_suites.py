@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -158,7 +159,7 @@ def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkey
 
     matrix_n, mat_mul = repmodule.matrix_N, linalg.mat_mul
     mod = repmodule.ModuleVLambda(1, 1)
-    n1, n2 = mod.matrix("N1").sparse, mod.matrix("N2").sparse
+    n1, n2 = mod.matrix("N1"), mod.matrix("N2")
 
     def crash_in(product):
         # crash the products of one step; the involutions square N_i, M = N1 N2
@@ -257,3 +258,11 @@ def test_randint_draws_the_stream_of_random_randint(seed):
     expected, rng = suites.random.Random(seed), suites.random.Random(seed)
     randint = suites._randint(rng)
     assert [randint(1, 2) for _ in range(1000)] == [expected.choice((1, 2)) for _ in range(1000)]
+
+
+def test_run_records_cpu_seconds():
+    # a check that waits without computing records almost no time, as one
+    # waiting for a CPU in a busy pool does
+    checks = []
+    suites._run(checks, "sleeper", "sleeps 0.2 s", lambda: time.sleep(0.2))
+    assert checks[0]["status"] == "pass" and checks[0]["seconds"] < 0.1
