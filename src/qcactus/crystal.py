@@ -9,7 +9,9 @@ act on the ambient set and preserve the component indices
     l1 = m01 + m1 + m21,    l2 = m02 + m2 + m12.
 
 A Pattern is a validated tuple of its six entries: it hashes as that tuple
-but equals only another Pattern.
+but equals only another Pattern.  A crystal pattern is also the exponent
+vector of a normal-ordered monomial of the model algebra, and gkmodel keys
+its elements by Pattern.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ _new = tuple.__new__
 
 class _Entries(tuple):
     """An immutable integer tuple with named `_fields`; it hashes as the tuple
-    but equals only its own type, never a plain tuple or a GKMonomial."""
+    but equals only its own type, never a plain tuple or another _Entries type."""
 
     __slots__ = ()
 

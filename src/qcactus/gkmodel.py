@@ -1,21 +1,23 @@
 """The rank-2 model algebra on six generators with a straightening rewriter.
 
-Monomials are normal-ordered words z1 < z2 < z12 < z21 < v1 < v2; the
-defining relations, oriented toward that order, terminate (each step either
-reduces inversions or removes a mixed z1/z2 pair) and are confluent on the
-span.  The raising/lowering operators act as half-weight-twisted derivations
-determined by their values on generators, and the quantum-twist
-anti-involution acts by reversing words and swapping v's with the opposite
-composite z's.
+Monomials are normal-ordered words z1 < z2 < z12 < z21 < v1 < v2, and an
+element is a ModuleVector keyed by the crystal.Pattern of each monomial's
+exponents (m1, m2, m12, m21, m01, m02): they are nonnegative and m1*m2 = 0,
+so the distinguished basis monomial of a crystal pattern has that pattern as
+its key.  The defining relations, oriented toward that order, terminate
+(each step either reduces inversions or removes a mixed z1/z2 pair) and are
+confluent on the span.  The raising/lowering operators act as
+half-weight-twisted derivations determined by their values on generators,
+and the quantum-twist anti-involution acts by reversing words and swapping
+v's with the opposite composite z's.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import repmodule
-from .crystal import Pattern
+from .crystal import Pattern, weight_pair, wt
 from .repmodule import ModuleVector
 from .qarith import RatFunc, q_factorial
 
@@ -61,67 +63,32 @@ REWRITE_BUDGET = 1_000_000
 EMBED_RMAX = 2
 
 
-@dataclass(frozen=True, slots=True)
-class GKMonomial:
-    """Exponents of a normal-ordered monomial z1^m1 z2^m2 z12^m12 z21^m21 v1^m01 v2^m02."""
+def word(m: Pattern) -> tuple[int, ...]:
+    """The normal-ordered word z1^m1 z2^m2 z12^m12 z21^m21 v1^m01 v2^m02 of
+    a monomial's exponent pattern."""
+    return tuple(g for g, mult in enumerate(m) for _ in range(mult))
 
-    m1: int
-    m2: int
-    m12: int
-    m21: int
-    m01: int
-    m02: int
 
-    def __post_init__(self):
-        if min(self.entries()) < 0:
-            raise ValueError(f"negative exponent in {self}")
-        if self.m1 and self.m2:
-            raise ValueError(f"mixed z1/z2 exponents are not normal-ordered: {self}")
-
-    def entries(self) -> tuple[int, ...]:
-        return (self.m1, self.m2, self.m12, self.m21, self.m01, self.m02)
-
-    def word(self) -> tuple[int, ...]:
-        out = []
-        for gen, mult in zip(range(6), self.entries()):
-            out.extend([gen] * mult)
-        return tuple(out)
-
-    def weight(self) -> tuple[int, int]:
-        w1 = w2 = 0
-        for gen, mult in zip(range(6), self.entries()):
-            gw = GEN_WEIGHT[gen]
-            w1 += mult * gw[0]
-            w2 += mult * gw[1]
-        return (w1, w2)
-
-    def degree(self) -> int:
-        return sum(self.entries())
-
-    def __str__(self):
-        if self.degree() == 0:
-            return "1"
-        return "*".join(
-            GEN_NAMES[g] + (f"^{m}" if m > 1 else "")
-            for g, m in zip(range(6), self.entries())
-            if m
-        )
+def monomial_str(m: Pattern) -> str:
+    """The monomial as a product of powers of generators, "1" for the unit."""
+    return "*".join(GEN_NAMES[g] + (f"^{mult}" if mult > 1 else "")
+                    for g, mult in enumerate(m) if mult) or "1"
 
 
 def one() -> ModuleVector:
     """The unit of the model algebra."""
-    return ModuleVector({GKMonomial(0, 0, 0, 0, 0, 0): RatFunc.one()})
+    return ModuleVector({Pattern(0, 0, 0, 0, 0, 0): RatFunc.one()})
 
 
 def generator(g: int) -> ModuleVector:
     ent = [0] * 6
     ent[g] = 1
-    return ModuleVector({GKMonomial(*ent): RatFunc.one()})
+    return ModuleVector({Pattern(*ent): RatFunc.one()})
 
 
 def weight(x: ModuleVector) -> tuple[int, int]:
     """Common weight of a homogeneous element; raises if mixed."""
-    weights = {m.weight() for m in x}
+    weights = set(map(weight_pair, x))
     if len(weights) != 1:
         raise ValueError("element is not weight-homogeneous")
     return weights.pop()
@@ -129,16 +96,9 @@ def weight(x: ModuleVector) -> tuple[int, int]:
 
 def to_json(x: ModuleVector) -> list:
     return [
-        {"monomial": list(m.entries()), "coeff": c.to_json()}
-        for m, c in sorted(x.items(), key=lambda kv: kv[0].entries())
+        {"monomial": list(m), "coeff": c.to_json()}
+        for m, c in sorted(x.items(), key=lambda kv: kv[0])
     ]
-
-
-def _monomial_of_word(word: tuple[int, ...]) -> GKMonomial:
-    ent = [0] * 6
-    for g in word:
-        ent[g] += 1
-    return GKMonomial(*ent)
 
 
 class RewriteBudgetExhausted(RuntimeError):
@@ -172,7 +132,8 @@ def normal_form(
                 hit = (p, rule)
                 break
         if hit is None:
-            done.add(_monomial_of_word(word), coeff)
+            # an irreducible word is sorted with no z1 z2 pair: a valid Pattern
+            done.add(Pattern(*map(word.count, range(6))), coeff)
             continue
         fuel -= 1
         if fuel < 0:
@@ -186,16 +147,11 @@ def normal_form(
 
 def multiply(a: ModuleVector, b: ModuleVector) -> ModuleVector:
     """Concatenate monomial words and straighten."""
-    return normal_form([(ca * cb, ma.word() + mb.word())
+    return normal_form([(ca * cb, word(ma) + word(mb))
                         for ma, ca in a.items() for mb, cb in b.items()])
 
 
 # -- the module-algebra action ---------------------------------------------------
-
-
-def _alpha_pair(k: int, weight: tuple[int, int]) -> int:
-    """(alpha_k, mu) for mu in fundamental coordinates."""
-    return weight[k - 1]
 
 
 #: generator images under E_k and F_k; missing entries act as zero
@@ -222,16 +178,16 @@ def act_gen(k: int, kind: str, x: ModuleVector) -> ModuleVector:
         raise ValueError(f"kind must be 'E' or 'F', got {kind!r}")
     words = []
     for mono, coeff in x.items():
-        word = mono.word()
-        pre = 0  # (alpha_k, weight of the prefix)
-        total = _alpha_pair(k, mono.weight())
-        for t, g in enumerate(word):
-            g_pair = _alpha_pair(k, GEN_WEIGHT[g])
+        letters = word(mono)
+        pre = 0  # (alpha_k, weight of the prefix), weights in fundamental coordinates
+        total = wt(k, mono)
+        for t, g in enumerate(letters):
+            g_pair = GEN_WEIGHT[g][k - 1]
             image = table.get((k, g))
             if image is not None:
                 post = total - pre - g_pair
                 exp = post - pre
-                new_word = word[:t] + (image,) + word[t + 1:]
+                new_word = letters[:t] + (image,) + letters[t + 1:]
                 words.append((coeff * RatFunc.monomial(exp), new_word))
             pre += g_pair
     return normal_form(words)
@@ -261,8 +217,7 @@ def b_monomial(m: Pattern) -> ModuleVector:
         + m.m2 * (m.m12 - m.m02)
         - (m.m12 + m.m21) * (m.m01 + m.m02)
     )
-    mono = GKMonomial(*m.entries())
-    return ModuleVector({mono: RatFunc.monomial(exp)})
+    return ModuleVector({m: RatFunc.monomial(exp)})
 
 
 _TWIST = {V1: Z21, V2: Z12, Z1: Z1, Z2: Z2, Z12: V2, Z21: V1}
@@ -273,7 +228,7 @@ def sigma_hat(x: ModuleVector) -> ModuleVector:
     v_i -> z_{ji}, z_i -> z_i, z_{ij} -> v_j."""
     words = []
     for mono, coeff in x.items():
-        twisted = tuple(_TWIST[g] for g in reversed(mono.word()))
+        twisted = tuple(_TWIST[g] for g in reversed(word(mono)))
         words.append((coeff, twisted))
     return normal_form(words)
 

@@ -15,7 +15,6 @@ candidate gcd computed, so reducing a rational function divides once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -684,20 +683,6 @@ def q2_binomial(n: int, k: int) -> LaurentPoly:
     return q_binomial(n, k).compose_monomial(2)
 
 
-@dataclass(frozen=True)
-class StringTriple:
-    """String data (l, k, s): length l, depth k, shift s."""
-
-    l: int
-    k: int
-    s: int
-
-    @property
-    def in_domain(self) -> bool:
-        """Whether the shift can act: 0 <= k <= l and k-l <= s <= k."""
-        return 0 <= self.k <= self.l and self.k - self.l <= self.s <= self.k
-
-
 @lru_cache(maxsize=None)
 def _factorial_ratio(parts_num: tuple, parts_den: tuple) -> RatFunc:
     """prod (n)_v! over parts_num divided by prod (n)_v! over parts_den.
@@ -721,26 +706,28 @@ def _factorial_ratio(parts_num: tuple, parts_den: tuple) -> RatFunc:
     return RatFunc(num, den)
 
 
-def kash_coeff(kind: str, t: StringTriple) -> RatFunc:
-    """String-shift coefficient of the given kind ("low" or "up"); zero
-    outside the domain."""
-    if not t.in_domain:
+def kash_coeff(kind: str, l: int, k: int, s: int) -> RatFunc:
+    """String-shift coefficient of the given kind ("low" or "up") for length
+    l, depth k and shift s; zero outside the domain 0 <= k <= l,
+    k - l <= s <= k."""
+    if not (0 <= k <= l and k - l <= s <= k):
         return RatFunc.zero()
     if kind == "low":
-        return _factorial_ratio((t.k,), (t.k - t.s,))
+        return _factorial_ratio((k,), (k - s,))
     if kind == "up":
-        return _factorial_ratio((t.l - t.k + t.s,), (t.l - t.k,))
+        return _factorial_ratio((l - k + s,), (l - k,))
     raise ValueError(f"unknown coefficient kind: {kind!r}")
 
 
-def kash_coeff_underline(kind: str, t: StringTriple) -> RatFunc:
-    """Divided-power normalization of kash_coeff; identically 1 for "low"."""
-    if not t.in_domain:
+def kash_coeff_underline(kind: str, l: int, k: int, s: int) -> RatFunc:
+    """Divided-power normalization of kash_coeff; identically 1 for "low"
+    inside the domain."""
+    if not (0 <= k <= l and k - l <= s <= k):
         return RatFunc.zero()
     if kind == "low":
         return RatFunc.one()
     if kind == "up":
-        return _factorial_ratio((t.l - t.k + t.s, t.k - t.s), (t.l - t.k, t.k))
+        return _factorial_ratio((l - k + s, k - s), (l - k, k))
     raise ValueError(f"unknown coefficient kind: {kind!r}")
 
 

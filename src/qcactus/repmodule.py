@@ -31,9 +31,9 @@ def _qpoly(p: LaurentPoly) -> RatFunc:
 class ModuleVector(linalg.Row):
     """A finite combination of basis keys with RatFunc coefficients, kept as
     the sparse `Row` {key: coefficient}, which stores no zeros.  The keys are
-    the patterns of `module` for a vector of a ModuleVLambda, and
-    normal-ordered monomials (with no module) for an element of the model
-    algebra.
+    crystal patterns: those of `module` for a vector of a ModuleVLambda, and
+    the exponents of normal-ordered monomials (with no module) for an element
+    of the model algebra.
     """
 
     __slots__ = ("module",)
@@ -72,7 +72,7 @@ class ModuleVector(linalg.Row):
         if not self:
             return "0"
         return " + ".join(
-            f"({c})*{m}" for m, c in sorted(self.items(), key=lambda kv: kv[0].entries())
+            f"({c})*{m}" for m, c in sorted(self.items(), key=lambda kv: kv[0])
         )
 
 

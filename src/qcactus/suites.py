@@ -20,7 +20,6 @@ from .crystal import Pattern
 from .qarith import (
     LaurentPoly,
     RatFunc,
-    StringTriple,
     kash_coeff,
     kash_coeff_underline,
     q2_binomial,
@@ -129,8 +128,8 @@ def qarith_suite(seed: int = 1) -> list[dict]:
             for k in range(l + 1):
                 for s in range(k - l, k + 1):
                     for kind in ("low", "up"):
-                        a = kash_coeff_underline(kind, StringTriple(l, k, s))
-                        b = kash_coeff_underline(kind, StringTriple(l, l - k, -s))
+                        a = kash_coeff_underline(kind, l, k, s)
+                        b = kash_coeff_underline(kind, l, l - k, -s)
                         if a != b:
                             return {"kind": kind, "l": l, "k": k, "s": s}
         return None
@@ -146,11 +145,9 @@ def qarith_suite(seed: int = 1) -> list[dict]:
                     for t in range(-l, l + 1):
                         if s * t < 0:
                             continue
-                        whole = StringTriple(l, k, s + t)
-                        first, second = StringTriple(l, k, s), StringTriple(l, k - s, t)
                         for kind in ("low", "up"):
-                            lhs = kash_coeff(kind, whole)
-                            pair = (kash_coeff(kind, first), kash_coeff(kind, second))
+                            lhs = kash_coeff(kind, l, k, s + t)
+                            pair = (kash_coeff(kind, l, k, s), kash_coeff(kind, l, k - s, t))
                             known = matched.get(pair)
                             if known is None:
                                 if lhs != pair[0] * pair[1]:
@@ -838,7 +835,7 @@ def gk_suite(seed: int = 1) -> list[dict]:
             if gkmodel.sigma_hat(gkmodel.sigma_hat(a)) != a:
                 return {"iteration": k, "law": "involution"}
             for mono in a:
-                w = mono.weight()
+                w = crystal.weight_pair(mono)
                 img = gkmodel.sigma_hat(repmodule.ModuleVector({mono: RatFunc.one()}))
                 if not img.is_zero() and gkmodel.weight(img) != (-w[1], -w[0]):
                     return {"iteration": k, "law": "grading"}
@@ -870,7 +867,8 @@ def gk_suite(seed: int = 1) -> list[dict]:
                 prod = gkmodel.multiply(gkmodel.b_monomial(ma), gkmodel.b_monomial(mb))
                 for mono in prod:
                     if mono not in basis11:
-                        return {"a": str(ma), "b": str(mb), "monomial": str(mono)}
+                        return {"a": str(ma), "b": str(mb),
+                                "monomial": gkmodel.monomial_str(mono)}
         return None
 
     def operator_relations():
@@ -886,7 +884,7 @@ def gk_suite(seed: int = 1) -> list[dict]:
                     rhs = repmodule.ModuleVector()
                     if i == j:
                         for mono, c in x.items():
-                            n = gkmodel._alpha_pair(i, mono.weight())
+                            n = crystal.wt(i, mono)
                             rhs.add(mono, c * RatFunc.of_poly(q_int(n).compose_monomial(2)))
                     if lhs != rhs:
                         return {"iteration": k, "relation": "[E,F]", "i": i, "j": j}

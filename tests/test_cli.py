@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from qcactus import cli, gkmodel, repmodule, suites
+from qcactus import cli, coxeter, gkmodel, repmodule, suites
 from qcactus.qarith import RatFunc
 
 
@@ -68,6 +69,22 @@ def test_coxeter_kernel_bad_subset(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coxeter", "kernel", "--type", "A2", "--subset", "5"])
     assert exc.value.code == 2
+
+
+def test_coxeter_kernel_check_records_cpu_seconds(monkeypatch, capsys):
+    # the two kernel computations wait 0.2 s without computing: the check
+    # records CPU time, as every suite check does, and the total stays wall time
+    kernel = coxeter.kernel_parabolic
+
+    def waiting(*args):
+        time.sleep(0.1)
+        return kernel(*args)
+
+    monkeypatch.setattr(coxeter, "kernel_parabolic", waiting)
+    code, out = run(capsys, "coxeter", "kernel", "--type", "A1xA2", "--subset", "1,3")
+    report = json.loads(out)
+    assert code == 0 and report["failures"] == 0
+    assert report["checks"][0]["seconds"] < 0.1 and report["total_seconds"] >= 0.2
 
 
 def test_gk_normalform(capsys):

@@ -7,7 +7,6 @@ from qcactus import repmodule as rm
 from qcactus.gkmodel import (
     GEN_NAMES,
     GEN_WEIGHT,
-    GKMonomial,
     V1,
     V2,
     Z1,
@@ -24,6 +23,7 @@ from qcactus.gkmodel import (
     parse_expr,
     sigma_hat,
     weight,
+    word,
 )
 from qcactus.qarith import RatFunc
 from qcactus.repmodule import ModuleVector
@@ -34,7 +34,7 @@ def word_element(*gens):
 
 
 def monomial(*entries):
-    return GKMonomial(*entries)
+    return crystal.Pattern(*entries)
 
 
 def random_sum(rng):
@@ -51,7 +51,7 @@ def multiply_per_term(a, b):
     out = ModuleVector()
     for ma, ca in a.items():
         for mb, cb in b.items():
-            out = out + normal_form([(ca * cb, ma.word() + mb.word())])
+            out = out + normal_form([(ca * cb, word(ma) + word(mb))])
     return out
 
 
@@ -60,13 +60,13 @@ def act_gen_per_term(k, kind, x):
     table = gkmodel._E_TABLE if kind == "E" else gkmodel._F_TABLE
     out = ModuleVector()
     for mono, coeff in x.items():
-        word, pre, total = mono.word(), 0, gkmodel._alpha_pair(k, mono.weight())
-        for t, g in enumerate(word):
-            g_pair = gkmodel._alpha_pair(k, GEN_WEIGHT[g])
+        letters, pre, total = word(mono), 0, crystal.wt(k, mono)
+        for t, g in enumerate(letters):
+            g_pair = GEN_WEIGHT[g][k - 1]
             image = table.get((k, g))
             if image is not None:
                 exp = total - 2 * pre - g_pair
-                new_word = word[:t] + (image,) + word[t + 1:]
+                new_word = letters[:t] + (image,) + letters[t + 1:]
                 out = out + normal_form([(coeff * RatFunc.monomial(exp), new_word)])
             pre += g_pair
     return out
@@ -96,10 +96,13 @@ class TestNormalForm:
         )
 
     def test_monomial_validation(self):
+        # the key type of a monomial is the crystal pattern of its exponents,
+        # which rejects a mixed z1/z2 pair and a negative z1 or z2 exponent
+        assert all(type(m) is crystal.Pattern for m in word_element(Z2, Z1, V1))
         with pytest.raises(ValueError):
-            GKMonomial(1, 1, 0, 0, 0, 0)
+            crystal.Pattern(1, 1, 0, 0, 0, 0)
         with pytest.raises(ValueError):
-            GKMonomial(-1, 0, 0, 0, 0, 0)
+            crystal.Pattern(-1, 0, 0, 0, 0, 0)
 
     def test_confluence_random(self):
         rng = random.Random(2)
@@ -118,6 +121,47 @@ class TestNormalForm:
         x = word_element(Z2, Z1)
         assert normal_form([(RatFunc.one(), (Z2, Z1)), (RatFunc.scalar(-1), (Z2, Z1))]) == {}
         assert (x - x) == {} and x + x == x.scale(RatFunc.scalar(2))
+
+
+class TestPatternKeys:
+    """Every element is keyed by the crystal patterns of its monomials."""
+
+    @staticmethod
+    def assert_in_crystal_keys(x):
+        assert all(type(m) is crystal.Pattern and m.in_crystal for m in x), str(x)
+
+    def test_seeded_images_have_in_crystal_pattern_keys(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            a, b = random_sum(rng), random_sum(rng)
+            for x in (a, multiply(a, b), sigma_hat(a)):
+                self.assert_in_crystal_keys(x)
+            for k in (1, 2):
+                for kind in ("E", "F"):
+                    self.assert_in_crystal_keys(act_gen(k, kind, a))
+
+    def test_word_round_trips_through_the_normal_form(self):
+        count = 0
+        for l1 in range(4):
+            for l2 in range(4 - l1):
+                for m in crystal.enumerate_component(l1, l2):
+                    assert normal_form([(RatFunc.one(), word(m))]) == {m: RatFunc.one()}
+                    count += 1
+        assert count > 50
+        assert word(crystal.Pattern(0, 2, 1, 0, 0, 3)) == (Z2, Z2, Z12, V2, V2, V2)
+
+    def test_weight_is_the_generator_weight_sum(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            for m in random_sum(rng):
+                expected = tuple(sum(e * GEN_WEIGHT[g][c] for g, e in enumerate(m))
+                                 for c in (0, 1))
+                assert weight(ModuleVector({m: RatFunc.one()})) == expected
+
+    def test_monomial_text(self):
+        assert gkmodel.monomial_str(crystal.Pattern(0, 0, 0, 0, 0, 0)) == "1"
+        assert gkmodel.monomial_str(crystal.Pattern(1, 0, 0, 0, 0, 1)) == "z1*v2"
+        assert gkmodel.monomial_str(crystal.Pattern(0, 3, 0, 2, 1, 0)) == "z2^3*z21^2*v1"
 
 
 class TestOneStraightening:

@@ -8,7 +8,6 @@ from qcactus.qarith import (
     LaurentPoly,
     ONE,
     RatFunc,
-    StringTriple,
     ZERO,
     cg_coeff,
     kash_coeff,
@@ -270,26 +269,32 @@ class TestEvaluate:
 
 class TestStringCoefficients:
     def test_domain(self):
-        assert StringTriple(2, 1, 1).in_domain
-        assert not StringTriple(1, 2, 0).in_domain
-        assert not StringTriple(2, 1, 2).in_domain
-        assert not StringTriple(2, 1, -2).in_domain
+        # 0 <= k <= l and k - l <= s <= k
+        for kind in ("low", "up"):
+            for f in (kash_coeff, kash_coeff_underline):
+                assert not f(kind, 2, 1, 1).is_zero()
+                assert not f(kind, 2, 2, 0).is_zero()
+                assert not f(kind, 2, 0, -2).is_zero()
+                assert f(kind, 1, 2, 0).is_zero()
+                assert f(kind, 2, -1, 0).is_zero()
+                assert f(kind, 2, 1, 2).is_zero()
+                assert f(kind, 2, 1, -2).is_zero()
 
     def test_examples(self):
-        assert kash_coeff("low", StringTriple(2, 1, 1)) == RatFunc.one()
-        assert kash_coeff("up", StringTriple(1, 1, 1)) == RatFunc.one()
-        assert kash_coeff("low", StringTriple(1, 2, 0)).is_zero()
-        assert kash_coeff("up", StringTriple(1, 2, 0)).is_zero()
+        assert kash_coeff("low", 2, 1, 1) == RatFunc.one()
+        assert kash_coeff("up", 1, 1, 1) == RatFunc.one()
+        assert kash_coeff("low", 1, 2, 0).is_zero()
+        assert kash_coeff("up", 1, 2, 0).is_zero()
 
     def test_underline_examples(self):
         for l in range(5):
             for k in range(l + 1):
                 for s in range(k - l, k + 1):
-                    assert kash_coeff_underline("low", StringTriple(l, k, s)).is_one()
+                    assert kash_coeff_underline("low", l, k, s).is_one()
         expected = RatFunc(ONE, poly({1: 1, -1: 1}))
-        assert kash_coeff_underline("up", StringTriple(2, 2, 1)) == expected
+        assert kash_coeff_underline("up", 2, 2, 1) == expected
         for l in range(8):
-            assert kash_coeff_underline("up", StringTriple(l, 0, -l)).is_one()
+            assert kash_coeff_underline("up", l, 0, -l).is_one()
 
     def test_underline_from_definition(self):
         # the division normalization times the factorial ratio recovers kash_coeff
@@ -297,11 +302,11 @@ class TestStringCoefficients:
             for k in range(l + 1):
                 for s in range(k - l, k + 1):
                     for kind in ("low", "up"):
-                        lhs = kash_coeff_underline(kind, StringTriple(l, k, s))
+                        lhs = kash_coeff_underline(kind, l, k, s)
                         ratio = RatFunc.of_poly(q_factorial(k - s)) / RatFunc.of_poly(
                             q_factorial(k)
                         )
-                        assert lhs == kash_coeff(kind, StringTriple(l, k, s)) * ratio
+                        assert lhs == kash_coeff(kind, l, k, s) * ratio
 
     def test_cancelled_ratio_equals_the_full_ratio(self):
         # the full factorial ratios, with no shared factor cancelled
@@ -316,27 +321,25 @@ class TestStringCoefficients:
         for l in range(13):
             for k in range(l + 1):
                 for s in range(k - l, k + 1):
-                    t = StringTriple(l, k, s)
-                    assert kash_coeff("low", t) == ratio([k], [k - s])
-                    assert kash_coeff("up", t) == ratio([l - k + s], [l - k])
-                    assert kash_coeff_underline("low", t).is_one()
-                    assert kash_coeff_underline("up", t) == ratio([l - k + s, k - s], [l - k, k])
+                    t = (l, k, s)
+                    assert kash_coeff("low", *t) == ratio([k], [k - s])
+                    assert kash_coeff("up", *t) == ratio([l - k + s], [l - k])
+                    assert kash_coeff_underline("low", *t).is_one()
+                    assert kash_coeff_underline("up", *t) == ratio([l - k + s, k - s], [l - k, k])
 
     def test_equal_coefficients_at_other_lengths_are_one_object(self):
         # cached by the factorial ratio's parts, not by the string triple
-        assert kash_coeff("low", StringTriple(5, 3, 1)) is kash_coeff("low", StringTriple(9, 3, 1))
-        assert kash_coeff("up", StringTriple(5, 2, 2)) is kash_coeff("low", StringTriple(7, 5, 2))
-        assert kash_coeff_underline("up", StringTriple(6, 2, 1)) is kash_coeff_underline(
-            "up", StringTriple(6, 2, 1)
-        )
+        assert kash_coeff("low", 5, 3, 1) is kash_coeff("low", 9, 3, 1)
+        assert kash_coeff("up", 5, 2, 2) is kash_coeff("low", 7, 5, 2)
+        assert kash_coeff_underline("up", 6, 2, 1) is kash_coeff_underline("up", 6, 2, 1)
 
     def test_symmetry(self):
         for l in range(13):
             for k in range(l + 1):
                 for s in range(k - l, k + 1):
                     for kind in ("low", "up"):
-                        assert kash_coeff_underline(kind, StringTriple(l, k, s)) == (
-                            kash_coeff_underline(kind, StringTriple(l, l - k, -s))
+                        assert kash_coeff_underline(kind, l, k, s) == (
+                            kash_coeff_underline(kind, l, l - k, -s)
                         )
 
     def test_composition_law(self):
@@ -347,9 +350,9 @@ class TestStringCoefficients:
                         if s * t < 0:
                             continue
                         for kind in ("low", "up"):
-                            assert kash_coeff(kind, StringTriple(l, k, s + t)) == kash_coeff(
-                                kind, StringTriple(l, k, s)
-                            ) * kash_coeff(kind, StringTriple(l, k - s, t))
+                            assert kash_coeff(kind, l, k, s + t) == (
+                                kash_coeff(kind, l, k, s) * kash_coeff(kind, l, k - s, t)
+                            )
 
 
 class TestCGCoefficient:

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from qcactus import linalg, qarith, repmodule, suites
+from qcactus import gkmodel, linalg, qarith, repmodule, suites
+from qcactus.crystal import Pattern
 
 
 @pytest.mark.parametrize("lams, jobs, workers", [
@@ -200,32 +201,48 @@ def test_conjecture_gcds_need_no_fallback(monkeypatch):
     assert [c["status"] for c in result["checks"]] == ["pass"] * 4
 
 
-def _composition_law(monkeypatch):
-    """The record of qarith's composition-law check, the other checks skipped."""
+def _one_check(monkeypatch, suite, name):
+    """The record of one check of a suite, the other checks skipped."""
     run = suites._run
     monkeypatch.setattr(
         suites, "_run",
-        lambda checks, name, anchor, fn: run(checks, name, anchor, fn)
-        if name == "composition-law" else None,
+        lambda checks, check, anchor, fn: run(checks, check, anchor, fn)
+        if check == name else None,
     )
-    (record,) = suites.qarith_suite(3)
+    (record,) = suite(3)
     return record
+
+
+def _composition_law(monkeypatch):
+    """The record of qarith's composition-law check, the other checks skipped."""
+    return _one_check(monkeypatch, suites.qarith_suite, "composition-law")
 
 
 def test_composition_law_reports_a_planted_fault_with_its_first_witness(monkeypatch):
     # c(9,4,3) times v^2: the pairs s + t = 3 at l = 9 met at smaller l hold
     # the true c(.,4,3), so the fault shows where the product first disagrees
     kash_coeff = suites.kash_coeff
-    faulty = qarith.StringTriple(9, 4, 3)
 
-    def planted(kind, t):
-        c = kash_coeff(kind, t)
-        return c * qarith.RatFunc.monomial(2) if (kind, t) == ("low", faulty) else c
+    def planted(kind, l, k, s):
+        c = kash_coeff(kind, l, k, s)
+        return c * qarith.RatFunc.monomial(2) if (kind, l, k, s) == ("low", 9, 4, 3) else c
 
     monkeypatch.setattr(suites, "kash_coeff", planted)
     record = _composition_law(monkeypatch)
     assert record["status"] == "fail"
     assert record["witness"] == {"kind": "low", "l": 9, "k": 4, "s": 1, "t": 2}
+
+
+def test_product_of_components_names_a_planted_stray_monomial(monkeypatch):
+    # without the basis monomial of (1,0,0,0,0,1), the product z1 * v2 of the
+    # (1,0) and (0,1) components leaves the (1,1) basis
+    b_monomial = gkmodel.b_monomial
+    dropped = Pattern(1, 0, 0, 0, 0, 1)
+    monkeypatch.setattr(gkmodel, "b_monomial",
+                        lambda m: repmodule.ModuleVector() if m == dropped else b_monomial(m))
+    record = _one_check(monkeypatch, suites.gk_suite, "product-of-components")
+    assert record["status"] == "fail"
+    assert record["witness"] == {"a": "1,0,0,0,0,0", "b": "0,0,0,0,0,1", "monomial": "z1*v2"}
 
 
 def test_composition_law_forms_each_distinct_product_once(monkeypatch):
@@ -236,8 +253,8 @@ def test_composition_law_forms_each_distinct_product_once(monkeypatch):
                 for t in range(-l, l + 1):
                     if s * t >= 0:
                         for kind in ("low", "up"):
-                            pairs.add((qarith.kash_coeff(kind, qarith.StringTriple(l, k, s)),
-                                       qarith.kash_coeff(kind, qarith.StringTriple(l, k - s, t))))
+                            pairs.add((qarith.kash_coeff(kind, l, k, s),
+                                       qarith.kash_coeff(kind, l, k - s, t)))
     calls = []
     mul = qarith.RatFunc.__mul__
     monkeypatch.setattr(qarith.RatFunc, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
