@@ -48,13 +48,8 @@ def _emit(report: dict, out: str | None) -> int:
 
 def cmd_verify_conjecture(max_degree: int, jobs: int, out: str | None) -> int:
     started = time.perf_counter()
-    results = suites.sweep(sorted(suites.lambdas(max_degree)), jobs)
-    checks = []
-    for r in results:
-        for c in r["checks"]:
-            c = dict(c)
-            c["dim"] = r["dim"]
-            checks.append(c)
+    results = suites.pool_map(suites.conjecture_task, sorted(suites.lambdas(max_degree)), jobs)
+    checks = [dict(c, dim=r["dim"]) for r in results for c in r["checks"]]
     report = _report(
         "verify-conjecture",
         {"max_degree": max_degree, "jobs": jobs},
@@ -99,17 +94,12 @@ def cmd_crystal_apply(m: crystal.Pattern, ops: str) -> int:
 
 def cmd_module_verify(l1: int, l2: int, suite: str, out: str | None) -> int:
     started = time.perf_counter()
-    mod = repmodule.ModuleVLambda(l1, l2)
-    checks: list[dict] = []
-    if suite in ("relations", "all"):
-        checks += suites.relations_checks(mod)
-    if suite in ("sigma", "all"):
-        checks += suites.sigma_checks([mod], f"({l1},{l2})")
-    if suite in ("conjecture", "all"):
-        checks += suites.conjecture_checks(mod)
+    families = tuple(suites.MODULE_FAMILIES) if suite == "all" else (suite,)
+    result = suites.module_task((l1, l2), families)
+    checks = result["checks"]
     report = _report("module verify", {"lambda": [l1, l2], "suite": suite}, checks, started)
     report["lambda"] = [l1, l2]
-    report["dim"] = mod.dim
+    report["dim"] = result["dim"]
     report["timings"] = {c["name"]: c["seconds"] for c in checks}
     return _emit(report, out)
 
@@ -155,18 +145,23 @@ def _arg(parse):
     return convert
 
 
-def _natural(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected a nonnegative integer, got {value}")
+def _integer(text: str, least: int, kind: str) -> int:
+    """`text` as an integer of at least `least`; the error names the text."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise ValueError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _natural(text: str) -> int:
+    return _integer(text, 0, "nonnegative")
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return value
+    return _integer(text, 1, "positive")
 
 
 def _matrix_tags(text: str) -> list[str]:
@@ -237,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sc.add_parser("verify")
     v.add_argument("--l1", type=_arg(_natural), required=True)
     v.add_argument("--l2", type=_arg(_natural), required=True)
-    v.add_argument("--suite", choices=("relations", "sigma", "conjecture", "all"),
-                   default="all")
+    v.add_argument("--suite", choices=(*suites.MODULE_FAMILIES, "all"), default="all")
     v.add_argument("--out", default=None, type=_arg(_out_path))
     e = sc.add_parser("export")
     e.add_argument("--l1", type=_arg(_natural), required=True)

@@ -294,7 +294,10 @@ def parse_subset(text: str) -> frozenset:
     text = text.strip()
     if not text:
         return frozenset()
-    parts = [int(part) for part in text.split(",")]
+    try:
+        parts = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integer indices, got {text!r}") from None
     repeated = sorted({j for j in parts if parts.count(j) > 1})
     if repeated:
         raise ValueError(f"repeated subset indices {repeated}")

@@ -190,7 +190,7 @@ def act_gen(k: int, kind: str, x: ModuleVector) -> ModuleVector:
                 new_word = letters[:t] + (image,) + letters[t + 1:]
                 words.append((coeff * RatFunc.monomial(exp), new_word))
             pre += g_pair
-    return normal_form(words)
+    return normal_form(words) if words else ModuleVector()
 
 
 def act_divided(k: int, kind: str, r: int, x: ModuleVector) -> ModuleVector:

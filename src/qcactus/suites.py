@@ -142,12 +142,13 @@ def qarith_suite(seed: int = 1) -> list[dict]:
         for l in range(MAX_STRING_LENGTH + 1):
             for k in range(l + 1):
                 for s in range(-l, l + 1):
+                    first = {kind: kash_coeff(kind, l, k, s) for kind in ("low", "up")}
                     for t in range(-l, l + 1):
                         if s * t < 0:
                             continue
                         for kind in ("low", "up"):
                             lhs = kash_coeff(kind, l, k, s + t)
-                            pair = (kash_coeff(kind, l, k, s), kash_coeff(kind, l, k - s, t))
+                            pair = (first[kind], kash_coeff(kind, l, k - s, t))
                             known = matched.get(pair)
                             if known is None:
                                 if lhs != pair[0] * pair[1]:
@@ -470,16 +471,6 @@ def relations_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
     return checks
 
 
-def relations_suite(max_degree: int = 4) -> list[dict]:
-    """The quantum-relation gate on every module up to the degree bound."""
-    checks: list[dict] = []
-    for l1, l2 in lambdas(max_degree):
-        for rec in relations_checks(repmodule.ModuleVLambda(l1, l2)):
-            rec["name"] = f"relations({l1},{l2}):{rec['name']}"
-            checks.append(rec)
-    return checks
-
-
 def sigma_checks(modules, label: str = "") -> list[dict]:
     """The sigma checks that hold module by module, each run over every module
     in `modules`; `label` is appended to each check name."""
@@ -543,9 +534,14 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
     return checks
 
 
-def sigma_suite(max_degree: int = 4) -> list[dict]:
-    modules = {lam: repmodule.ModuleVLambda(*lam) for lam in lambdas(max_degree)}
-    checks = sigma_checks(modules.values())
+def module_suite() -> list[dict]:
+    """Every module with l1 + l2 <= 4, each built once: the quantum relations on
+    each, named `relations(l1,l2):check`, then the sigma checks over all of them
+    and the weight, crystal and extremal-vector checks."""
+    modules = {lam: repmodule.ModuleVLambda(*lam) for lam in lambdas(4)}
+    checks = [dict(rec, name=f"relations({l1},{l2}):{rec['name']}")
+              for (l1, l2), mod in modules.items() for rec in relations_checks(mod)]
+    checks += sigma_checks(modules.values())
 
     def weight_bookkeeping():
         for (l1, l2), mod in modules.items():
@@ -585,7 +581,7 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
         dc = cartan.sl3().coxeter
         w0_words = ((1, 2, 1), (2, 1, 2))
         for lam in ((1, 0), (0, 1), (1, 1), (2, 2)):
-            mod = modules.get(lam) or repmodule.ModuleVLambda(*lam)
+            mod = modules[lam]
             vectors = [repmodule.descend(word, mod.highest_vector()) for word in w0_words]
             if vectors[0] != vectors[1]:
                 return {"lambda": list(lam), "law": "reduced-word independence"}
@@ -655,7 +651,7 @@ def sigma_suite(max_degree: int = 4) -> list[dict]:
     def word_independence_operators():
         dc = cartan.sl3().coxeter
         for lam in ((1, 1), (2, 1)):
-            mod = modules.get(lam) or repmodule.ModuleVLambda(*lam)
+            mod = modules[lam]
             for w in dc.elements():
                 words = _all_reduced_words(dc, w)
                 if len(words) < 2:
@@ -750,17 +746,31 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
     return checks
 
 
-def conjecture_task(lam: tuple[int, int]) -> dict:
-    """One sweep task: build the module and run its conjecture checks."""
+#: the check families that run on one module, in report order
+MODULE_FAMILIES = {
+    "relations": relations_checks,
+    "sigma": lambda mod: sigma_checks([mod], f"({mod.l1},{mod.l2})"),
+    "conjecture": conjecture_checks,
+}
+
+
+def module_task(lam: tuple[int, int], families: tuple[str, ...]) -> dict:
+    """Build the module of highest weight `lam` and run the named families of
+    MODULE_FAMILIES on it, in the order given; `seconds` is wall time."""
     t0 = time.perf_counter()
     mod = repmodule.ModuleVLambda(*lam)
-    checks = conjecture_checks(mod)
+    checks = [rec for family in families for rec in MODULE_FAMILIES[family](mod)]
     return {
         "lambda": list(lam),
         "dim": mod.dim,
         "checks": checks,
         "seconds": round(time.perf_counter() - t0, 4),
     }
+
+
+def conjecture_task(lam: tuple[int, int]) -> dict:
+    """One sweep task: the conjecture checks of one module."""
+    return module_task(lam, ("conjecture",))
 
 
 def usable_cpus() -> int:
@@ -771,7 +781,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, items, jobs: int) -> list:
+def pool_map(fn, items, jobs: int) -> list:
     """`fn` on every item, results in the order given, on `jobs` worker
     processes clamped to between 1 and the smaller of the number of items and
     the usable CPUs.  With one worker it runs in this process."""
@@ -784,12 +794,6 @@ def _pool_map(fn, items, jobs: int) -> list:
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
-
-
-def sweep(lams, jobs: int = 1) -> list[dict]:
-    """conjecture_task on every weight, in the order given, on up to `jobs`
-    worker processes."""
-    return _pool_map(conjecture_task, lams, jobs)
 
 
 def gk_suite(seed: int = 1) -> list[dict]:
@@ -919,10 +923,6 @@ def gk_suite(seed: int = 1) -> list[dict]:
     return checks
 
 
-def module_suite(max_degree: int = 4) -> list[dict]:
-    return relations_suite(max_degree) + sigma_suite(max_degree)
-
-
 SUITES = {
     "qarith": qarith_suite,
     "coxeter": coxeter_suite,
@@ -944,7 +944,7 @@ def run_suite(name: str, seed: int = 1, jobs: int = 1) -> list[dict]:
     `all`.  `all` runs its families on up to `jobs` worker processes, and its
     records do not depend on `jobs`; a single suite runs in this process."""
     if name == "all":
-        families = _pool_map(_family, [(key, seed) for key in SUITES], jobs)
+        families = pool_map(_family, [(key, seed) for key in SUITES], jobs)
         return [rec for records in families for rec in records]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

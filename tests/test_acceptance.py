@@ -7,6 +7,8 @@ All arithmetic is exact; there are no tolerances anywhere.
 import os
 import time
 
+import pytest
+
 from qcactus import crystal, suites
 from qcactus.suites import weyl_dimension
 
@@ -21,9 +23,21 @@ def _all_pass(checks) -> bool:
     return all(c["status"] in ("pass", "skipped") for c in checks)
 
 
+@pytest.fixture(scope="module")
+def module_suite():
+    """The records of the module suite, split into the relations records and
+    the rest, and the seconds it took."""
+    start = time.time()
+    checks = suites.module_suite()
+    is_relation = lambda c: c["name"].startswith("relations(")
+    return ([c for c in checks if is_relation(c)], [c for c in checks if not is_relation(c)],
+            time.time() - start)
+
+
 def test_criterion_1_conjecture_sweep():
     start = time.time()
-    results = suites.sweep(sorted(suites.lambdas(8)), min(8, os.cpu_count() or 1))
+    results = suites.pool_map(suites.conjecture_task, sorted(suites.lambdas(8)),
+                              min(8, os.cpu_count() or 1))
     ok = all(_all_pass(r["checks"]) for r in results)
     assert len(results) == 45
     assert max(r["dim"] for r in results) == 125
@@ -36,20 +50,19 @@ def test_criterion_1_conjecture_sweep():
     )
 
 
-def test_criterion_2_quantum_relations_gate():
-    start = time.time()
-    checks = suites.relations_suite(4)
+def test_criterion_2_quantum_relations_gate(module_suite):
+    checks, _, seconds = module_suite
+    assert len(checks) == 15 * 3
     _verdict(
         2,
         "commutator, Serre, divided-power composition exact on all l1+l2 <= 4",
         _all_pass(checks),
-        time.time() - start,
+        seconds,
     )
 
 
-def test_criteria_3_and_4_sigma_relations():
-    start = time.time()
-    checks = suites.sigma_suite(4)
+def test_criteria_3_and_4_sigma_relations(module_suite):
+    _, checks, seconds = module_suite
     by_name = {c["name"]: c for c in checks}
     three_way_ok = by_name["three-way-agreement"]["status"] == "pass"
     _verdict(
@@ -57,7 +70,7 @@ def test_criteria_3_and_4_sigma_relations():
         "string flip = N-matrix = normalized symmetry on every basis vector, "
         "both prefactor branches, l1+l2 <= 4",
         three_way_ok,
-        time.time() - start,
+        seconds,
     )
     relations_ok = (
         by_name["involutions"]["status"] == "pass"
@@ -70,7 +83,7 @@ def test_criteria_3_and_4_sigma_relations():
         "sigma^J involutions, sigma^I sigma^i = sigma^(i*) sigma^I, T-braid; "
         "orthogonal-union vacuous in rank 2",
         relations_ok and _all_pass(checks),
-        time.time() - start,
+        seconds,
     )
 
 

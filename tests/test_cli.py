@@ -141,6 +141,15 @@ def test_module_verify_report_schema(capsys):
         assert "name" in check and "anchor" in check
 
 
+def test_module_verify_all_is_the_three_families_in_order(capsys):
+    def checks(suite):
+        code, out = run(capsys, "module", "verify", "--l1", "1", "--l2", "1", "--suite", suite)
+        assert code == 0
+        return [{k: v for k, v in c.items() if k != "seconds"} for c in json.loads(out)["checks"]]
+
+    assert checks("all") == checks("relations") + checks("sigma") + checks("conjecture")
+
+
 def test_module_export(capsys, tmp_path):
     out_file = tmp_path / "matrices.json"
     code, _ = run(
@@ -225,6 +234,22 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    (["module", "verify", "--l1", "x", "--l2", "0"], "--l1", "'x'"),
+    (["verify-conjecture", "--max-degree", "1.5"], "--max-degree", "'1.5'"),
+    (["verify-conjecture", "--jobs", ""], "--jobs", "''"),
+    (["suite", "--name", "qarith", "--seed", "x"], "--seed", "'x'"),
+    (["coxeter", "kernel", "--type", "A2", "--subset", "1,,2"], "--subset", "'1,,2'"),
+    (["coxeter", "kernel", "--type", "A2", "--subset", "1,x"], "--subset", "'1,x'"),
+])
+def test_non_integer_arguments_name_the_bad_text(capsys, argv, option, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and text in err and "int()" not in err
 
 
 def test_gk_normalform_over_the_rewriting_budget_is_a_usage_error(monkeypatch, capsys):

@@ -226,6 +226,15 @@ class TestAction:
         for g in (V1, V2):
             assert act_gen(1, "E", generator(g)).is_zero()
 
+    def test_no_image_straightens_nothing(self, monkeypatch):
+        # E2 has no image on z1: there is no word to straighten
+        calls = []
+        straighten = gkmodel.normal_form
+        monkeypatch.setattr(gkmodel, "normal_form",
+                            lambda *args: calls.append(args) or straighten(*args))
+        assert act_gen(2, "E", generator(Z1)).is_zero()
+        assert calls == []
+
     def test_leibniz_on_square(self):
         # E1(z1 * z1) expands through the twisted rule to (q^(1/2)+q^(-3/2)) z1 v1
         x = word_element(Z1, Z1)

@@ -18,7 +18,7 @@ from qcactus.crystal import Pattern
 ])
 def test_sweep_clamps_jobs(monkeypatch, pool_sizes, lams, jobs, workers):
     monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
-    results = suites.sweep(lams, jobs)
+    results = suites.pool_map(suites.conjecture_task, lams, jobs)
     assert pool_sizes == workers
     assert [tuple(r["lambda"]) for r in results] == lams
     assert all(c["status"] == "pass" for r in results for c in r["checks"])
@@ -32,7 +32,7 @@ def test_sweep_clamps_jobs(monkeypatch, pool_sizes, lams, jobs, workers):
 ])
 def test_pool_map_clamps_jobs_to_items_and_cpus(monkeypatch, pool_sizes, jobs, cpus, workers):
     monkeypatch.setattr(suites, "usable_cpus", lambda: cpus)
-    assert suites._pool_map(str, range(5), jobs) == ["0", "1", "2", "3", "4"]
+    assert suites.pool_map(str, range(5), jobs) == ["0", "1", "2", "3", "4"]
     assert pool_sizes == workers
 
 
@@ -84,14 +84,28 @@ def test_relation_check_crash_is_a_failing_record(monkeypatch):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(repmodule, "act_divided", crash)
-    checks = suites.relations_suite(1)
-    names = [f"relations({l1},{l2}):{r}" for l1, l2 in ((0, 0), (0, 1), (1, 0))
+    names = [f"relations({l1},{l2}):{r}" for l1, l2 in suites.lambdas(4)
              for r in ("commutator", "serre", "divided-power")]
+    checks = suites.module_suite()[:len(names)]
     assert [c["name"] for c in checks] == names
     for c in checks:
         assert c["status"] == "fail"
         assert "injected" in c["witness"]["error"]
         assert c["seconds"] >= 0
+
+
+def test_module_suite_builds_each_module_once(monkeypatch):
+    built = []
+
+    class Counted(repmodule.ModuleVLambda):
+        def __init__(self, l1, l2):
+            built.append((l1, l2))
+            super().__init__(l1, l2)
+
+    monkeypatch.setattr(repmodule, "ModuleVLambda", Counted)
+    monkeypatch.setattr(suites, "_run", lambda *args: None)
+    suites.module_suite()
+    assert built == suites.lambdas(4)
 
 
 def test_sigma_checks_tabulate_each_T_and_sigma_once(monkeypatch):
@@ -243,6 +257,18 @@ def test_product_of_components_names_a_planted_stray_monomial(monkeypatch):
     record = _one_check(monkeypatch, suites.gk_suite, "product-of-components")
     assert record["status"] == "fail"
     assert record["witness"] == {"a": "1,0,0,0,0,0", "b": "0,0,0,0,0,1", "monomial": "z1*v2"}
+
+
+def test_composition_law_looks_up_a_first_factor_once_per_s(monkeypatch):
+    # per (l, k, s, kind): c(l,k,s) once, then c(l,k,s+t) and c(l,k-s,t) per t
+    expected = sum(2 * (1 + 2 * sum(1 for t in range(-l, l + 1) if s * t >= 0))
+                   for l in range(suites.MAX_STRING_LENGTH + 1)
+                   for k in range(l + 1) for s in range(-l, l + 1))
+    calls = []
+    kash_coeff = suites.kash_coeff
+    monkeypatch.setattr(suites, "kash_coeff", lambda *key: calls.append(key) or kash_coeff(*key))
+    assert _composition_law(monkeypatch)["status"] == "pass"
+    assert len(calls) == expected == 68_978
 
 
 def test_composition_law_forms_each_distinct_product_once(monkeypatch):
