@@ -36,9 +36,6 @@ class Weight:
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
     def scale(self, n: int) -> "Weight":
         return Weight(tuple(n * a for a in self.coords))
 
@@ -124,9 +121,6 @@ class CartanDatum:
 
     # -- weights -------------------------------------------------------------
 
-    def fundamental_weight(self, i: int) -> Weight:
-        return Weight(tuple(1 if j == i else 0 for j in self.indices))
-
     def simple_root(self, j: int) -> Weight:
         """alpha_j in fundamental-weight coordinates (column j of the Cartan matrix)."""
         return Weight(tuple(self.cartan[i - 1][j - 1] for i in self.indices))
@@ -178,19 +172,18 @@ def _rho_coroot(d: CartanDatum, J: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(c for (c,) in _eliminate(gram, [[1]] * len(J)))
 
 
-def rho_functionals(d: CartanDatum, J, mu: Weight) -> tuple[Fraction, Fraction]:
-    """((mu, rho_J), rho_J^vee(mu)).
+def rho_functionals(d: CartanDatum, J, mu: Weight) -> Fraction:
+    """rho_J^vee(mu), under the name perfbench traces.
 
     rho_J^vee takes the J-root-span component of mu and sums its coefficients;
     it kills everything orthogonal to the alpha_j, j in J.  The coefficients
     solve sum_j c_j (alpha_j, alpha_i) = (mu, alpha_i) for i in J.
     """
     J = tuple(sorted(set(J)))
-    value_form = form(d, mu, d.rho(J))
     if not J:
-        return Fraction(0), Fraction(0)
+        return Fraction(0)
     pairing = zip(_rho_coroot(d, J), J)
-    return value_form, sum((w * form_with_root(d, mu, i) for w, i in pairing), Fraction(0))
+    return sum((w * form_with_root(d, mu, i) for w, i in pairing), Fraction(0))
 
 
 def extremal_exponents(d: CartanDatum, word, lam: Weight) -> tuple[int, ...]:

@@ -117,9 +117,6 @@ class GroupElement:
         p = self.perm
         return GroupElement(bytes(sorted(range(len(p)), key=p.__getitem__)), self.datum)
 
-    def is_identity(self) -> bool:
-        return self.perm == self.datum.identity.perm
-
 
 class CoxeterDatum:
     """A finite Coxeter group presented by orders m_ij, realized on the root

@@ -72,15 +72,15 @@ class Pattern(_Entries):
     def l2(self) -> int:
         return self[5] + self[1] + self[2]
 
-    def entries(self) -> tuple[int, int, int, int, int, int]:
-        return tuple(self)
-
     def __str__(self):
         return ",".join(map(str, self))
 
     @staticmethod
     def parse(text: str) -> "Pattern":
-        parts = [int(x) for x in text.split(",")]
+        try:
+            parts = [int(x) for x in text.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 6:
             raise ValueError(f"expected six comma-separated integers, got {text!r}")
         return Pattern(*parts)

@@ -75,17 +75,6 @@ def monomial_str(m: Pattern) -> str:
                     for g, mult in enumerate(m) if mult) or "1"
 
 
-def one() -> ModuleVector:
-    """The unit of the model algebra."""
-    return ModuleVector({Pattern(0, 0, 0, 0, 0, 0): RatFunc.one()})
-
-
-def generator(g: int) -> ModuleVector:
-    ent = [0] * 6
-    ent[g] = 1
-    return ModuleVector({Pattern(*ent): RatFunc.one()})
-
-
 def weight(x: ModuleVector) -> tuple[int, int]:
     """Common weight of a homogeneous element; raises if mixed."""
     weights = set(map(weight_pair, x))

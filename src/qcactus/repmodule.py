@@ -31,16 +31,15 @@ def _qpoly(p: LaurentPoly) -> RatFunc:
 class ModuleVector(linalg.Row):
     """A finite combination of basis keys with RatFunc coefficients, kept as
     the sparse `Row` {key: coefficient}, which stores no zeros.  The keys are
-    crystal patterns: those of `module` for a vector of a ModuleVLambda, and
-    the exponents of normal-ordered monomials (with no module) for an element
-    of the model algebra.
+    crystal patterns: the basis patterns of a ModuleVLambda for a module
+    vector, and the exponents of normal-ordered monomials for an element of
+    the model algebra.
     """
 
-    __slots__ = ("module",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict | None = None, module: "ModuleVLambda | None" = None):
+    def __init__(self, coeffs: dict | None = None):
         super().__init__({m: c for m, c in (coeffs or {}).items() if not c.is_zero()})
-        self.module = module
 
     def add(self, m, value: RatFunc) -> None:
         """self[m] += value in place, dropping a zero sum."""
@@ -55,7 +54,7 @@ class ModuleVector(linalg.Row):
         return not self
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = ModuleVector(self, self.module)
+        out = ModuleVector(self)
         for m, c in other.items():
             out.add(m, c)
         return out
@@ -65,8 +64,8 @@ class ModuleVector(linalg.Row):
 
     def scale(self, factor: RatFunc) -> "ModuleVector":
         if factor.is_zero():
-            return ModuleVector({}, self.module)
-        return ModuleVector({m: c * factor for m, c in self.items()}, self.module)
+            return ModuleVector()
+        return ModuleVector({m: c * factor for m, c in self.items()})
 
     def __str__(self):
         if not self:
@@ -84,12 +83,11 @@ class OperatorMatrix(linalg.Matrix):
     sparse rows that `linalg` composes."""
 
     @property
-    def rows(self) -> list[list[RatFunc]]:  # the dense view, zeros included
+    def rows(self) -> list[list[RatFunc]]:
+        """The dense view, zeros included, kept only for `to_json` (`module
+        export`) and for perfbench's probes."""
         n = len(self)
         return [[row[j] for j in range(n)] for row in self]
-
-    def column(self, j: int) -> dict[int, RatFunc]:
-        return {i: row[j] for i, row in enumerate(self) if j in row}
 
     def to_json(self) -> list:
         return [[entry.to_json() for entry in row] for row in self.rows]
@@ -120,13 +118,10 @@ class ModuleVLambda:
         self._strings: dict[int, "_StringDecomposition"] = {}
         self._matrices: dict[str, OperatorMatrix] = {}
 
-    def zero(self) -> ModuleVector:
-        return ModuleVector({}, self)
-
     def basis_vector(self, m: Pattern) -> ModuleVector:
         if m not in self.index:
             raise ValueError(f"pattern {m} is not in the ({self.l1},{self.l2}) component")
-        return ModuleVector({m: RatFunc.one()}, self)
+        return ModuleVector({m: RatFunc.one()})
 
     def highest_vector(self) -> ModuleVector:
         return self.basis_vector(self.highest_pattern)
@@ -181,7 +176,7 @@ def act_divided(i: int, kind: str, r: int, vec: ModuleVector) -> ModuleVector:
         raise ValueError("divided-power exponent must be nonnegative")
     if r == 0:
         return vec
-    out = ModuleVector({}, vec.module)
+    out = ModuleVector()
     for m, c in vec.items():
         mi, mj, mij, m0i = _pattern_parts(i, m)
         if kind == "E":
@@ -268,13 +263,12 @@ def lusztig_T(i: int, sign: str, vec: ModuleVector) -> ModuleVector:
         raise ValueError(f"index must be 1 or 2, got {i}")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    mod = vec.module
     plus = sign == "+"
     inner_kind, mid_kind, outer_kind = ("F", "E", "F") if plus else ("E", "F", "E")
     parts: dict[int, ModuleVector] = {}
     for m, coeff in vec.items():
-        parts.setdefault(crystal.wt(i, m), ModuleVector({}, mod))[m] = coeff
-    out = ModuleVector({}, mod)
+        parts.setdefault(crystal.wt(i, m), ModuleVector())[m] = coeff
+    out = ModuleVector()
     for weight, part in parts.items():
         c = 0
         while True:
@@ -323,49 +317,39 @@ class _StringDecomposition:
     basis S, whose columns are the string vectors, with its inverse."""
 
     def __init__(self, mod: ModuleVLambda, i: int):
-        self.module = mod
-        self.i = i
-        self.strings: list[list[ModuleVector]] = []
+        vectors: list[ModuleVector] = []
         # per column of S: the weight of its string's top and its own weight
         self.lines: list[tuple[Weight, Weight]] = []
         # per column of S: the column of the same string at the mirrored depth
         self.reversal: list[int] = []
         raising = operator_matrix(mod, lambda m: act_divided(i, "E", 1, mod.basis_vector(m)))
-        block_order = sorted(mod.weight_blocks, key=lambda w: w.coords)
-        for beta in block_order:
+        alpha = mod.datum.simple_root(i)
+        for beta in sorted(mod.weight_blocks, key=lambda w: w.coords):
             idxs = mod.weight_blocks[beta]
             l = beta[i]
-            kernel = self._kernel_vectors(raising, beta, idxs)
+            target_idxs = mod.weight_blocks.get(beta + alpha)
+            if target_idxs:
+                block = [linalg.Row({c: raising[r][k] for c, k in enumerate(idxs)
+                                     if k in raising[r]}) for r in target_idxs]
+                kernel = linalg.nullspace(block, len(idxs))
+            else:
+                # the raising operator kills the whole block
+                kernel = linalg.identity(len(idxs))
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:
-                top = ModuleVector({mod.basis[idxs[k]]: c for k, c in coords.items()}, mod)
-                chain = [top]
-                for depth in range(1, l + 1):
-                    chain.append(act_divided(i, "F", depth, top))
+                top = ModuleVector({mod.basis[idxs[k]]: c for k, c in coords.items()})
+                vectors.append(top)
+                vectors.extend(act_divided(i, "F", depth, top) for depth in range(1, l + 1))
                 if not act_divided(i, "F", l + 1, top).is_zero():
                     raise RuntimeError("string does not terminate at its stated length")
-                self.strings.append(chain)
                 start = len(self.lines)
-                self.lines.extend((beta, beta - mod.datum.simple_root(i).scale(depth))
-                                  for depth in range(l + 1))
+                self.lines.extend((beta, beta - alpha.scale(depth)) for depth in range(l + 1))
                 self.reversal.extend(range(start + l, start - 1, -1))
         if len(self.lines) != mod.dim:
             raise RuntimeError("string vectors do not fill the module")
-        vectors = [v for chain in self.strings for v in chain]
         self.basis = operator_matrix(mod, lambda m: vectors[mod.index[m]])
         self.inverse = linalg.invert(self.basis)
-
-    def _kernel_vectors(self, raising, beta: Weight, idxs) -> linalg.Matrix:
-        mod = self.module
-        target = beta + mod.datum.simple_root(self.i)
-        target_idxs = mod.weight_blocks.get(target, [])
-        if not target_idxs:
-            # the raising operator kills the whole block
-            return linalg.identity(len(idxs))
-        block = [linalg.Row({c: raising[r][k] for c, k in enumerate(idxs) if k in raising[r]})
-                 for r in target_idxs]
-        return linalg.nullspace(block, len(idxs))
 
 
 def matrix_flip(i: int, mod: ModuleVLambda) -> OperatorMatrix:
@@ -381,7 +365,7 @@ def matrix_flip(i: int, mod: ModuleVLambda) -> OperatorMatrix:
 
 
 def _sign_exponent(d, J, arg: Weight) -> int:
-    value = cartan.rho_functionals(d, J, arg)[1]
+    value = cartan.rho_functionals(d, J, arg)
     if value.denominator != 1:
         raise ArithmeticError(f"sign exponent {value} is not an integer")
     return int(value)
@@ -433,25 +417,23 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     return OperatorMatrix(branches[0])
 
 
-def sigma_J(J, vec: ModuleVector) -> ModuleVector:
+def sigma_J(J, mod: ModuleVLambda, vec: ModuleVector) -> ModuleVector:
     """The parabolic involution for a nonempty J in {1, 2}, applied to a vector
-    through its matrix."""
+    of `mod` through its matrix."""
     J = tuple(sorted(set(J)))
     if not J:
         raise ValueError("J must be nonempty")
-    mod = vec.module
     column = [linalg.Row({0: vec[m]} if m in vec else ()) for m in mod.basis]
     image = linalg.mat_mul(mod.matrix("sigma" + "".join(map(str, J))), column)
-    return ModuleVector({m: row[0] for m, row in zip(mod.basis, image)}, mod)
+    return ModuleVector({m: row[0] for m, row in zip(mod.basis, image)})
 
 
 # -- extremal vectors -------------------------------------------------------------------------
 
 
-def descend(word, vec: ModuleVector) -> ModuleVector:
+def descend(word, mod: ModuleVLambda, vec: ModuleVector) -> ModuleVector:
     """F_(i_1)^(a_1) ... F_(i_m)^(a_m) vec, with the extremal exponents of the
-    reduced word for the highest weight of vec's module."""
-    mod = vec.module
+    reduced word for the highest weight of `mod`."""
     exps = cartan.extremal_exponents(mod.datum, word, mod.highest_weight)
     for k in range(len(word) - 1, -1, -1):
         vec = act_divided(word[k], "F", exps[k], vec)
@@ -461,4 +443,4 @@ def descend(word, vec: ModuleVector) -> ModuleVector:
 def extremal_vector(w: coxeter.GroupElement, mod: ModuleVLambda) -> ModuleVector:
     """The w-extremal vector: the divided-power descent of the highest-weight
     line along the deterministic reduced word of w."""
-    return descend(coxeter.reduced_word(w), mod.highest_vector())
+    return descend(coxeter.reduced_word(w), mod, mod.highest_vector())

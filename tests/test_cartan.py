@@ -15,7 +15,7 @@ def d():
 
 
 def test_form_values(d):
-    w1 = d.fundamental_weight(1)
+    w1 = Weight((1, 0))
     a1 = d.simple_root(1)
     assert ct.form(d, w1, w1) == Fraction(2, 3)
     assert ct.form(d, a1, a1) == 2
@@ -31,12 +31,11 @@ def test_symmetrizers_minimal():
 
 
 def test_weyl_act(d):
-    w1 = d.fundamental_weight(1)
-    w2 = d.fundamental_weight(2)
+    w1 = Weight((1, 0))
     assert d.reflect(1, w1) == Weight((-1, 1))
     assert d.reflect(1, Weight((0, 5))) == Weight((0, 5))
     w0 = cx.longest_element(d.coxeter, (1, 2))
-    assert ct.weyl_act(d, w0, w1) == -w2
+    assert ct.weyl_act(d, w0, w1) == Weight((0, -1))
 
 
 def test_form_invariance(d):
@@ -53,13 +52,13 @@ def test_form_invariance(d):
 def test_rho_functionals(d):
     full = (1, 2)
     a1 = d.simple_root(1)
-    assert ct.rho_functionals(d, full, a1)[1] == 1
-    assert ct.rho_functionals(d, full, d.fundamental_weight(1))[1] == 1
-    assert ct.rho_functionals(d, (), d.fundamental_weight(1)) == (0, 0)
+    assert ct.rho_functionals(d, full, a1) == 1
+    assert ct.rho_functionals(d, full, Weight((1, 0))) == 1
+    assert ct.rho_functionals(d, (), Weight((1, 0))) == 0
     # rho_J^vee lands in (1/2)Z on the weight lattice
     for coords in [(1, 0), (0, 1), (2, -1), (-3, 5)]:
         for J in ((1,), (2,), (1, 2)):
-            value = ct.rho_functionals(d, J, Weight(coords))[1]
+            value = ct.rho_functionals(d, J, Weight(coords))
             assert (2 * value).denominator == 1
 
 
@@ -68,7 +67,7 @@ def _rho_functionals_per_call(d, J, mu):
     J = sorted(set(J))
     gram = [[ct.form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
     coeffs = ct._eliminate(gram, [[ct.form_with_root(d, mu, i)] for i in J])
-    return ct.form(d, mu, d.rho(J)), sum((c for (c,) in coeffs), Fraction(0))
+    return sum((c for (c,) in coeffs), Fraction(0))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
@@ -83,7 +82,7 @@ def test_rho_functionals_match_a_per_call_solve(name):
 
 
 def test_extremal_exponents(d):
-    w1 = d.fundamental_weight(1)
+    w1 = Weight((1, 0))
     rho = d.rho()
     assert ct.extremal_exponents(d, (1, 2, 1), w1) == (0, 1, 1)
     assert ct.extremal_exponents(d, (1, 2, 1), rho) == (1, 2, 1)
@@ -102,7 +101,7 @@ def test_extremal_exponents_nonnegative(d):
 
 def test_extremal_exponent_errors(d):
     with pytest.raises(ValueError):
-        ct.extremal_exponents(d, (1, 1), d.fundamental_weight(1))
+        ct.extremal_exponents(d, (1, 1), Weight((1, 0)))
     with pytest.raises(ValueError):
         ct.extremal_exponents(d, (1,), Weight((-1, 0)))
 

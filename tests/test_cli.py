@@ -243,6 +243,8 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     (["suite", "--name", "qarith", "--seed", "x"], "--seed", "'x'"),
     (["coxeter", "kernel", "--type", "A2", "--subset", "1,,2"], "--subset", "'1,,2'"),
     (["coxeter", "kernel", "--type", "A2", "--subset", "1,x"], "--subset", "'1,x'"),
+    (["crystal", "apply", "--pattern", "1,x,0,0,0,0", "--ops", "sigma"], "--pattern",
+     "expected six comma-separated integers, got '1,x,0,0,0,0'"),
 ])
 def test_non_integer_arguments_name_the_bad_text(capsys, argv, option, text):
     with pytest.raises(SystemExit) as exc:

@@ -37,8 +37,8 @@ def test_group_orders(data):
 
 def test_from_word(data):
     a2 = data["A2"]
-    assert cx.from_word(a2, ()).is_identity()
-    assert cx.from_word(a2, (1, 1)).is_identity()
+    assert cx.from_word(a2, ()) == a2.identity
+    assert cx.from_word(a2, (1, 1)) == a2.identity
     assert cx.from_word(a2, (1, 2, 1)) == cx.from_word(a2, (2, 1, 2))
     with pytest.raises(ValueError):
         cx.from_word(a2, (3,))
@@ -75,7 +75,7 @@ def test_longest_element(data):
         for i in d.indices:
             assert cx.longest_element(d, (i,)) == d.generators[i]
         w0 = cx.longest_element(d, d.indices)
-        assert (w0 * w0).is_identity()
+        assert w0 * w0 == d.identity
         for i in d.indices:
             assert cx.length(d.generators[i] * w0) < cx.length(w0)
     a2 = data["A2"]
@@ -156,8 +156,8 @@ def test_closed_factorization(data):
 def test_inverse(data):
     for name, d in data.items():
         for w in d.elements():
-            assert (w * w.inverse()).is_identity(), name
-            assert (w.inverse() * w).is_identity(), name
+            assert w * w.inverse() == d.identity, name
+            assert w.inverse() * w == d.identity, name
             assert w.inverse().inverse() == w, name
 
 

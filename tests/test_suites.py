@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from qcactus import gkmodel, linalg, qarith, repmodule, suites
+from qcactus import crystal, gkmodel, linalg, qarith, repmodule, suites
 from qcactus.crystal import Pattern
 
 
@@ -216,14 +216,14 @@ def test_conjecture_gcds_need_no_fallback(monkeypatch):
 
 
 def _one_check(monkeypatch, suite, name):
-    """The record of one check of a suite, the other checks skipped."""
+    """The record of one check of a suite, the other checks not run."""
     run = suites._run
     monkeypatch.setattr(
         suites, "_run",
         lambda checks, check, anchor, fn: run(checks, check, anchor, fn)
         if check == name else None,
     )
-    (record,) = suite(3)
+    (record,) = [c for c in suite(3) if c["name"] == name]
     return record
 
 
@@ -257,6 +257,70 @@ def test_product_of_components_names_a_planted_stray_monomial(monkeypatch):
     record = _one_check(monkeypatch, suites.gk_suite, "product-of-components")
     assert record["status"] == "fail"
     assert record["witness"] == {"a": "1,0,0,0,0,0", "b": "0,0,0,0,0,1", "monomial": "z1*v2"}
+
+
+def _plant(monkeypatch, builder, at, row, col):
+    """Add 1 to the entry at the patterns (row, col) of the matrix that
+    `repmodule.<builder>` builds from the leading arguments `at` for the
+    (1,1) module; every other matrix is left as built."""
+    build = getattr(repmodule, builder)
+
+    def planted(*args):
+        a, mod = build(*args), args[-1]
+        if args[:-1] == at and (mod.l1, mod.l2) == (1, 1):
+            r, c = mod.index[row], mod.index[col]
+            a[r][c] = a[r][c] + qarith.RatFunc.one()
+        return a
+
+    monkeypatch.setattr(repmodule, builder, planted)
+
+
+ADJOINT = crystal.enumerate_component(1, 1)
+
+
+def _lead(col):
+    """The (row, col) of the entry of N1 and sigma1 in the row of
+    sigma_1(col), 1 at v = 0."""
+    return crystal.sigma_i(1, col), col
+
+
+@pytest.mark.parametrize("n_col, sigma_col, named, pair", [
+    (-1, None, -1, "string/N"),
+    (None, -1, -1, "string/T"),
+    (-1, -1, -1, "string/N"),
+    (-1, 0, 0, "string/T"),
+    (0, -1, 0, "string/N"),
+])
+def test_three_way_agreement_names_the_first_planted_column(monkeypatch, n_col, sigma_col,
+                                                            named, pair):
+    if n_col is not None:
+        _plant(monkeypatch, "matrix_N", (1,), *_lead(ADJOINT[n_col]))
+    if sigma_col is not None:
+        _plant(monkeypatch, "matrix_sigma", ((1,),), *_lead(ADJOINT[sigma_col]))
+    record = suites.sigma_checks([repmodule.ModuleVLambda(1, 1)])[0]
+    assert record["name"] == "three-way-agreement" and record["status"] == "fail"
+    assert record["witness"] == {"lambda": [1, 1], "i": 1, "m": str(ADJOINT[named]),
+                                 "pair": pair}
+
+
+def test_crystal_shadow_names_a_planted_column(monkeypatch):
+    # the lead entry of the last column becomes 2 at v = 0
+    _plant(monkeypatch, "matrix_N", (1,), *_lead(ADJOINT[-1]))
+    record = _one_check(monkeypatch, lambda seed: suites.module_suite(), "crystal-shadow")
+    assert record["status"] == "fail"
+    witness = record["witness"]
+    assert {k: witness[k] for k in ("lambda", "i", "m")} == {
+        "lambda": [1, 1], "i": 1, "m": str(ADJOINT[-1])}
+    assert "row" not in witness
+
+
+def test_weight_bookkeeping_names_a_planted_column(monkeypatch):
+    # T1+ sends the highest weight (1,1) to (-1,2), never to the lowest (-1,-1)
+    highest = Pattern(0, 0, 0, 0, 1, 1)
+    _plant(monkeypatch, "matrix_T", (1, "+"), crystal.sigma_outer(highest), highest)
+    record = _one_check(monkeypatch, lambda seed: suites.module_suite(), "weight-bookkeeping")
+    assert record["status"] == "fail"
+    assert record["witness"] == {"lambda": [1, 1], "op": "T", "i": 1, "m": str(highest)}
 
 
 def test_composition_law_looks_up_a_first_factor_once_per_s(monkeypatch):
