@@ -17,12 +17,16 @@ import time
 from . import coxeter, crystal, gkmodel, repmodule, suites
 
 TOOL_VERSION = "qcactus 0.1.0"
+#: the version of the report layout; 2 adds `via` to the derived records and
+#: modules of `verify-conjecture` (reports before it have no `schema` field)
+REPORT_SCHEMA = 2
 
 
 def _report(command: str, config: dict, checks: list[dict], started: float) -> dict:
     failures = sum(1 for c in checks if c["status"] == "fail")
     return {
         "tool": TOOL_VERSION,
+        "schema": REPORT_SCHEMA,
         "command": command,
         "config": config,
         "checks": checks,
@@ -48,7 +52,10 @@ def _emit(report: dict, out: str | None) -> int:
 
 def cmd_verify_conjecture(max_degree: int, jobs: int, out: str | None) -> int:
     started = time.perf_counter()
-    results = suites.pool_map(suites.conjecture_task, sorted(suites.lambdas(max_degree)), jobs)
+    # one task per pair V(l1,l2), V(l2,l1); the report lists the modules sorted
+    tasks = [lam for lam in sorted(suites.lambdas(max_degree)) if lam[0] <= lam[1]]
+    results = sorted((r for pair in suites.pool_map(suites.conjecture_pair_task, tasks, jobs)
+                      for r in pair), key=lambda r: r["lambda"])
     checks = [dict(c, dim=r["dim"]) for r in results for c in r["checks"]]
     report = _report(
         "verify-conjecture",
@@ -56,9 +63,8 @@ def cmd_verify_conjecture(max_degree: int, jobs: int, out: str | None) -> int:
         checks,
         started,
     )
-    report["modules"] = [
-        {"lambda": r["lambda"], "dim": r["dim"], "seconds": r["seconds"]} for r in results
-    ]
+    report["modules"] = [{k: r[k] for k in ("lambda", "dim", "seconds", "via") if k in r}
+                         for r in results]
     return _emit(report, out)
 
 

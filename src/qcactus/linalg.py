@@ -72,6 +72,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def permute(a: Matrix, perm: list[int]) -> Matrix:
+    """Q A Q^{-1} for the permutation matrix Q that sends basis vector j to
+    perm[j]: entry (i, j) moves to (perm[i], perm[j]), with no arithmetic."""
+    out = [Row() for _ in a]
+    for i, row in enumerate(a):
+        out[perm[i]] = Row({perm[j]: x for j, x in row.items()})
+    return out
+
+
 def is_identity(a: Matrix) -> bool:
     return all(len(row) == 1 and row[i].is_one() for i, row in enumerate(a))
 

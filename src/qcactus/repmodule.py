@@ -6,7 +6,8 @@ matrices, modified braid-group symmetries, and the involutions built three
 independent ways:
 
   * string flips S R S^{-1} on the string basis S from exact kernels,
-  * conjugated permutation matrices N = C P C^{-1},
+  * conjugated permutation matrices N = C P C^{-1}, N2 moved from N1 by the
+    outer involution (matrix_N),
   * the normalized symmetry prefactor times the braid operators.
 
 Every operator is a matrix tabulated once per module from its action on the
@@ -239,9 +240,39 @@ def matrix_P(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     return operator_matrix(mod, lambda m: mod.basis_vector(crystal.sigma_i(i, m)))
 
 
+def basis_permutation(fn, mod: ModuleVLambda, target: ModuleVLambda | None = None) -> list[int]:
+    """The permutation of basis indices that the pattern map `fn` induces from
+    `mod` onto `target` (by default `mod` itself): j -> index of fn(basis[j])."""
+    index = (target or mod).index
+    return [index[fn(m)] for m in mod.basis]
+
+
+def transport_difference(a: linalg.Matrix, b: linalg.Matrix,
+                         perm: list[int]) -> tuple[int, int] | None:
+    """The first entry (row, column), in basis order, where `a` differs from
+    Q b Q^{-1}, Q the permutation matrix of `perm`; None when they are equal."""
+    for r, (x, y) in enumerate(zip(a, linalg.permute(b, perm))):
+        if x != y:
+            return r, min(j for j in x.keys() | y.keys() if x[j] != y[j])
+    return None
+
+
 def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
-    """Matrix of the index-i involution on the pattern basis, by conjugating
-    the crystal permutation with the change of basis."""
+    """Matrix of the index-i involution on the pattern basis, C_i P_i C_i^{-1}.
+
+    N2 is formed as P N1 P, P the permutation matrix of crystal.sigma_outer,
+    once C2 = P C1 P and P2 = P P1 P are checked entry by entry; conjugating by
+    a permutation commutes with products and inverses, so it equals
+    C2 P2 C2^{-1}.  A failed check raises ValueError naming the matrix and its
+    first differing entry by (row pattern, column pattern)."""
+    if i == 2:
+        outer = basis_permutation(crystal.sigma_outer, mod)
+        for kind in ("C", "P"):
+            entry = transport_difference(mod.matrix(f"{kind}2"), mod.matrix(f"{kind}1"), outer)
+            if entry:
+                row, col = (str(mod.basis[k]) for k in entry)
+                raise ValueError(f"{kind}2 differs from P {kind}1 P at row {row}, column {col}")
+        return OperatorMatrix(linalg.permute(mod.matrix("N1"), outer))
     c, p = mod.matrix(f"C{i}"), mod.matrix(f"P{i}")
     c_inv = linalg.invert(c)
     cp = linalg.mat_mul(c, p)

@@ -723,14 +723,15 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
 
     @functools.cache
     def shared():
-        # M = N1 N2 and R = N2 M, shared by braid and cube; a crash is not
-        # cached, so it fails both checks
-        m = linalg.mat_mul(n(1), n(2))
-        return m, linalg.mat_mul(n(2), m)
+        # L = N1 N2 N1 and R = N2 N1 N2, shared by braid and cube.  N2 is
+        # P N1 P (repmodule.matrix_N), so R = P L P is L with its entries moved;
+        # a crash is not cached, so it fails both checks
+        left = linalg.mat_mul(linalg.mat_mul(n(1), n(2)), n(1))
+        return left, linalg.permute(left, repmodule.basis_permutation(crystal.sigma_outer, mod))
 
     def braid():
-        m, rhs = shared()
-        if linalg.mat_mul(m, n(1)) != rhs:
+        left, right = shared()
+        if left != right:
             return {"lambda": [l1, l2]}
         return None
 
@@ -751,6 +752,59 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
     return checks
 
 
+#: the check of V(l1,l2) whose verdict each check of V(l2,l1) takes: the swap
+#: exchanges N1 and N2, and (N2 N1)^3 = N1^{-1} (N1 N2)^3 N1
+_TWIN = {"involution-N1": "involution-N2", "involution-N2": "involution-N1",
+         "braid": "braid", "cube": "cube"}
+
+
+def swapped_checks(mod: repmodule.ModuleVLambda, checks: list[dict]) -> list[dict]:
+    """The conjecture records of V(l2,l1), derived from `checks`, the
+    conjecture records of `mod` = V(l1,l2), through the diagram swap; each
+    carries "via": [l1, l2].
+
+    The swap tau (crystal.diagram_swap) maps the basis of V(l1,l2) onto that
+    of V(l2,l1).  Once it is checked, entry by entry, to carry C_i and P_i of
+    `mod` to C_(3-i) and P_(3-i) of V(l2,l1), the N_i of V(l2,l1) are the
+    tau-conjugates of N_(3-i), so each check takes its twin's verdict.  A
+    failed transport fails all four records, naming the matrix of V(l2,l1)
+    and its first differing entry.  V(l2,l1) is held only in this call."""
+    l1, l2 = mod.l1, mod.l2
+    partner = repmodule.ModuleVLambda(l2, l1)
+    tau = repmodule.basis_permutation(crystal.diagram_swap, mod, partner)
+
+    @functools.cache
+    def transport():
+        for tag in ("C1", "C2", "P1", "P2"):
+            source = mod.matrix(f"{tag[0]}{3 - int(tag[1])}")
+            entry = repmodule.transport_difference(partner.matrix(tag), source, tau)
+            if entry:
+                return {"lambda": [l2, l1], "transport": tag,
+                        "entry": [str(partner.basis[k]) for k in entry]}
+        return None
+
+    def derived(twin):
+        def fn():
+            witness = transport()
+            if witness is None and twin["status"] == "fail":
+                # the twin's witness, restated for V(l2,l1)
+                witness = dict(twin.get("witness", {}))
+                if "lambda" in witness:
+                    witness["lambda"] = [l2, l1]
+                if "i" in witness:
+                    witness["i"] = 3 - witness["i"]
+            return witness
+
+        return fn
+
+    # each record keeps the name and anchor of its own check, in report order
+    twins = {rec["name"].split("(")[0]: rec for rec in checks}
+    records: list[dict] = []
+    for name, rec in twins.items():
+        _run(records, f"{name}({l2},{l1})", rec["anchor"], derived(twins[_TWIN[name]]))
+    return [dict(rec, via=[l1, l2]) for rec in records]
+
+
 #: the check families that run on one module, in report order
 MODULE_FAMILIES = {
     "relations": relations_checks,
@@ -759,23 +813,39 @@ MODULE_FAMILIES = {
 }
 
 
+def _task_result(lam, dim: int, checks: list[dict], t0: float, **extra) -> dict:
+    return {"lambda": list(lam), "dim": dim, "checks": checks,
+            "seconds": round(time.perf_counter() - t0, 4), **extra}
+
+
 def module_task(lam: tuple[int, int], families: tuple[str, ...]) -> dict:
     """Build the module of highest weight `lam` and run the named families of
     MODULE_FAMILIES on it, in the order given; `seconds` is wall time."""
     t0 = time.perf_counter()
     mod = repmodule.ModuleVLambda(*lam)
     checks = [rec for family in families for rec in MODULE_FAMILIES[family](mod)]
-    return {
-        "lambda": list(lam),
-        "dim": mod.dim,
-        "checks": checks,
-        "seconds": round(time.perf_counter() - t0, 4),
-    }
+    return _task_result(lam, mod.dim, checks, t0)
 
 
 def conjecture_task(lam: tuple[int, int]) -> dict:
-    """One sweep task: the conjecture checks of one module."""
+    """The conjecture checks of one module, proved on that module alone."""
     return module_task(lam, ("conjecture",))
+
+
+def conjecture_pair_task(lam: tuple[int, int]) -> list[dict]:
+    """One sweep task for l1 <= l2: the result of conjecture_task(lam) and,
+    when l1 < l2, that of V(l2,l1), whose records swapped_checks derives and
+    whose result carries "via": [l1, l2]; `seconds` is wall time."""
+    t0 = time.perf_counter()
+    mod = repmodule.ModuleVLambda(*lam)
+    checks = conjecture_checks(mod)
+    results = [_task_result(lam, mod.dim, checks, t0)]
+    l1, l2 = lam
+    if l1 < l2:
+        t0 = time.perf_counter()
+        results.append(_task_result((l2, l1), mod.dim, swapped_checks(mod, checks), t0,
+                                    via=[l1, l2]))
+    return results
 
 
 def usable_cpus() -> int:

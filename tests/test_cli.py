@@ -129,6 +129,44 @@ def test_verify_conjecture_small(capsys, tmp_path):
     assert lams == sorted(lams)
 
 
+def test_verify_conjecture_maps_one_task_per_swap_pair(monkeypatch, capsys, pool_sizes):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
+    tasks = []
+    pair_task = suites.conjecture_pair_task
+    monkeypatch.setattr(suites, "conjecture_pair_task",
+                        lambda lam: tasks.append(lam) or pair_task(lam))
+    code, out = run(capsys, "verify-conjecture", "--max-degree", "4", "--jobs", "2")
+    assert code == 0 and pool_sizes == [2]
+    assert tasks == [lam for lam in sorted(suites.lambdas(4)) if lam[0] <= lam[1]]
+    report = json.loads(out)
+    lams = sorted(suites.lambdas(4))
+    assert [tuple(m["lambda"]) for m in report["modules"]] == lams
+    for m in report["modules"]:
+        l1, l2 = m["lambda"]
+        assert m.get("via") == ([l2, l1] if l1 > l2 else None)
+    # every module's four records, in module order, with the module's dim and via
+    names = [f"{c}({l1},{l2})" for l1, l2 in lams
+             for c in ("involution-N1", "involution-N2", "braid", "cube")]
+    assert [c["name"] for c in report["checks"]] == names
+    modules = {"({},{})".format(*m["lambda"]): m for m in report["modules"]}
+    for c in report["checks"]:
+        module = modules[c["name"][c["name"].index("("):]]
+        assert c["status"] == "pass" and c["dim"] == module["dim"]
+        assert c.get("via") == module.get("via")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-conjecture", "--max-degree", "1"),
+    ("module", "verify", "--l1", "1", "--l2", "0", "--suite", "conjecture"),
+    ("suite", "--name", "crystal", "--seed", "1"),
+    ("coxeter", "kernel", "--type", "A2", "--subset", "1"),
+])
+def test_every_report_names_its_schema(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["schema"] == cli.REPORT_SCHEMA == 2
+
+
 def test_module_verify_report_schema(capsys):
     code, out = run(capsys, "module", "verify", "--l1", "1", "--l2", "0", "--suite", "all")
     assert code == 0

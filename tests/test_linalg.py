@@ -286,3 +286,38 @@ def test_mat_mul_forms_a_repeated_row_once(monkeypatch):
     calls.clear()
     assert dense(linalg.mat_mul(sparse([row, row]), sparse(b)), 4) == expected
     assert 2 * len(calls) == reference_calls == 24
+
+
+def test_permute_commutes_with_products_and_inverses():
+    # Q A Q^{-1} for random A, B and a random permutation Q, against the
+    # products with the permutation matrix Q itself
+    rng = random.Random(11)
+    checked = 0
+    while checked < 8:
+        n = rng.randint(2, 5)
+        a, b = (sparse([[rnd_entry(rng) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+        perm = rng.sample(range(n), n)
+        q = [linalg.Row() for _ in range(n)]
+        for j, i in enumerate(perm):
+            q[i][j] = RatFunc.one()
+        q_inv = [linalg.Row({i: RatFunc.one()}) for i in perm]
+        moved = linalg.permute(a, perm)
+        assert moved == linalg.mat_mul(linalg.mat_mul(q, a), q_inv)
+        assert stores_no_zero(moved)
+        assert linalg.permute(linalg.mat_mul(a, b), perm) == linalg.mat_mul(
+            moved, linalg.permute(b, perm))
+        try:
+            a_inv = linalg.invert(a)
+        except ValueError:
+            continue
+        assert linalg.permute(a_inv, perm) == linalg.invert(moved)
+        checked += 1
+
+
+def test_permute_by_an_involution_twice_returns_the_matrix():
+    rng = random.Random(5)
+    n = 6
+    a = sparse([[rnd_entry(rng) for _ in range(n)] for _ in range(n)])
+    swap = [1, 0, 2, 5, 4, 3]
+    assert linalg.permute(a, swap) != a
+    assert linalg.permute(linalg.permute(a, swap), swap) == a

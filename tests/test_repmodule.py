@@ -159,6 +159,30 @@ class TestInvolutionMatrices:
         assert at(rm.OperatorMatrix(linalg.invert(mod.matrix(f"C{i}"))).rows) == c_inv
         assert at(mod.matrix(f"N{i}").rows) == _fraction_mul(_fraction_mul(c, p), c_inv)
 
+    def test_n2_equals_the_unreduced_conjugate(self):
+        # N2 is built as P N1 P; on every module of degree <= 6 it equals
+        # C2 P2 C2^{-1}, formed without the outer involution
+        for lam in suites.lambdas(6):
+            mod = rm.ModuleVLambda(*lam)
+            assert mod.matrix("N2") == unreduced_n2(mod), lam
+
+    def test_a_planted_p2_fault_is_named_by_the_n2_check(self, monkeypatch):
+        mod = rm.ModuleVLambda(1, 1)
+        row, col = mod.basis[1], mod.basis[4]
+        build = rm.matrix_P
+
+        def planted(i, module):
+            a = build(i, module)
+            if i == 2:
+                r, c = module.index[row], module.index[col]
+                a[r][c] = a[r][c] + RatFunc.one()
+            return a
+
+        monkeypatch.setattr(rm, "matrix_P", planted)
+        with pytest.raises(ValueError, match="P2 differs from P P1 P") as err:
+            mod.matrix("N2")
+        assert f"row {row}, column {col}" in str(err.value)
+
     @pytest.mark.parametrize("lam", [(3, 3), (4, 4), (5, 5)])
     def test_integer_oracle(self, lam):
         verdicts = integer_oracle(rm.ModuleVLambda(*lam))
@@ -280,9 +304,16 @@ def _conjecture_sides(dim, m1, s1, m2, s2):
     }
 
 
+def unreduced_n2(mod):
+    """C2 P2 C2^{-1}, formed with linalg and without the outer involution."""
+    c = mod.matrix("C2")
+    return linalg.mat_mul(linalg.mat_mul(c, mod.matrix("P2")), linalg.invert(c))
+
+
 def integer_oracle(mod):
-    """The conjecture identities of one module decided over Z, by name."""
-    cleared = [_Cleared(mod.matrix(f"N{i}")) for i in (1, 2)]
+    """The conjecture identities of one module decided over Z, by name; N2 is
+    the unreduced C2 P2 C2^{-1}, so the oracle stays off the P N1 P path."""
+    cleared = [_Cleared(n) for n in (mod.matrix("N1"), unreduced_n2(mod))]
     (n1, t1), (n2, t2) = (c.norms() for c in cleared)
     bound = 0
     for lhs, rhs in _conjecture_sides(mod.dim, n1, t1, n2, t2).values():

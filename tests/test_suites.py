@@ -160,9 +160,10 @@ def test_braid_and_cube_share_their_products(monkeypatch):
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
     checks = suites.conjecture_checks(mod)
     assert [c["status"] for c in checks] == ["pass"] * 4
-    # N1 N1 and N2 N2; M = N1 N2, R = N2 M and L = M N1 for braid; then the
-    # cube as N1 (N2 (N1 R)), three products that each have a factor N_i
-    assert len(products) == 8
+    # N1 N1 and N2 N2; M = N1 N2 and L = M N1, shared by braid and cube, with
+    # R = P L P moved, not multiplied; then the cube as N1 (N2 (N1 R)), three
+    # products that each have a factor N_i
+    assert len(products) == 7
 
 
 def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkeypatch):
@@ -178,9 +179,9 @@ def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkey
 
     def crash_in(product):
         # crash the products of one step; the involutions square N_i, M = N1 N2
-        # and R = N2 M are shared by braid and cube, L = M N1 is braid's alone,
+        # and L = M N1 are shared by braid and cube (R = P L P is no product),
         # and the cube's chain starts from N1 R
-        steps = {"R": lambda a, b: a is n2 and b is not n2,
+        steps = {"M": lambda a, b: a is n1 and b is n2,
                  "L": lambda a, b: a is not n1 and b is n1,
                  "N1 R": lambda a, b: a is n1 and b is not n1 and b is not n2}
         return "mat_mul", lambda a, b: crash() if steps[product](a, b) else mat_mul(a, b)
@@ -188,8 +189,8 @@ def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkey
     names = ("involution-N1(1,1)", "involution-N2(1,1)", "braid(1,1)", "cube(1,1)")
     for target, patch, fresh, crashed in (
         (repmodule, ("matrix_N", crash_n2), True, names[1:]),
-        (linalg, crash_in("R"), False, names[2:]),
-        (linalg, crash_in("L"), False, names[2:3]),
+        (linalg, crash_in("M"), False, names[2:]),
+        (linalg, crash_in("L"), False, names[2:]),
         (linalg, crash_in("N1 R"), False, names[3:]),
     ):
         with monkeypatch.context() as patched:
@@ -202,6 +203,69 @@ def test_conjecture_crash_is_a_failing_record_in_every_check_that_uses_it(monkey
                 assert "injected" in rec["witness"]["error"]
             else:
                 assert rec["status"] == "pass", (patch[0], rec["name"])
+
+
+def _strip(records, *keys):
+    return [{k: v for k, v in rec.items() if k not in keys} for rec in records]
+
+
+def test_pair_task_derives_the_records_of_the_swapped_module():
+    for l1, l2 in suites.lambdas(6):
+        if l1 > l2:
+            continue
+        results = suites.conjecture_pair_task((l1, l2))
+        direct = suites.conjecture_task((l1, l2))
+        assert (results[0]["lambda"], results[0]["dim"]) == (direct["lambda"], direct["dim"])
+        assert _strip(results[0]["checks"], "seconds") == _strip(direct["checks"], "seconds")
+        assert "via" not in results[0]
+        if l1 == l2:
+            assert len(results) == 1
+            continue
+        derived, swapped = results[1], suites.conjecture_task((l2, l1))
+        assert derived["via"] == [l1, l2]
+        assert all(rec["via"] == [l1, l2] for rec in derived["checks"])
+        assert (derived["lambda"], derived["dim"]) == (swapped["lambda"], swapped["dim"])
+        assert _strip(derived["checks"], "seconds", "via") == _strip(swapped["checks"],
+                                                                     "seconds")
+
+
+def test_a_planted_c2_fault_fails_every_check_of_n2_with_its_entry(monkeypatch):
+    basis = crystal.enumerate_component(2, 2)
+    row, col = basis[3], basis[17]
+    _plant(monkeypatch, "matrix_C", (2,), row, col, lam=(2, 2))
+    checks = suites.conjecture_task((2, 2))["checks"]
+    assert [c["status"] for c in checks] == ["pass", "fail", "fail", "fail"]
+    for rec in checks[1:]:
+        assert "C2 differs from P C1 P" in rec["witness"]["error"]
+        assert f"row {row}, column {col}" in rec["witness"]["error"]
+
+
+def test_a_planted_transport_fault_fails_every_derived_record(monkeypatch):
+    basis = crystal.enumerate_component(2, 1)
+    row, col = basis[2], basis[9]
+    _plant(monkeypatch, "matrix_C", (1,), row, col, lam=(2, 1))
+    direct, derived = suites.conjecture_pair_task((1, 2))
+    assert [c["status"] for c in direct["checks"]] == ["pass"] * 4
+    assert [c["name"] for c in derived["checks"]] == [
+        "involution-N1(2,1)", "involution-N2(2,1)", "braid(2,1)", "cube(2,1)"]
+    for rec in derived["checks"]:
+        assert rec["status"] == "fail"
+        assert rec["witness"] == {"lambda": [2, 1], "transport": "C1",
+                                  "entry": [str(row), str(col)]}
+
+
+def test_a_derived_record_restates_its_twins_witness():
+    mod = repmodule.ModuleVLambda(1, 2)
+    checks = suites.conjecture_checks(mod)
+    checks[1] = dict(checks[1], status="fail", witness={"lambda": [1, 2], "i": 2})
+    checks[3] = dict(checks[3], status="fail", witness={"error": "RuntimeError('x')"})
+    derived = suites.swapped_checks(mod, checks)
+    assert [(c["name"], c["status"], c.get("witness")) for c in derived] == [
+        ("involution-N1(2,1)", "fail", {"lambda": [2, 1], "i": 1}),
+        ("involution-N2(2,1)", "pass", None),
+        ("braid(2,1)", "pass", None),
+        ("cube(2,1)", "fail", {"error": "RuntimeError('x')"}),
+    ]
 
 
 def test_conjecture_gcds_need_no_fallback(monkeypatch):
@@ -259,15 +323,15 @@ def test_product_of_components_names_a_planted_stray_monomial(monkeypatch):
     assert record["witness"] == {"a": "1,0,0,0,0,0", "b": "0,0,0,0,0,1", "monomial": "z1*v2"}
 
 
-def _plant(monkeypatch, builder, at, row, col):
+def _plant(monkeypatch, builder, at, row, col, lam=(1, 1)):
     """Add 1 to the entry at the patterns (row, col) of the matrix that
     `repmodule.<builder>` builds from the leading arguments `at` for the
-    (1,1) module; every other matrix is left as built."""
+    module `lam`; every other matrix is left as built."""
     build = getattr(repmodule, builder)
 
     def planted(*args):
         a, mod = build(*args), args[-1]
-        if args[:-1] == at and (mod.l1, mod.l2) == (1, 1):
+        if args[:-1] == at and (mod.l1, mod.l2) == lam:
             r, c = mod.index[row], mod.index[col]
             a[r][c] = a[r][c] + qarith.RatFunc.one()
         return a
