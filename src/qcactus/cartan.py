@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import coxeter
-from .coxeter import CoxeterDatum, GroupElement, cartan_matrix_of_type
+from . import coxeter, linalg
+from .coxeter import CoxeterDatum, GroupElement, cartan_matrix_of_type, integers
+from .qarith import RatFunc
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", integers(self.coords))
 
     @property
     def is_dominant(self) -> bool:
@@ -44,27 +45,13 @@ class Weight:
         return self.coords[i - 1]
 
 
-def _eliminate(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    """a^-1 b over Q, by Gauss-Jordan elimination of [a | b] without row swaps.
-
-    Without swaps the k-th pivot is the ratio of the k-th and (k-1)-th leading
-    principal minors of a, so every pivot is positive exactly when every
-    leading principal minor is.  That is the finite-type test for a Cartan
-    matrix, and it holds for the Gram matrix of any set of simple roots of a
-    finite type; a pivot that is not positive raises ValueError.
-    """
+def _solve(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """a^-1 b over Q for a nonsingular a: the right half of linalg.rref([a | b])."""
     n = len(a)
-    m = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
-    for col in range(n):
-        p = m[col][col]
-        if p <= 0:
-            raise ValueError("Cartan matrix is not of finite type")
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    red, _ = linalg.rref([{j: RatFunc.scalar(x) for j, x in enumerate((*a[i], *b[i])) if x}
+                          for i in range(n)])
+    return tuple(tuple(Fraction(row[j].num.coefficient(0)) for j in range(n, n + len(b[0])))
+                 for row in red)
 
 
 def _minimal_symmetrizers(a) -> tuple[int, ...]:
@@ -92,28 +79,13 @@ class CartanDatum:
     """A finite-type symmetrizable Cartan matrix with minimal symmetrizers."""
 
     def __init__(self, cartan):
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-        self.n = len(self.cartan)
-        self._validate()
+        # the group tests the entries, the sign pattern and, by its order table
+        # and root cap, finite type; a finite type is nonsingular
+        c = self.coxeter = CoxeterDatum(cartan)
+        self.cartan, self.n, self.indices = c.cartan, c.n, c.indices
         eye = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-        # finite type: all leading principal minors positive, checked on the way
-        self.cartan_inverse = _eliminate(self.cartan, eye)
+        self.cartan_inverse = _solve(self.cartan, eye)
         self.d = _minimal_symmetrizers(self.cartan)
-        self.coxeter = CoxeterDatum(self.cartan)
-        self.indices = tuple(range(1, self.n + 1))
-
-    def _validate(self):
-        """The sign and zero pattern of a generalized Cartan matrix."""
-        a = self.cartan
-        n = self.n
-        for i in range(n):
-            if a[i][i] != 2:
-                raise ValueError("diagonal Cartan entries must be 2")
-            for j in range(n):
-                if i != j and a[i][j] > 0:
-                    raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if i != j and (a[i][j] == 0) != (a[j][i] == 0):
-                    raise ValueError("zero pattern must be symmetric")
 
     @staticmethod
     def from_type(name: str) -> "CartanDatum":
@@ -166,10 +138,10 @@ def weyl_act(d: CartanDatum, w: GroupElement, lam: Weight) -> Weight:
 def _rho_coroot(d: CartanDatum, J: tuple[int, ...]) -> tuple[Fraction, ...]:
     """G^-1 (1, ..., 1) for the Gram matrix G = ((alpha_a, alpha_b))_{a,b in J}.
 
-    G is symmetric and positive definite, so elimination needs no row swaps,
-    and the coefficient sum of G^-1 x is the pairing of this vector with x."""
+    G is symmetric and positive definite, so nonsingular, and the coefficient
+    sum of G^-1 x is the pairing of this vector with x."""
     gram = [[form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
-    return tuple(c for (c,) in _eliminate(gram, [[1]] * len(J)))
+    return tuple(c for (c,) in _solve(gram, [[1]] * len(J)))
 
 
 def rho_functionals(d: CartanDatum, J, mu: Weight) -> Fraction:

@@ -3,17 +3,29 @@
 An element is the permutation it induces on the roots, so a product is a
 gather, equality is structural and the length function is a count of
 positive roots sent negative.  Only finite crystallographic types (and
-products of them) are supported; construction fails loudly if the roots or
-the enumeration exceed their caps.
+products of them) are supported; construction fails loudly on a matrix that
+is not an integer generalized Cartan matrix, or if the roots or the
+enumeration exceed their caps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 
 DEFAULT_CAP = 10_000
 MAX_ROOTS = 255
+
+
+def integers(values) -> tuple[int, ...]:
+    """`values` as ints; ValueError on an entry without `__index__`, as 1.5."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integer entries, got {values!r}") from None
+
 
 # Cartan matrices of the supported irreducible types, a[i][j] = alpha_j(alpha_i^vee).
 def _cartan_A(n):
@@ -47,7 +59,7 @@ def cartan_matrix_of_type(name: str) -> tuple[tuple[int, ...], ...]:
     for part in name.split("x"):
         part = part.strip()
         if part not in _TYPE_BUILDERS:
-            raise ValueError(f"unknown type {part!r}; known: {sorted(_TYPE_BUILDERS)}")
+            raise ValueError(f"unknown type {part!r} in {name!r}; known: {sorted(_TYPE_BUILDERS)}")
         blocks.append(_TYPE_BUILDERS[part]())
     n = sum(len(b) for b in blocks)
     a = [[0] * n for _ in range(n)]
@@ -61,12 +73,20 @@ def cartan_matrix_of_type(name: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _orders_from_cartan(a) -> tuple[tuple[int, ...], ...]:
+    """The orders m_ij; ValueError unless `a` is a generalized Cartan matrix
+    whose every pair a_ij a_ji is below 4."""
     n = len(a)
     m = [[1] * n for _ in range(n)]
     table = {0: 2, 1: 3, 2: 4, 3: 6}
     for i in range(n):
+        if a[i][i] != 2:
+            raise ValueError("diagonal Cartan entries must be 2")
         for j in range(n):
             if i != j:
+                if a[i][j] > 0:
+                    raise ValueError("off-diagonal Cartan entries must be <= 0")
+                if (a[i][j] == 0) != (a[j][i] == 0):
+                    raise ValueError("zero pattern must be symmetric")
                 prod = a[i][j] * a[j][i]
                 if prod not in table:
                     raise ValueError("Cartan matrix is not of finite type")
@@ -123,7 +143,7 @@ class CoxeterDatum:
     system of a crystallographic Cartan matrix."""
 
     def __init__(self, cartan):
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        self.cartan = tuple(map(integers, cartan))
         n = len(self.cartan)
         if any(len(row) != n for row in self.cartan):
             raise ValueError("Cartan matrix must be square")

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qcactus import cartan as ct
 from qcactus import coxeter as cx
@@ -63,11 +64,13 @@ def test_rho_functionals(d):
 
 
 def _rho_functionals_per_call(d, J, mu):
-    # the J Gram system solved afresh for the weight mu
+    # the J Gram system solved afresh for the weight mu, by sympy over the rationals
     J = sorted(set(J))
-    gram = [[ct.form(d, d.simple_root(a), d.simple_root(b)) for b in J] for a in J]
-    coeffs = ct._eliminate(gram, [[ct.form_with_root(d, mu, i)] for i in J])
-    return sum((c for (c,) in coeffs), Fraction(0))
+    gram = sympy.Matrix([[sympy.Rational(ct.form(d, d.simple_root(a), d.simple_root(b)))
+                          for b in J] for a in J])
+    rhs = sympy.Matrix([ct.form_with_root(d, mu, i) for i in J])
+    total = sum(gram.LUsolve(rhs))
+    return Fraction(int(total.p), int(total.q))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
@@ -106,6 +109,14 @@ def test_extremal_exponent_errors(d):
         ct.extremal_exponents(d, (1,), Weight((-1, 0)))
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "A1xA2"])
+def test_cartan_inverse_matches_sympy(name):
+    d = ct.CartanDatum.from_type(name)
+    inv = sympy.Matrix(d.cartan).inv()
+    assert d.cartan_inverse == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i)) for i in range(d.n))
+
+
 def test_validation_rejects_bad_matrices():
     with pytest.raises(ValueError):
         ct.CartanDatum([[2, 1], [1, 2]])
@@ -113,3 +124,16 @@ def test_validation_rejects_bad_matrices():
         ct.CartanDatum([[2, -2], [-2, 2]])
     with pytest.raises(ValueError):
         ct.CartanDatum([[1, 0], [0, 2]])
+    # affine A2: every a_ij a_ji is 1, but the Weyl group is infinite
+    with pytest.raises(ValueError, match="255 roots"):
+        ct.CartanDatum([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ct.CartanDatum([[2, -1.5], [-1, 2]]),
+    lambda: cx.CoxeterDatum([[2, -1.9], [-1, 2]]),
+    lambda: Weight((Fraction(1, 2), 2.9)),
+], ids=["cartan", "coxeter", "weight"])
+def test_non_integer_input_is_rejected_not_truncated(build):
+    with pytest.raises(ValueError, match="expected integer entries"):
+        build()

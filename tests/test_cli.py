@@ -292,6 +292,15 @@ def test_non_integer_arguments_name_the_bad_text(capsys, argv, option, text):
     assert f"argument {option}: " in err and text in err and "int()" not in err
 
 
+@pytest.mark.parametrize("text", ["x", "A1x", "Z9"])
+def test_coxeter_kernel_unknown_type_names_the_argument(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coxeter", "kernel", "--type", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --type: unknown type" in err and f"in {text!r}" in err
+
+
 def test_gk_normalform_over_the_rewriting_budget_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(gkmodel, "REWRITE_BUDGET", 50)
     with pytest.raises(SystemExit) as exc:

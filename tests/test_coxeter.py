@@ -231,6 +231,17 @@ def test_infinite_type_rejected():
         cx.CoxeterDatum([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[2, 1], [1, 2]], "off-diagonal"),
+    ([[1, 0], [0, 2]], "diagonal"),
+    ([[2, 0], [-1, 2]], "zero pattern"),
+    ([[2, -1], [-1]], "square"),
+])
+def test_matrix_that_is_not_a_generalized_cartan_matrix_rejected(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        cx.CoxeterDatum(matrix)
+
+
 def test_too_many_roots_rejected():
     # 13 copies of A4 have 260 roots, more than a byte permutation can number
     with pytest.raises(ValueError, match="255 roots"):
