@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import coxeter, linalg
-from .coxeter import CoxeterDatum, GroupElement, cartan_matrix_of_type, integers
+from .coxeter import CoxeterDatum, GroupElement, integers
 from .qarith import RatFunc
 
 
@@ -75,21 +75,17 @@ def _minimal_symmetrizers(a) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-class CartanDatum:
-    """A finite-type symmetrizable Cartan matrix with minimal symmetrizers."""
+class CartanDatum(CoxeterDatum):
+    """The CoxeterDatum of a finite-type Cartan matrix, with its inverse and
+    minimal symmetrizers."""
 
     def __init__(self, cartan):
         # the group tests the entries, the sign pattern and, by its order table
         # and root cap, finite type; a finite type is nonsingular
-        c = self.coxeter = CoxeterDatum(cartan)
-        self.cartan, self.n, self.indices = c.cartan, c.n, c.indices
+        super().__init__(cartan)
         eye = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
         self.cartan_inverse = _solve(self.cartan, eye)
         self.d = _minimal_symmetrizers(self.cartan)
-
-    @staticmethod
-    def from_type(name: str) -> "CartanDatum":
-        return CartanDatum(cartan_matrix_of_type(name))
 
     # -- weights -------------------------------------------------------------
 
@@ -165,7 +161,7 @@ def extremal_exponents(d: CartanDatum, word, lam: Weight) -> tuple[int, ...]:
     word = tuple(word)
     if not lam.is_dominant:
         raise ValueError(f"weight {lam.coords} is not dominant")
-    if coxeter.length(coxeter.from_word(d.coxeter, word)) != len(word):
+    if coxeter.length(coxeter.from_word(d, word)) != len(word):
         raise ValueError(f"word {word} is not reduced")
     exps = [0] * len(word)
     mu = lam

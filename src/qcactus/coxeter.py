@@ -161,9 +161,9 @@ class CoxeterDatum:
         }
         self._elements = None
 
-    @staticmethod
-    def from_type(name: str) -> "CoxeterDatum":
-        d = CoxeterDatum(cartan_matrix_of_type(name))
+    @classmethod
+    def from_type(cls, name: str):
+        d = cls(cartan_matrix_of_type(name))
         d.type_name = name
         return d
 

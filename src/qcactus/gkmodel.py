@@ -263,7 +263,8 @@ _TOKEN = re.compile(
 
 
 def parse_expr(text: str) -> ModuleVector:
-    """Parse a product of generators with integer powers and q^{k/2} scalars."""
+    """Parse a product of generators with integer powers and q^{k/2} scalars;
+    the product may have at most REWRITE_BUDGET letters."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -275,7 +276,7 @@ def parse_expr(text: str) -> ModuleVector:
     if not tokens:
         raise ValueError("empty expression")
     coeff = RatFunc.one()
-    word: tuple[int, ...] = ()
+    runs = []  # (generator, power) in order
     idx = 0
     after_factor = False
     while idx < len(tokens):
@@ -303,9 +304,13 @@ def parse_expr(text: str) -> ModuleVector:
                 if power < 0:
                     raise ValueError("generator powers must be nonnegative")
                 idx += 2
-            word = word + (g,) * power
+            runs.append((g, power))
         after_factor = op is None
         idx += 1
+    length = sum(power for _, power in runs)
+    if length > REWRITE_BUDGET:
+        raise ValueError(f"expression has {length:,} letters; at most {REWRITE_BUDGET:,} allowed")
+    word = tuple(g for g, power in runs for _ in range(power))
     try:
         return normal_form([(coeff, word)])
     except RewriteBudgetExhausted as exc:

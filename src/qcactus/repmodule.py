@@ -428,7 +428,7 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     enters as S D S^{-1}.  Both prefactor branches are composed and must agree.
     """
     d = mod.datum
-    w0J = coxeter.longest_element(d.coxeter, J)
+    w0J = coxeter.longest_element(d, J)
     word = coxeter.reduced_word(w0J)
     rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
     dec = mod.strings(J[0]) if len(J) == 1 else None

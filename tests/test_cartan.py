@@ -31,11 +31,19 @@ def test_symmetrizers_minimal():
     assert ct.sl3().d == (1, 1)
 
 
+def test_a_cartan_datum_is_the_coxeter_datum_of_its_matrix(d):
+    assert isinstance(d, cx.CoxeterDatum)
+    assert cx.longest_element(ct.sl3(), (1, 2)).datum is ct.sl3()
+    b2 = ct.CartanDatum.from_type("B2")
+    assert type(b2) is ct.CartanDatum and b2.type_name == "B2"
+    assert type(cx.CoxeterDatum.from_type("A2")) is cx.CoxeterDatum
+
+
 def test_weyl_act(d):
     w1 = Weight((1, 0))
     assert d.reflect(1, w1) == Weight((-1, 1))
     assert d.reflect(1, Weight((0, 5))) == Weight((0, 5))
-    w0 = cx.longest_element(d.coxeter, (1, 2))
+    w0 = cx.longest_element(d, (1, 2))
     assert ct.weyl_act(d, w0, w1) == Weight((0, -1))
 
 
@@ -44,7 +52,7 @@ def test_form_invariance(d):
     for _ in range(30):
         lam = Weight((rng.randint(-4, 4), rng.randint(-4, 4)))
         mu = Weight((rng.randint(-4, 4), rng.randint(-4, 4)))
-        for g in d.coxeter.elements():
+        for g in d.elements():
             assert ct.form(d, ct.weyl_act(d, g, lam), ct.weyl_act(d, g, mu)) == ct.form(
                 d, lam, mu
             )
@@ -96,7 +104,7 @@ def test_extremal_exponents(d):
 def test_extremal_exponents_nonnegative(d):
     for coords in [(0, 0), (1, 0), (2, 3), (4, 1)]:
         lam = Weight(coords)
-        for w in d.coxeter.elements():
+        for w in d.elements():
             word = cx.reduced_word(w)
             exps = ct.extremal_exponents(d, word, lam)
             assert all(a >= 0 for a in exps)

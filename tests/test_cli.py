@@ -265,6 +265,7 @@ def test_module_export_bad_tag(tmp_path):
     ["coxeter", "kernel", "--type", "x".join(["A4"] * 13)],
     ["module", "export", "--l1", "1", "--l2", "0", "--which", "N1,N1", "--out", "unused.json"],
     ["suite", "--name", "coxeter", "--seed", "-3"],
+    ["gk", "normalform", "--expr", "z1^1000001"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

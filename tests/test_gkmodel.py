@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -371,6 +372,23 @@ class TestParse:
             parse_expr("z2^3*z1^3")
         monkeypatch.setattr(gkmodel, "REWRITE_BUDGET", 1000)
         assert parse_expr("z2^3*z1^3") == word_element(Z2, Z2, Z2, Z1, Z1, Z1)
+
+    def test_a_long_product_parses_in_linear_time(self):
+        # growing the word one factor at a time is quadratic: 3 s on a 2-vCPU VM
+        t0 = time.perf_counter()
+        x = parse_expr("*".join(["z1"] * 40_000))
+        assert time.perf_counter() - t0 < 1.5
+        assert x == ModuleVector({monomial(40_000, 0, 0, 0, 0, 0): RatFunc.one()})
+
+    @pytest.mark.parametrize("text, length", [
+        ("z1^1000001", "1,000,001"),
+        ("z1^99999999999", "99,999,999,999"),
+        ("z1^600000*z12*v1^400000", "1,000,001"),
+    ])
+    def test_an_expression_over_the_budget_in_letters_is_a_value_error(self, text, length):
+        with pytest.raises(ValueError, match=f"^expression has {length} letters; "
+                                             f"at most 1,000,000 allowed$"):
+            parse_expr(text)
 
     def test_other_runtime_errors_propagate(self, monkeypatch):
         def recurse(words):

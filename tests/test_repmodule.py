@@ -394,7 +394,7 @@ class TestSigma:
         mod = rm.ModuleVLambda(2, 1)
         d = mod.datum
         for J in ((1,), (2,), (1, 2)):
-            w0J = coxeter.longest_element(d.coxeter, J)
+            w0J = coxeter.longest_element(d, J)
             word = coxeter.reduced_word(w0J)
             rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
             if len(J) == 2:
@@ -429,7 +429,7 @@ class TestSigma:
             mod = rm.ModuleVLambda(l1, l2)
             d = mod.datum
             for J in ((1,), (2,), (1, 2)):
-                w0J = coxeter.longest_element(d.coxeter, J)
+                w0J = coxeter.longest_element(d, J)
                 rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
                 lines = (mod.strings(J[0]).lines if len(J) == 1
                          else [(mod.highest_weight, beta) for beta in mod.weights])
@@ -441,7 +441,7 @@ class TestSigma:
         assert compared == 2 * 3 * sum(rm.ModuleVLambda(*lam).dim for lam in suites.lambdas(4))
 
     def test_full_involution_on_highest(self, adjoint):
-        w0 = coxeter.longest_element(adjoint.datum.coxeter, (1, 2))
+        w0 = coxeter.longest_element(adjoint.datum, (1, 2))
         image = rm.sigma_J((1, 2), adjoint, adjoint.highest_vector())
         assert image == rm.extremal_vector(w0, adjoint)
 
@@ -482,7 +482,7 @@ class TestSigma:
 
     def test_weight_reflection(self, adjoint):
         d = adjoint.datum
-        w0 = coxeter.longest_element(d.coxeter, (1, 2))
+        w0 = coxeter.longest_element(d, (1, 2))
         for m in adjoint.basis:
             img = rm.sigma_J((1, 2), adjoint, adjoint.basis_vector(m))
             target = cartan.weyl_act(d, w0, adjoint.weight_of(m))
@@ -658,18 +658,18 @@ class TestStringDecomposition:
 
 class TestExtremalVectors:
     def test_identity(self, adjoint):
-        assert rm.extremal_vector(adjoint.datum.coxeter.identity, adjoint) == (
+        assert rm.extremal_vector(adjoint.datum.identity, adjoint) == (
             adjoint.highest_vector()
         )
 
     def test_lowest(self, vec3):
-        w0 = coxeter.longest_element(vec3.datum.coxeter, (1, 2))
+        w0 = coxeter.longest_element(vec3.datum, (1, 2))
         low = rm.extremal_vector(w0, vec3)
         assert low == vec3.basis_vector(Pattern(0, 0, 0, 1, 0, 0))
         assert vec3.weight_of(Pattern(0, 0, 0, 1, 0, 0)).coords == (0, -1)
 
     def test_sigma_translation(self, adjoint):
-        dc = adjoint.datum.coxeter
+        dc = adjoint.datum
         for w in dc.elements():
             ev = rm.extremal_vector(w, adjoint)
             for i in (1, 2):
@@ -690,7 +690,7 @@ class TestExtremalVectors:
             assert vectors[0] == vectors[1], lam
 
     def test_linear_independence(self, adjoint):
-        dc = adjoint.datum.coxeter
+        dc = adjoint.datum
         family = []
         for w in dc.elements():
             v = rm.extremal_vector(w, adjoint)
@@ -701,7 +701,7 @@ class TestExtremalVectors:
 
     def test_T_on_extremal_pairs(self, adjoint):
         d = adjoint.datum
-        dc = d.coxeter
+        dc = d
         lam = adjoint.highest_weight
         rho = d.rho()
         for w in dc.elements():

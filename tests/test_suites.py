@@ -94,6 +94,41 @@ def test_relation_check_crash_is_a_failing_record(monkeypatch):
         assert c["seconds"] >= 0
 
 
+def _doubled_F(act):
+    """`act` with every F_i^(r) doubled: [E_i, F_i] doubles, the Serre sums only scale."""
+    two = qarith.RatFunc.scalar(2)
+    return lambda i, kind, r, x: act(i, kind, r, x).scale(two) if kind == "F" else act(i, kind, r, x)
+
+
+def _undivided(act):
+    """`act` with X_i^r in place of X_i^(r): the commutator holds, Serre does not."""
+    def power(i, kind, r, x):
+        for _ in range(r):
+            x = act(i, kind, 1, x)
+        return x
+    return power
+
+
+@pytest.mark.parametrize("act, x, serre", [
+    (repmodule.act_divided, repmodule.ModuleVLambda(1, 1).highest_vector(), {"kind": "F", "i": 1}),
+    (gkmodel.act_divided, gkmodel.parse_expr("z12*z21"), {"kind": "E", "i": 1}),
+], ids=["module", "model"])
+def test_relation_helpers_name_the_first_failure_of_a_broken_action(act, x, serre):
+    assert suites.commutator_failure(act, x) is None
+    assert suites.serre_failure(act, x) is None
+    assert suites.commutator_failure(_doubled_F(act), x) == {"i": 1, "j": 1}
+    assert suites.serre_failure(_undivided(act), x) == serre
+
+
+def test_operator_relations_fails_on_a_planted_generator_image(monkeypatch):
+    # E_1 z12 = z2 dropped from the model's generator images
+    monkeypatch.delitem(gkmodel._E_TABLE, (1, gkmodel.Z12))
+    record = _one_check(monkeypatch, suites.gk_suite, "operator-relations")
+    assert record["status"] == "fail"
+    assert record["witness"]["relation"] == "[E,F]"
+    assert set(record["witness"]) == {"iteration", "relation", "i", "j"}
+
+
 def test_module_suite_builds_each_module_once(monkeypatch):
     built = []
 
