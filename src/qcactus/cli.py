@@ -93,8 +93,10 @@ def cmd_coxeter_kernel(d: coxeter.CoxeterDatum, J: frozenset, out: str | None) -
                          checks, started), out)
 
 
-def cmd_crystal_apply(m: crystal.Pattern, ops: str) -> int:
-    print(str(crystal.apply_ops(m, ops)))
+def cmd_crystal_apply(m: crystal.Pattern, ops: list) -> int:
+    for op in ops:  # parse_ops lists them in the order they apply
+        m = op(m)
+    print(str(m))
     return 0
 
 
@@ -202,11 +204,6 @@ def _coxeter_type(text: str) -> coxeter.CoxeterDatum:
     return d
 
 
-def _ops(text: str) -> str:
-    crystal.parse_ops(text)
-    return text
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcactus",
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = p.add_subparsers(dest="sub", required=True)
     a = sc.add_parser("apply", help="apply operators to a pattern, right to left")
     a.add_argument("--pattern", required=True, type=_arg(crystal.Pattern.parse))
-    a.add_argument("--ops", required=True, type=_arg(_ops))
+    a.add_argument("--ops", required=True, type=_arg(crystal.parse_ops))
 
     p = sub.add_parser("module", help="symbolic module verification and export")
     sc = p.add_subparsers(dest="sub", required=True)

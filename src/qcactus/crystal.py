@@ -220,10 +220,3 @@ def parse_ops(text: str) -> list:
         else:
             raise ValueError(f"unknown operator token {token!r}")
     return ops
-
-
-def apply_ops(m: Pattern, ops: str) -> Pattern:
-    """Apply a comma-separated operator list right to left; see parse_ops."""
-    for op in parse_ops(ops):
-        m = op(m)
-    return m

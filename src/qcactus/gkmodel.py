@@ -254,59 +254,35 @@ def embed_module(l1: int, l2: int) -> list[dict]:
 # -- expression parsing for the CLI ---------------------------------------------------
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<scalar>q\^\{(?P<snum>-?\d+)(?P<shalf>/2)?\})"
-    r"|(?P<gen>z12|z21|z1|z2|v1|v2)"
-    r"|(?P<int>-?\d+)"
-    r"|(?P<op>[*^]))\s*"
+_FACTOR = re.compile(
+    r"\s*(?P<star>\*\s*)?(?:q\^\{(?P<snum>-?\d+)(?P<shalf>/2)?\}|(?P<int>(?P<neg>-)?\d+)"
+    r"|(?P<gen>z12|z21|z1|z2|v1|v2)(?:\s*\^\s*(?P<power>-?\d+))?)\s*"
 )
 
 
 def parse_expr(text: str) -> ModuleVector:
-    """Parse a product of generators with integer powers and q^{k/2} scalars;
-    the product may have at most REWRITE_BUDGET letters."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"cannot tokenize {text[pos:]!r}")
-        tokens.append(m)
-        pos = m.end()
-    if not tokens:
-        raise ValueError("empty expression")
+    """Parse a product of factors q^{k}, q^{k/2}, integers and generators with
+    optional powers g^n, joined by '*' or juxtaposed; a negative integer after
+    a factor needs the '*'.  The product may have at most REWRITE_BUDGET letters."""
     coeff = RatFunc.one()
     runs = []  # (generator, power) in order
-    idx = 0
-    after_factor = False
-    while idx < len(tokens):
-        tok = tokens[idx]
-        op = tok.group("op")
-        if op == "^":
-            raise ValueError("'^' must directly follow a generator")
-        elif op == "*":
-            if not after_factor or idx + 1 == len(tokens):
-                raise ValueError("'*' must stand between two factors")
-        elif tok.group("scalar"):
-            num = int(tok.group("snum"))
-            coeff = coeff * RatFunc.monomial(num if tok.group("shalf") else 2 * num)
-        elif tok.group("int"):
-            if after_factor and tok.group("int").startswith("-"):
-                raise ValueError("a signed integer cannot follow a factor (no sums)")
-            coeff = coeff * RatFunc.scalar(int(tok.group("int")))
-        elif tok.group("gen"):
-            g = GEN_NAMES.index(tok.group("gen"))
-            power = 1
-            if idx + 1 < len(tokens) and tokens[idx + 1].group("op") == "^":
-                if idx + 2 >= len(tokens) or not tokens[idx + 2].group("int"):
-                    raise ValueError("expected an integer power after '^'")
-                power = int(tokens[idx + 2].group("int"))
-                if power < 0:
-                    raise ValueError("generator powers must be nonnegative")
-                idx += 2
-            runs.append((g, power))
-        after_factor = op is None
-        idx += 1
+    pos = 0
+    while pos == 0 or pos < len(text):  # the empty text fails its one step
+        m = _FACTOR.match(text, pos)
+        # '*' stands between two factors; a negative integer after a factor needs it
+        if m is None or (m["star"] if pos == 0 else m["neg"] and not m["star"]):
+            raise ValueError(f"cannot parse {text[pos:]!r}")
+        if m["gen"]:
+            power = int(m["power"] or 1)
+            if power < 0:
+                raise ValueError("generator powers must be nonnegative")
+            runs.append((GEN_NAMES.index(m["gen"]), power))
+        elif m["int"]:
+            coeff = coeff * RatFunc.scalar(int(m["int"]))
+        else:
+            num = int(m["snum"])
+            coeff = coeff * RatFunc.monomial(num if m["shalf"] else 2 * num)
+        pos = m.end()
     length = sum(power for _, power in runs)
     if length > REWRITE_BUDGET:
         raise ValueError(f"expression has {length:,} letters; at most {REWRITE_BUDGET:,} allowed")

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qcactus import cli, coxeter, gkmodel, repmodule, suites
+from qcactus import cli, coxeter, crystal, gkmodel, repmodule, suites
 from qcactus.qarith import RatFunc
 
 
@@ -26,6 +26,22 @@ def test_crystal_apply_right_to_left(capsys):
     )
     assert code == 0
     assert out.strip() == "0,0,0,1,0,0"
+
+
+def test_crystal_apply_parses_its_operators_once(monkeypatch, capsys):
+    calls = []
+    parse_ops = crystal.parse_ops
+
+    def counted(text):
+        calls.append(text)
+        return parse_ops(text)
+
+    monkeypatch.setattr(crystal, "parse_ops", counted)
+    code, out = run(
+        capsys, "crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "sigma,e1^1"
+    )
+    assert (code, out.strip()) == (0, "0,0,0,1,0,0")
+    assert calls == ["sigma,e1^1"]
 
 
 @pytest.mark.parametrize("ops, message", [

@@ -151,11 +151,18 @@ def test_operator_identities_random():
 
 def test_apply_ops_right_to_left():
     m = Pattern(1, 0, 0, 0, 0, 0)
+
+    def apply(ops):
+        x = m
+        for op in cr.parse_ops(ops):
+            x = op(x)
+        return x
+
     # rightmost token fires first
-    assert cr.apply_ops(m, "sigma, e1^1") == cr.sigma_outer(cr.e_pow(1, 1, m))
-    assert cr.apply_ops(m, "sigma1") == cr.sigma_i(1, m)
+    assert apply("sigma, e1^1") == cr.sigma_outer(cr.e_pow(1, 1, m))
+    assert apply("sigma1") == cr.sigma_i(1, m)
     with pytest.raises(ValueError):
-        cr.apply_ops(m, "rotate")
+        apply("rotate")
     for text in ("", ",", " , "):
         with pytest.raises(ValueError, match="no operators given"):
             cr.parse_ops(text)

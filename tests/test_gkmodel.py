@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 import time
 
@@ -359,6 +362,55 @@ class TestParse:
         assert parse_expr("q^{-1}*v1*v2") == ModuleVector(
             {monomial(0, 0, 0, 0, 1, 1): RatFunc.monomial(-2)}
         )
+
+    # The grammar: factors q^{k}, q^{k/2}, signed integers and generators with an
+    # optional power g^n, joined by '*' or juxtaposed, with whitespace around each
+    # token; '*' stands between two factors, and a negative integer after a factor
+    # needs it.
+    @pytest.mark.parametrize("text, scalar, gens", [
+        ("z1 2", RatFunc.scalar(2), (Z1,)),
+        ("2z1", RatFunc.scalar(2), (Z1,)),
+        ("z1*-2", RatFunc.scalar(-2), (Z1,)),
+        ("z1 ^ 2", RatFunc.one(), (Z1, Z1)),
+        (" z1 * z2 ", RatFunc.one(), (Z1, Z2)),
+        ("q^{-3/2}*z1", RatFunc.monomial(-3), (Z1,)),
+    ])
+    def test_accepted_forms(self, text, scalar, gens):
+        assert parse_expr(text) == word_element(*gens).scale(scalar)
+
+    @pytest.mark.parametrize("text, message", [
+        ("z1-2", "cannot parse '-2'"),
+        ("*z1", "cannot parse '*z1'"),
+        ("z1*", "cannot parse '*'"),
+        ("z1**z2", "cannot parse '**z2'"),
+        ("z1^2^3", "cannot parse '^3'"),
+        ("q^{1/2}^2", "cannot parse '^2'"),
+        ("", "cannot parse ''"),
+        (" ", "cannot parse ' '"),
+        ("z1^-2", "generator powers must be nonnegative"),
+        ("z1^1000001", "expression has 1,000,001 letters; at most 1,000,000 allowed"),
+    ])
+    def test_rejected_forms_name_the_unparsed_rest(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == message
+
+    def test_the_language_and_its_values_are_pinned(self):
+        # every string of at most 4 tokens over this alphabet, with its value
+        # or ERR; the digest was taken from the earlier tokenizing parser
+        alphabet = ["z1", "z2", "z12", "*", "^", "2", "-1", "q^{1/2}", " ", "x"]
+        lines = []
+        for k in range(5):
+            for tokens in itertools.product(alphabet, repeat=k):
+                s = "".join(tokens)
+                try:
+                    value = json.dumps(gkmodel.to_json(parse_expr(s)), sort_keys=True)
+                except ValueError:
+                    value = "ERR"
+                lines.append(f"{s}\t{value}")
+        assert (len(lines), sum(line.endswith("\tERR") for line in lines)) == (11_111, 8_662)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "1444a60fc4110127cbc5e0140a1b8fd73e9caab06ccc17c6a8ad3ab012f8dfba"
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
