@@ -256,14 +256,16 @@ def embed_module(l1: int, l2: int) -> list[dict]:
 
 _FACTOR = re.compile(
     r"\s*(?P<star>\*\s*)?(?:q\^\{(?P<snum>-?\d+)(?P<shalf>/2)?\}|(?P<int>(?P<neg>-)?\d+)"
-    r"|(?P<gen>z12|z21|z1|z2|v1|v2)(?:\s*\^\s*(?P<power>-?\d+))?)\s*"
+    r"|(?P<gen>z12|z21|z1|z2|v1|v2)(?!\d)(?:\s*\^\s*(?P<power>-?\d+))?)\s*"
 )
 
 
 def parse_expr(text: str) -> ModuleVector:
     """Parse a product of factors q^{k}, q^{k/2}, integers and generators with
     optional powers g^n, joined by '*' or juxtaposed; a negative integer after
-    a factor needs the '*'.  The product may have at most REWRITE_BUDGET letters."""
+    a factor needs the '*', and a digit right after a generator name is an
+    error ('z12' is a generator, 'z1 2' and 'z1*2' are 2·z1, 'z123' and 'v12'
+    do not parse).  The product may have at most REWRITE_BUDGET letters."""
     coeff = RatFunc.one()
     runs = []  # (generator, power) in order
     pos = 0

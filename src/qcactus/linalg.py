@@ -10,12 +10,16 @@ and returns the right half.  The pivot is the diagonal entry when it is
 nonzero, so a triangular matrix is reduced without row swaps or fill; only
 when it is zero is the entry of lowest exponent span below it swapped up.
 
-The entries of these matrices take few distinct values, so within one call
-each distinct piece of arithmetic is formed once: `mat_mul` keys each dot
-product by its factor pairs, and `rref` keys each update by (old entry,
-factor, pivot entry).  RatFunc equality is structural on the canonical form,
-so equal keys are equal values and every result is exact; the memos are
-local to the call.
+The entries of these matrices take few distinct values, so each distinct
+piece of arithmetic is formed once.  `rref` keys each update by (old entry,
+factor, pivot entry) in a dict local to the call.  `mat_mul` keys each dot
+product by its factor pairs in one dict that lives for the process: the
+modules of a sweep share their weight blocks, so a process (each pool worker,
+or the whole of a serial sweep) reuses the sums of every module it has
+already multiplied.  That dict is emptied when it reaches `DOT_MEMO_CAP`
+entries, so a long-lived process stays bounded.  RatFunc equality is
+structural on the canonical form, so equal keys are equal values and every
+result is exact, whatever the memo held before.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ from collections import defaultdict
 from .qarith import RatFunc
 
 _ZERO = RatFunc.zero()
+
+# the larger worker of a degree-16 sweep on two workers holds 29,000-31,100
+# entries, by the modules it draws; rounded up to a power of two
+DOT_MEMO_CAP = 1 << 15
+# dot products formed so far in this process, by their factor pairs
+_DOTS: dict[tuple, RatFunc] = {}
 
 
 class Row(dict):
@@ -46,9 +56,10 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product; raises ValueError when a column key of `a` does not
-    index a row of `b`.  Entries with the same factor pairs share one sum."""
+    index a row of `b`.  Entries with the same factor pairs share one sum,
+    with each other and with every earlier product in the process."""
     n = len(b)
-    dots: dict[tuple, RatFunc] = {}
+    dots = _DOTS
     out = []
     for row in a:
         if row and max(row) >= n:
@@ -65,6 +76,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 total = _ZERO
                 for x, y in zip(pairs[::2], pairs[1::2]):
                     total = total + x * y
+                if len(dots) >= DOT_MEMO_CAP:
+                    dots.clear()
                 dots[key] = total
             if not total.is_zero():
                 acc[j] = total

@@ -866,7 +866,10 @@ def usable_cpus() -> int:
 def pool_map(fn, items, jobs: int) -> list:
     """`fn` on every item, results in the order given, on `jobs` worker
     processes clamped to between 1 and the smaller of the number of items and
-    the usable CPUs.  With one worker it runs in this process."""
+    the usable CPUs.  With one worker it runs in this process.  Each worker
+    keeps its own `linalg` dot memo for its lifetime, so it reuses the dot
+    products of every item it has already run; a serial run keeps one memo
+    over all the items."""
     items = list(items)
     jobs = max(1, min(jobs, len(items), usable_cpus()))
     if jobs == 1:

@@ -2,6 +2,15 @@ import concurrent.futures
 
 import pytest
 
+from qcactus import linalg
+
+
+@pytest.fixture(autouse=True)
+def fresh_dot_memo(monkeypatch):
+    """Gives each test an empty dot memo of its own, so that what an earlier
+    test multiplied never turns this test's arithmetic into memo lookups."""
+    monkeypatch.setattr(linalg, "_DOTS", {})
+
 
 @pytest.fixture
 def pool_sizes(monkeypatch):

@@ -282,6 +282,8 @@ def test_module_export_bad_tag(tmp_path):
     ["module", "export", "--l1", "1", "--l2", "0", "--which", "N1,N1", "--out", "unused.json"],
     ["suite", "--name", "coxeter", "--seed", "-3"],
     ["gk", "normalform", "--expr", "z1^1000001"],
+    ["gk", "normalform", "--expr", "v12"],
+    ["gk", "normalform", "--expr", "z123"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

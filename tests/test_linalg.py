@@ -271,8 +271,8 @@ def test_memoized_rref_and_invert_equal_reference_gauss_jordan():
 
 
 def test_mat_mul_forms_a_repeated_row_once(monkeypatch):
-    # b has distinct columns and no zeros, so each dot product of one row is
-    # new, and the second copy of that row repeats all of them
+    # b has distinct columns and no zeros, so on the test's empty memo each dot
+    # product of one row is new, and the second copy of that row repeats all of them
     rng = random.Random(3)
     row = [RatFunc.monomial(e, c) for e, c in ((0, 2), (1, -1), (2, 3))]
     b = [[RatFunc.monomial(rng.randint(-2, 2), rng.randint(1, 9)) for _ in range(4)]
@@ -321,3 +321,85 @@ def test_permute_by_an_involution_twice_returns_the_matrix():
     swap = [1, 0, 2, 5, 4, 3]
     assert linalg.permute(a, swap) != a
     assert linalg.permute(linalg.permute(a, swap), swap) == a
+
+
+# -- the dot memo that lives for the process ---------------------------------
+
+
+def pool_products(rng, count):
+    """`count` factor pairs of random shapes over the small pool of values."""
+    pairs = []
+    for _ in range(count):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        pairs.append((pool_matrix(rng, n, k), pool_matrix(rng, k, m)))
+    return pairs
+
+
+def test_products_on_a_warm_memo_equal_the_reference(monkeypatch):
+    rng = random.Random(17)
+    first, second = pool_products(rng, 30), pool_products(rng, 30)
+    expected = [ref_mul(a, b) for a, b in first + second]
+    for a, b in first:
+        linalg.mat_mul(sparse(a), sparse(b))
+    adds = []
+    add = RatFunc.__add__
+    monkeypatch.setattr(RatFunc, "__add__", lambda x, y: adds.append(1) or add(x, y))
+
+    def products(pairs):
+        adds.clear()
+        return [linalg.mat_mul(sparse(a), sparse(b)) for a, b in pairs], len(adds)
+
+    # the products already formed take every sum from the memo, and the new
+    # ones form fewer sums than they would on an empty memo
+    again, again_adds = products(first)
+    new, warm_adds = products(second)
+    monkeypatch.setattr(linalg, "_DOTS", {})
+    assert again_adds == 0 and warm_adds < products(second)[1]
+    for (a, b), product, ref in zip(first + second, again + new, expected):
+        assert dense(product, len(b[0])) == ref
+        assert stores_no_zero(product)
+
+
+def test_a_dot_sum_that_raises_part_way_stores_nothing(monkeypatch):
+    rng = random.Random(23)
+    a, b = pool_matrix(rng, 4, 5), pool_matrix(rng, 5, 4)
+    expected = ref_mul(a, b)
+    add = RatFunc.__add__
+    for fail_at in range(1, 12):
+        dots = {}
+        monkeypatch.setattr(linalg, "_DOTS", dots)
+        count = []
+
+        def failing_add(x, y):
+            count.append(1)
+            if len(count) == fail_at:
+                raise ArithmeticError("injected")
+            return add(x, y)
+
+        monkeypatch.setattr(RatFunc, "__add__", failing_add)
+        with pytest.raises(ArithmeticError):
+            linalg.mat_mul(sparse(a), sparse(b))
+        monkeypatch.setattr(RatFunc, "__add__", add)
+        # every stored sum is whole: each equals its pairs summed afresh
+        assert len(dots) < fail_at
+        for key, total in dots.items():
+            assert total == sum((x * y for x, y in zip(key[::2], key[1::2])), RatFunc.zero())
+        assert dense(linalg.mat_mul(sparse(a), sparse(b)), 4) == expected
+
+
+def test_the_memo_never_exceeds_its_cap(monkeypatch):
+    cap = 8
+    sizes = []
+
+    class Watched(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(linalg, "DOT_MEMO_CAP", cap)
+    monkeypatch.setattr(linalg, "_DOTS", Watched())
+    rng = random.Random(29)
+    for a, b in pool_products(rng, 20):
+        assert dense(linalg.mat_mul(sparse(a), sparse(b)), len(b[0])) == ref_mul(a, b)
+    # the memo filled to its cap, was emptied and filled again
+    assert max(sizes) == cap and sizes.count(1) > 1 and len(sizes) > 2 * cap

@@ -264,6 +264,26 @@ def test_pair_task_derives_the_records_of_the_swapped_module():
                                                                      "seconds")
 
 
+def test_a_module_on_a_warm_dot_memo_equals_it_on_a_cold_one(monkeypatch):
+    # a pool worker keeps the dot products of every module it has checked;
+    # what it held before must not reach the records or the matrices; the
+    # test starts on an empty memo of its own
+    def run():
+        return (_strip(suites.conjecture_task((3, 3))["checks"], "seconds"),
+                repmodule.ModuleVLambda(3, 3).matrix("N1"))
+
+    cold = run()
+    monkeypatch.setattr(linalg, "_DOTS", {})
+    for lam in suites.lambdas(6):
+        if lam[0] <= lam[1]:
+            suites.conjecture_pair_task(lam)
+    filled = len(linalg._DOTS)
+    warm = run()
+    assert 0 < filled < linalg.DOT_MEMO_CAP
+    assert [c["status"] for c in cold[0]] == ["pass"] * 4
+    assert warm == cold
+
+
 def test_a_planted_c2_fault_fails_every_check_of_n2_with_its_entry(monkeypatch):
     basis = crystal.enumerate_component(2, 2)
     row, col = basis[3], basis[17]
