@@ -17,9 +17,9 @@ import time
 from . import coxeter, crystal, gkmodel, repmodule, suites
 
 TOOL_VERSION = "qcactus 0.1.0"
-#: the version of the report layout; 2 adds `via` to the derived records and
-#: modules of `verify-conjecture` (reports before it have no `schema` field)
-REPORT_SCHEMA = 2
+#: the version of the report layout; 3 drops the field with which 2 marked derived records,
+#: as every module is now proved on its own (reports before 2 have no `schema` field)
+REPORT_SCHEMA = 3
 
 
 def _report(command: str, config: dict, checks: list[dict], started: float) -> dict:
@@ -63,8 +63,7 @@ def cmd_verify_conjecture(max_degree: int, jobs: int, out: str | None) -> int:
         checks,
         started,
     )
-    report["modules"] = [{k: r[k] for k in ("lambda", "dim", "seconds", "via") if k in r}
-                         for r in results]
+    report["modules"] = [{k: r[k] for k in ("lambda", "dim", "seconds")} for r in results]
     return _emit(report, out)
 
 

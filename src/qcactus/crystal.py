@@ -140,12 +140,6 @@ def sigma_outer(m: Pattern) -> Pattern:
     return _new(Pattern, (m[0], m[1], m[5], m[4], m[3], m[2]))
 
 
-def diagram_swap(m: Pattern) -> Pattern:
-    """(m1, m2, m12, m21, m01, m02) -> (m2, m1, m21, m12, m02, m01): the swap of
-    the two indices, which maps the component (l1, l2) onto (l2, l1)."""
-    return _new(Pattern, (m[1], m[0], m[3], m[2], m[5], m[4]))
-
-
 def sigma_i(i: int, m: Pattern) -> Pattern:
     """The involution e_i^{-wt_i(m)}; negates the i-weight."""
     return e_pow(i, -wt(i, m), m)

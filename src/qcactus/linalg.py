@@ -16,10 +16,11 @@ factor, pivot entry) in a dict local to the call.  `mat_mul` keys each dot
 product by its factor pairs in one dict that lives for the process: the
 modules of a sweep share their weight blocks, so a process (each pool worker,
 or the whole of a serial sweep) reuses the sums of every module it has
-already multiplied.  That dict is emptied when it reaches `DOT_MEMO_CAP`
-entries, so a long-lived process stays bounded.  RatFunc equality is
-structural on the canonical form, so equal keys are equal values and every
-result is exact, whatever the memo held before.
+already multiplied; `repmodule.matrix_N` keeps whole N1 blocks apart, so
+this memo serves mostly the products of the checks.  It is emptied when it
+reaches `DOT_MEMO_CAP` entries, so a long-lived process stays bounded.
+RatFunc equality is structural on the canonical form, so equal keys are
+equal values and every result is exact, whatever the memo held before.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .qarith import RatFunc
 
 _ZERO = RatFunc.zero()
 
-# the larger worker of a degree-16 sweep on two workers holds 29,000-31,100
+# the larger worker of a degree-16 sweep on two workers holds 28,400-29,900
 # entries, by the modules it draws; rounded up to a power of two
 DOT_MEMO_CAP = 1 << 15
 # dot products formed so far in this process, by their factor pairs

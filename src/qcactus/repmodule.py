@@ -240,43 +240,74 @@ def matrix_P(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     return operator_matrix(mod, lambda m: mod.basis_vector(crystal.sigma_i(i, m)))
 
 
-def basis_permutation(fn, mod: ModuleVLambda, target: ModuleVLambda | None = None) -> list[int]:
-    """The permutation of basis indices that the pattern map `fn` induces from
-    `mod` onto `target` (by default `mod` itself): j -> index of fn(basis[j])."""
-    index = (target or mod).index
-    return [index[fn(m)] for m in mod.basis]
+def basis_permutation(fn, mod: ModuleVLambda) -> list[int]:
+    """The permutation of basis indices that the pattern map `fn` induces on
+    `mod`: j -> index of fn(basis[j])."""
+    return [mod.index[fn(m)] for m in mod.basis]
 
 
-def transport_difference(a: linalg.Matrix, b: linalg.Matrix,
-                         perm: list[int]) -> tuple[int, int] | None:
-    """The first entry (row, column), in basis order, where `a` differs from
-    Q b Q^{-1}, Q the permutation matrix of `perm`; None when they are equal."""
-    for r, (x, y) in enumerate(zip(a, linalg.permute(b, perm))):
-        if x != y:
-            return r, min(j for j in x.keys() | y.keys() if x[j] != y[j])
-    return None
+# N1 weight blocks formed so far in this process, by their three source blocks
+# C1[s1 beta], P1[s1 beta <- beta] and C1[beta], each in local order
+N1_BLOCKS: dict[tuple, linalg.Matrix] = {}
+
+
+def _block(tag: str, a: linalg.Matrix, rows: list[int], cols: list[int],
+           mod: ModuleVLambda) -> linalg.Matrix:
+    """The block of `a` on the basis indices rows x cols, renumbered in local
+    order; raises ValueError naming `tag` and the entry by (row pattern, column
+    pattern) when one of `rows` has an entry outside `cols`."""
+    local = {k: c for c, k in enumerate(cols)}
+    out = []
+    for r in rows:
+        stray = a[r].keys() - local.keys()
+        if stray:
+            raise ValueError(f"{tag} has an entry outside its weight block at row "
+                             f"{mod.basis[r]}, column {mod.basis[min(stray)]}")
+        out.append(linalg.Row({local[k]: x for k, x in a[r].items()}))
+    return out
 
 
 def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     """Matrix of the index-i involution on the pattern basis, C_i P_i C_i^{-1}.
 
+    N1 is assembled one weight block at a time: C1 keeps each weight space
+    V_beta and P1 sends it to V_{s1 beta}, so the block of N1 from V_beta is
+    C1[s1 beta] P1[s1 beta <- beta] C1[beta]^{-1}.  Each block is formed once
+    per process and kept in N1_BLOCKS, keyed by its three source blocks, since
+    the modules of a sweep share their blocks.
+
     N2 is formed as P N1 P, P the permutation matrix of crystal.sigma_outer,
     once C2 = P C1 P and P2 = P P1 P are checked entry by entry; conjugating by
     a permutation commutes with products and inverses, so it equals
-    C2 P2 C2^{-1}.  A failed check raises ValueError naming the matrix and its
-    first differing entry by (row pattern, column pattern)."""
+    C2 P2 C2^{-1}.  A failed check, at the first differing entry in basis
+    order, or an entry of C1 or P1 outside its weight block raises ValueError
+    naming the matrix and the entry by (row pattern, column pattern)."""
     if i == 2:
+        n1 = mod.matrix("N1")
         outer = basis_permutation(crystal.sigma_outer, mod)
         for kind in ("C", "P"):
-            entry = transport_difference(mod.matrix(f"{kind}2"), mod.matrix(f"{kind}1"), outer)
-            if entry:
-                row, col = (str(mod.basis[k]) for k in entry)
-                raise ValueError(f"{kind}2 differs from P {kind}1 P at row {row}, column {col}")
-        return OperatorMatrix(linalg.permute(mod.matrix("N1"), outer))
-    c, p = mod.matrix(f"C{i}"), mod.matrix(f"P{i}")
-    c_inv = linalg.invert(c)
-    cp = linalg.mat_mul(c, p)
-    return OperatorMatrix(linalg.mat_mul(cp, c_inv))
+            moved = linalg.permute(mod.matrix(f"{kind}1"), outer)
+            for r, (x, y) in enumerate(zip(mod.matrix(f"{kind}2"), moved)):
+                if x != y:
+                    col = mod.basis[min(j for j in x.keys() | y.keys() if x[j] != y[j])]
+                    raise ValueError(f"{kind}2 differs from P {kind}1 P at row "
+                                     f"{mod.basis[r]}, column {col}")
+        return OperatorMatrix(linalg.permute(n1, outer))
+    c, p = mod.matrix("C1"), mod.matrix("P1")
+    diag = {beta: _block("C1", c, idxs, idxs, mod) for beta, idxs in mod.weight_blocks.items()}
+    rows = [linalg.Row() for _ in range(mod.dim)]
+    for beta, idxs in mod.weight_blocks.items():
+        image = mod.datum.reflect(1, beta)
+        targets = mod.weight_blocks[image]
+        sources = (diag[image], _block("P1", p, targets, idxs, mod), diag[beta])
+        key = tuple(tuple(tuple(row.items()) for row in block) for block in sources)
+        block = N1_BLOCKS.get(key)
+        if block is None:
+            c_inv = linalg.invert(diag[beta])
+            block = N1_BLOCKS[key] = linalg.mat_mul(linalg.mat_mul(*sources[:2]), c_inv)
+        for r, row in zip(targets, block):
+            rows[r] = linalg.Row({idxs[k]: x for k, x in row.items()})
+    return OperatorMatrix(rows)
 
 
 # -- modified braid-group symmetries ---------------------------------------------------

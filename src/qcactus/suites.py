@@ -759,59 +759,6 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
     return checks
 
 
-#: the check of V(l1,l2) whose verdict each check of V(l2,l1) takes: the swap
-#: exchanges N1 and N2, and (N2 N1)^3 = N1^{-1} (N1 N2)^3 N1
-_TWIN = {"involution-N1": "involution-N2", "involution-N2": "involution-N1",
-         "braid": "braid", "cube": "cube"}
-
-
-def swapped_checks(mod: repmodule.ModuleVLambda, checks: list[dict]) -> list[dict]:
-    """The conjecture records of V(l2,l1), derived from `checks`, the
-    conjecture records of `mod` = V(l1,l2), through the diagram swap; each
-    carries "via": [l1, l2].
-
-    The swap tau (crystal.diagram_swap) maps the basis of V(l1,l2) onto that
-    of V(l2,l1).  Once it is checked, entry by entry, to carry C_i and P_i of
-    `mod` to C_(3-i) and P_(3-i) of V(l2,l1), the N_i of V(l2,l1) are the
-    tau-conjugates of N_(3-i), so each check takes its twin's verdict.  A
-    failed transport fails all four records, naming the matrix of V(l2,l1)
-    and its first differing entry.  V(l2,l1) is held only in this call."""
-    l1, l2 = mod.l1, mod.l2
-    partner = repmodule.ModuleVLambda(l2, l1)
-    tau = repmodule.basis_permutation(crystal.diagram_swap, mod, partner)
-
-    @functools.cache
-    def transport():
-        for tag in ("C1", "C2", "P1", "P2"):
-            source = mod.matrix(f"{tag[0]}{3 - int(tag[1])}")
-            entry = repmodule.transport_difference(partner.matrix(tag), source, tau)
-            if entry:
-                return {"lambda": [l2, l1], "transport": tag,
-                        "entry": [str(partner.basis[k]) for k in entry]}
-        return None
-
-    def derived(twin):
-        def fn():
-            witness = transport()
-            if witness is None and twin["status"] == "fail":
-                # the twin's witness, restated for V(l2,l1)
-                witness = dict(twin.get("witness", {}))
-                if "lambda" in witness:
-                    witness["lambda"] = [l2, l1]
-                if "i" in witness:
-                    witness["i"] = 3 - witness["i"]
-            return witness
-
-        return fn
-
-    # each record keeps the name and anchor of its own check, in report order
-    twins = {rec["name"].split("(")[0]: rec for rec in checks}
-    records: list[dict] = []
-    for name, rec in twins.items():
-        _run(records, f"{name}({l2},{l1})", rec["anchor"], derived(twins[_TWIN[name]]))
-    return [dict(rec, via=[l1, l2]) for rec in records]
-
-
 #: the check families that run on one module, in report order
 MODULE_FAMILIES = {
     "relations": relations_checks,
@@ -820,18 +767,21 @@ MODULE_FAMILIES = {
 }
 
 
-def _task_result(lam, dim: int, checks: list[dict], t0: float, **extra) -> dict:
-    return {"lambda": list(lam), "dim": dim, "checks": checks,
-            "seconds": round(time.perf_counter() - t0, 4), **extra}
+def _task_result(lam: tuple[int, int], families: tuple[str, ...]) -> dict:
+    t0 = time.perf_counter()
+    mod = repmodule.ModuleVLambda(*lam)
+    checks = [rec for family in families for rec in MODULE_FAMILIES[family](mod)]
+    return {"lambda": list(lam), "dim": mod.dim, "checks": checks,
+            "seconds": round(time.perf_counter() - t0, 4)}
 
 
 def module_task(lam: tuple[int, int], families: tuple[str, ...]) -> dict:
     """Build the module of highest weight `lam` and run the named families of
-    MODULE_FAMILIES on it, in the order given; `seconds` is wall time."""
-    t0 = time.perf_counter()
-    mod = repmodule.ModuleVLambda(*lam)
-    checks = [rec for family in families for rec in MODULE_FAMILIES[family](mod)]
-    return _task_result(lam, mod.dim, checks, t0)
+    MODULE_FAMILIES on it, in the order given; `seconds` is wall time.  It
+    empties the N1 block memo first, so a module proved on its own forms every
+    block of its N1 from its own C1 and P1."""
+    repmodule.N1_BLOCKS.clear()
+    return _task_result(lam, families)
 
 
 def conjecture_task(lam: tuple[int, int]) -> dict:
@@ -840,19 +790,13 @@ def conjecture_task(lam: tuple[int, int]) -> dict:
 
 
 def conjecture_pair_task(lam: tuple[int, int]) -> list[dict]:
-    """One sweep task for l1 <= l2: the result of conjecture_task(lam) and,
-    when l1 < l2, that of V(l2,l1), whose records swapped_checks derives and
-    whose result carries "via": [l1, l2]; `seconds` is wall time."""
-    t0 = time.perf_counter()
-    mod = repmodule.ModuleVLambda(*lam)
-    checks = conjecture_checks(mod)
-    results = [_task_result(lam, mod.dim, checks, t0)]
+    """One sweep task for l1 <= l2: the conjecture checks of V(l1,l2) and, when
+    l1 < l2, of V(l2,l1), each proved on its own module.  The N1 block memo is
+    kept: every weight block of V(l2,l1) is a block of V(l1,l2), and a pool
+    worker reuses the blocks of the tasks it has already run."""
     l1, l2 = lam
-    if l1 < l2:
-        t0 = time.perf_counter()
-        results.append(_task_result((l2, l1), mod.dim, swapped_checks(mod, checks), t0,
-                                    via=[l1, l2]))
-    return results
+    return [_task_result(mirror, ("conjecture",))
+            for mirror in dict.fromkeys([(l1, l2), (l2, l1)])]
 
 
 def usable_cpus() -> int:
@@ -867,9 +811,10 @@ def pool_map(fn, items, jobs: int) -> list:
     """`fn` on every item, results in the order given, on `jobs` worker
     processes clamped to between 1 and the smaller of the number of items and
     the usable CPUs.  With one worker it runs in this process.  Each worker
-    keeps its own `linalg` dot memo for its lifetime, so it reuses the dot
-    products of every item it has already run; a serial run keeps one memo
-    over all the items."""
+    keeps its own `linalg` dot memo and `repmodule` N1 block memo for its
+    lifetime, so it reuses the dot products and blocks of every item it has
+    already run (`module_task` empties the block memo); a serial run keeps
+    one of each over all the items."""
     items = list(items)
     jobs = max(1, min(jobs, len(items), usable_cpus()))
     if jobs == 1:

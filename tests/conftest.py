@@ -2,14 +2,16 @@ import concurrent.futures
 
 import pytest
 
-from qcactus import linalg
+from qcactus import linalg, repmodule
 
 
 @pytest.fixture(autouse=True)
-def fresh_dot_memo(monkeypatch):
-    """Gives each test an empty dot memo of its own, so that what an earlier
-    test multiplied never turns this test's arithmetic into memo lookups."""
+def fresh_memos(monkeypatch):
+    """Gives each test an empty dot memo and N1 block memo of its own, so that
+    what an earlier test built never turns this test's arithmetic into memo
+    lookups."""
     monkeypatch.setattr(linalg, "_DOTS", {})
+    monkeypatch.setattr(repmodule, "N1_BLOCKS", {})
 
 
 @pytest.fixture

@@ -156,11 +156,9 @@ def test_verify_conjecture_maps_one_task_per_swap_pair(monkeypatch, capsys, pool
     assert tasks == [lam for lam in sorted(suites.lambdas(4)) if lam[0] <= lam[1]]
     report = json.loads(out)
     lams = sorted(suites.lambdas(4))
+    assert len(lams) == 15
     assert [tuple(m["lambda"]) for m in report["modules"]] == lams
-    for m in report["modules"]:
-        l1, l2 = m["lambda"]
-        assert m.get("via") == ([l2, l1] if l1 > l2 else None)
-    # every module's four records, in module order, with the module's dim and via
+    # every module's own four records, in module order, with the module's dim
     names = [f"{c}({l1},{l2})" for l1, l2 in lams
              for c in ("involution-N1", "involution-N2", "braid", "cube")]
     assert [c["name"] for c in report["checks"]] == names
@@ -168,7 +166,8 @@ def test_verify_conjecture_maps_one_task_per_swap_pair(monkeypatch, capsys, pool
     for c in report["checks"]:
         module = modules[c["name"][c["name"].index("("):]]
         assert c["status"] == "pass" and c["dim"] == module["dim"]
-        assert c.get("via") == module.get("via")
+    assert all(set(m) == {"lambda", "dim", "seconds"} for m in report["modules"])
+    assert all("via" not in c for c in report["checks"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -180,7 +179,8 @@ def test_verify_conjecture_maps_one_task_per_swap_pair(monkeypatch, capsys, pool
 def test_every_report_names_its_schema(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["schema"] == cli.REPORT_SCHEMA == 2
+    assert json.loads(out)["schema"] == cli.REPORT_SCHEMA == 3
+    assert '"via"' not in out
 
 
 def test_module_verify_report_schema(capsys):

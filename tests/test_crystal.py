@@ -67,15 +67,6 @@ def test_sigma_outer_examples():
     assert cr.sigma_outer(m) == m
 
 
-def test_diagram_swap_maps_each_component_onto_its_swap():
-    m = Pattern(1, 0, 2, 0, 3, 4)
-    assert cr.diagram_swap(m) == Pattern(0, 1, 0, 2, 4, 3)
-    assert cr.diagram_swap(cr.diagram_swap(m)) == m
-    for l1, l2 in ((0, 0), (1, 0), (2, 1), (1, 3), (4, 2)):
-        image = {cr.diagram_swap(m) for m in cr.enumerate_component(l1, l2)}
-        assert image == set(cr.enumerate_component(l2, l1))
-
-
 def test_sigma_i_example():
     assert cr.sigma_i(1, Pattern(1, 0, 0, 0, 0, 0)) == Pattern(0, 0, 0, 0, 1, 0)
     m = Pattern(0, 0, 2, 1, 3, 1)

@@ -244,24 +244,78 @@ def _strip(records, *keys):
     return [{k: v for k, v in rec.items() if k not in keys} for rec in records]
 
 
-def test_pair_task_derives_the_records_of_the_swapped_module():
+def test_pair_task_records_equal_those_of_each_module_on_its_own():
     for l1, l2 in suites.lambdas(6):
         if l1 > l2:
             continue
         results = suites.conjecture_pair_task((l1, l2))
-        direct = suites.conjecture_task((l1, l2))
-        assert (results[0]["lambda"], results[0]["dim"]) == (direct["lambda"], direct["dim"])
-        assert _strip(results[0]["checks"], "seconds") == _strip(direct["checks"], "seconds")
-        assert "via" not in results[0]
-        if l1 == l2:
-            assert len(results) == 1
-            continue
-        derived, swapped = results[1], suites.conjecture_task((l2, l1))
-        assert derived["via"] == [l1, l2]
-        assert all(rec["via"] == [l1, l2] for rec in derived["checks"])
-        assert (derived["lambda"], derived["dim"]) == (swapped["lambda"], swapped["dim"])
-        assert _strip(derived["checks"], "seconds", "via") == _strip(swapped["checks"],
-                                                                     "seconds")
+        mirrors = [(l1, l2)] if l1 == l2 else [(l1, l2), (l2, l1)]
+        assert [r["lambda"] for r in results] == [list(lam) for lam in mirrors]
+        for result, lam in zip(results, mirrors):
+            alone = suites.conjecture_task(lam)
+            assert (result["lambda"], result["dim"]) == (alone["lambda"], alone["dim"])
+            assert _strip(result["checks"], "seconds") == _strip(alone["checks"], "seconds")
+
+
+def test_block_built_n1_equals_the_whole_conjugate():
+    # an oracle off the block path: C1 P1 C1^{-1} formed from the whole matrices
+    for lam in suites.lambdas(6):
+        mod = repmodule.ModuleVLambda(*lam)
+        c, p = mod.matrix("C1"), mod.matrix("P1")
+        whole = linalg.mat_mul(linalg.mat_mul(c, p), linalg.invert(c))
+        assert mod.matrix("N1") == whole, lam
+
+
+def test_the_mirror_in_a_pair_task_inverts_no_block(monkeypatch):
+    inverted = []
+    invert, task_result = linalg.invert, suites._task_result
+    monkeypatch.setattr(linalg, "invert", lambda a: inverted.append(len(a)) or invert(a))
+    calls = {}
+
+    def counted(lam, families):
+        start = len(inverted)
+        result = task_result(lam, families)
+        calls[lam] = len(inverted) - start
+        return result
+
+    monkeypatch.setattr(suites, "_task_result", counted)
+    for l1, l2 in suites.lambdas(6):
+        if l1 < l2:
+            repmodule.N1_BLOCKS.clear()
+            suites.conjecture_pair_task((l1, l2))
+            assert calls[(l1, l2)] > 0 and calls[(l2, l1)] == 0, (l1, l2)
+    # a module proved on its own starts on an empty block memo
+    suites.conjecture_pair_task((1, 2))
+    suites.conjecture_task((2, 1))
+    assert calls[(2, 1)] > 0
+
+
+def test_a_c1_entry_outside_its_weight_block_fails_every_check_with_its_entry(monkeypatch):
+    mod = repmodule.ModuleVLambda(1, 1)
+    row, col = mod.basis[0], mod.basis[1]
+    assert mod.weight_of(row) != mod.weight_of(col)
+    _plant(monkeypatch, "matrix_C", (1,), row, col)
+    checks = suites.conjecture_task((1, 1))["checks"]
+    assert [c["status"] for c in checks] == ["fail"] * 4
+    for rec in checks:
+        assert "C1 has an entry outside its weight block" in rec["witness"]["error"]
+        assert f"row {row}, column {col}" in rec["witness"]["error"]
+
+
+def test_an_in_block_c1_fault_on_v21_fails_only_its_records(monkeypatch):
+    # the fault, on the highest line, is planted in C1 and, moved by the outer
+    # involution, in C2, so that N2 = P N1 P holds and only the faulty N1
+    # blocks fail braid and cube; V(1,2), proved first in the task, leaves its
+    # clean blocks in the memo
+    top = Pattern(0, 0, 0, 0, 2, 1)
+    _plant(monkeypatch, "matrix_C", (1,), top, top, lam=(2, 1))
+    _plant(monkeypatch, "matrix_C", (2,), crystal.sigma_outer(top), crystal.sigma_outer(top),
+           lam=(2, 1))
+    direct, mirror = suites.conjecture_pair_task((1, 2))
+    assert [c["status"] for c in direct["checks"]] == ["pass"] * 4
+    assert [(c["name"], c["status"]) for c in mirror["checks"]] == [
+        ("involution-N1(2,1)", "pass"), ("involution-N2(2,1)", "pass"),
+        ("braid(2,1)", "fail"), ("cube(2,1)", "fail")]
 
 
 def test_a_module_on_a_warm_dot_memo_equals_it_on_a_cold_one(monkeypatch):
@@ -293,34 +347,6 @@ def test_a_planted_c2_fault_fails_every_check_of_n2_with_its_entry(monkeypatch):
     for rec in checks[1:]:
         assert "C2 differs from P C1 P" in rec["witness"]["error"]
         assert f"row {row}, column {col}" in rec["witness"]["error"]
-
-
-def test_a_planted_transport_fault_fails_every_derived_record(monkeypatch):
-    basis = crystal.enumerate_component(2, 1)
-    row, col = basis[2], basis[9]
-    _plant(monkeypatch, "matrix_C", (1,), row, col, lam=(2, 1))
-    direct, derived = suites.conjecture_pair_task((1, 2))
-    assert [c["status"] for c in direct["checks"]] == ["pass"] * 4
-    assert [c["name"] for c in derived["checks"]] == [
-        "involution-N1(2,1)", "involution-N2(2,1)", "braid(2,1)", "cube(2,1)"]
-    for rec in derived["checks"]:
-        assert rec["status"] == "fail"
-        assert rec["witness"] == {"lambda": [2, 1], "transport": "C1",
-                                  "entry": [str(row), str(col)]}
-
-
-def test_a_derived_record_restates_its_twins_witness():
-    mod = repmodule.ModuleVLambda(1, 2)
-    checks = suites.conjecture_checks(mod)
-    checks[1] = dict(checks[1], status="fail", witness={"lambda": [1, 2], "i": 2})
-    checks[3] = dict(checks[3], status="fail", witness={"error": "RuntimeError('x')"})
-    derived = suites.swapped_checks(mod, checks)
-    assert [(c["name"], c["status"], c.get("witness")) for c in derived] == [
-        ("involution-N1(2,1)", "fail", {"lambda": [2, 1], "i": 1}),
-        ("involution-N2(2,1)", "pass", None),
-        ("braid(2,1)", "pass", None),
-        ("cube(2,1)", "fail", {"error": "RuntimeError('x')"}),
-    ]
 
 
 def test_conjecture_gcds_need_no_fallback(monkeypatch):
