@@ -154,10 +154,7 @@ def _arg(parse):
 
 def _integer(text: str, least: int, kind: str) -> int:
     """`text` as an integer of at least `least`; the error names the text."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
+    value = coxeter.parse_int(text)
     if value is None or value < least:
         raise ValueError(f"expected a {kind} integer, got {text!r}")
     return value

@@ -10,6 +10,7 @@ enumeration exceed their caps.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from operator import index
 
@@ -25,6 +26,13 @@ def integers(values) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise ValueError(f"expected integer entries, got {values!r}") from None
+
+
+def parse_int(text: str) -> int | None:
+    """`text` as an int if it is an optional sign and ASCII digits, with
+    surrounding whitespace, else None; int() also reads underscores and
+    non-ASCII digits."""
+    return int(text) if re.fullmatch(r"\s*[+-]?\d+\s*", text, re.ASCII) else None
 
 
 # Cartan matrices of the supported irreducible types, a[i][j] = alpha_j(alpha_i^vee).
@@ -311,10 +319,9 @@ def parse_subset(text: str) -> frozenset:
     text = text.strip()
     if not text:
         return frozenset()
-    try:
-        parts = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integer indices, got {text!r}") from None
+    parts = [parse_int(part) for part in text.split(",")]
+    if None in parts:
+        raise ValueError(f"expected comma-separated integer indices, got {text!r}")
     repeated = sorted({j for j in parts if parts.count(j) > 1})
     if repeated:
         raise ValueError(f"repeated subset indices {repeated}")

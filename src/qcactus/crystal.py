@@ -19,6 +19,8 @@ from __future__ import annotations
 from functools import partial
 from operator import itemgetter
 
+from .coxeter import parse_int
+
 _new = tuple.__new__
 
 
@@ -77,11 +79,8 @@ class Pattern(_Entries):
 
     @staticmethod
     def parse(text: str) -> "Pattern":
-        try:
-            parts = [int(x) for x in text.split(",")]
-        except ValueError:
-            parts = []
-        if len(parts) != 6:
+        parts = [parse_int(x) for x in text.split(",")]
+        if len(parts) != 6 or None in parts:
             raise ValueError(f"expected six comma-separated integers, got {text!r}")
         return Pattern(*parts)
 
@@ -204,10 +203,9 @@ def parse_ops(text: str) -> list:
         elif token in ("sigma1", "sigma2"):
             ops.append(partial(sigma_i, int(token[-1])))
         elif token.startswith(("e1^", "e2^")):
-            try:
-                r = int(token[3:])
-            except ValueError:
-                raise ValueError(f"non-integer power in operator token {token!r}") from None
+            r = parse_int(token[3:])
+            if r is None:
+                raise ValueError(f"non-integer power in operator token {token!r}")
             ops.append(partial(e_pow, int(token[1]), r))
         elif token in ("e1", "e2"):
             ops.append(partial(e_pow, int(token[1]), 1))

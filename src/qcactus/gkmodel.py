@@ -256,7 +256,8 @@ def embed_module(l1: int, l2: int) -> list[dict]:
 
 _FACTOR = re.compile(
     r"\s*(?P<star>\*\s*)?(?:q\^\{(?P<snum>-?\d+)(?P<shalf>/2)?\}|(?P<int>(?P<neg>-)?\d+)"
-    r"|(?P<gen>z12|z21|z1|z2|v1|v2)(?!\d)(?:\s*\^\s*(?P<power>-?\d+))?)\s*"
+    r"|(?P<gen>z12|z21|z1|z2|v1|v2)(?!\d)(?:\s*\^\s*(?P<power>-?\d+))?)\s*",
+    re.ASCII,
 )
 
 

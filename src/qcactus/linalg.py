@@ -10,10 +10,9 @@ and returns the right half.  The pivot is the diagonal entry when it is
 nonzero, so a triangular matrix is reduced without row swaps or fill; only
 when it is zero is the entry of lowest exponent span below it swapped up.
 
-The entries of these matrices take few distinct values, so each distinct
-piece of arithmetic is formed once.  `rref` keys each update by (old entry,
-factor, pivot entry) in a dict local to the call.  `mat_mul` keys each dot
-product by its factor pairs in one dict that lives for the process: the
+`rref` keeps no memo: each elimination of the sweep runs on one weight block
+of a few rows, where reusing row updates does not pay.  `mat_mul` keys each
+dot product by its factor pairs in one dict that lives for the process: the
 modules of a sweep share their weight blocks, so a process (each pool worker,
 or the whole of a serial sweep) reuses the sums of every module it has
 already multiplied; `repmodule.matrix_N` keeps whole N1 blocks apart, so
@@ -48,11 +47,6 @@ class Row(dict):
 
 
 Matrix = list[Row]
-
-
-def identity(n: int) -> Matrix:
-    one = RatFunc.one()
-    return [Row({i: one}) for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -117,8 +111,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     m = [Row(row) for row in a]
     nrows = len(m)
     pivots = []
-    # row updates already formed in this call, by (old entry, factor, pivot entry)
-    updates: dict[tuple, RatFunc] = {}
     r = 0
     # elimination fills only columns where a pivot row is nonzero, so no
     # column outside the original support ever holds a pivot
@@ -140,10 +132,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             f = row.get(col)
             if i2 != r and f is not None:
                 for j, y in prow.items():
-                    key = (row[j], f, y)
-                    new = updates.get(key)
-                    if new is None:
-                        new = updates[key] = key[0] - f * y
+                    new = row[j] - f * y
                     if new.is_zero():
                         row.pop(j, None)
                     else:

@@ -275,21 +275,6 @@ class LaurentPoly:
         """Ordered [exponent, "p/q"] pairs by ascending exponent."""
         return [[k, str(Fraction(self._c[k]))] for k in sorted(self._c)]
 
-    @staticmethod
-    def from_json(data) -> "LaurentPoly":
-        """Inverse of `to_json`; an exponent that is not an integer or that
-        appears twice raises ValueError."""
-        c = {}
-        for k, s in data:
-            try:
-                k = index(k)
-            except TypeError:
-                raise ValueError(f"exponent must be an integer, got {k!r}") from None
-            if k in c:
-                raise ValueError(f"exponent {k} appears twice")
-            c[k] = Fraction(s)
-        return LaurentPoly(c)
-
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
@@ -606,10 +591,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "RatFunc":
-        return RatFunc(LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"]))
 
 
 def _unit_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:

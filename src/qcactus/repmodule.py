@@ -389,14 +389,9 @@ class _StringDecomposition:
         for beta in sorted(mod.weight_blocks, key=lambda w: w.coords):
             idxs = mod.weight_blocks[beta]
             l = beta[i]
-            target_idxs = mod.weight_blocks.get(beta + alpha)
-            if target_idxs:
-                block = [linalg.Row({c: raising[r][k] for c, k in enumerate(idxs)
-                                     if k in raising[r]}) for r in target_idxs]
-                kernel = linalg.nullspace(block, len(idxs))
-            else:
-                # the raising operator kills the whole block
-                kernel = linalg.identity(len(idxs))
+            # with no weight above, the block has no rows and every vector is a top
+            block = _block(f"E{i}", raising, mod.weight_blocks.get(beta + alpha, []), idxs, mod)
+            kernel = linalg.nullspace(block, len(idxs))
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:

@@ -26,8 +26,12 @@ def rnd_entry(rng, density=0.7):
     return RatFunc.of_poly(num) if not num.is_zero() else RatFunc.one()
 
 
+def identity(n):
+    return [linalg.Row({i: RatFunc.one()}) for i in range(n)]
+
+
 def test_identity_and_multiply():
-    eye = linalg.identity(3)
+    eye = identity(3)
     assert linalg.is_identity(eye)
     assert linalg.mat_mul(eye, eye) == eye
     assert dense(eye, 3) == [[RatFunc.one() if i == j else RatFunc.zero() for j in range(3)]
@@ -163,8 +167,9 @@ def test_rank_and_nullspace():
         for j, entry in row.items():
             total = total + entry * basis[0][j]
         assert total.is_zero()
-    # a column with no entries is free
+    # a column with no entries is free, so with no rows every column is
     assert linalg.nullspace(sparse([[one, zero]]), 2) == [{1: one}]
+    assert linalg.nullspace([], 3) == [{0: one}, {1: one}, {2: one}]
 
 
 def test_mat_mul_rejects_mismatched_shapes():
@@ -183,7 +188,7 @@ def test_is_identity_rejects_non_square():
     assert not linalg.is_identity(sparse([[zero, one], [one, zero]]))
 
 
-# -- reference arithmetic without memos, for the memoized mat_mul and rref -----
+# -- reference arithmetic without memos, for mat_mul's dot memo and rref --------
 
 
 def pool_matrix(rng, nrows, ncols):
@@ -250,7 +255,7 @@ def test_memoized_mat_mul_equals_reference_product():
     assert cancelled > 0
 
 
-def test_memoized_rref_and_invert_equal_reference_gauss_jordan():
+def test_rref_and_invert_equal_reference_gauss_jordan():
     rng = random.Random(5)
     for _ in range(30):
         ncols = rng.randint(1, 6)
@@ -262,7 +267,7 @@ def test_memoized_rref_and_invert_equal_reference_gauss_jordan():
     while inverted < 10:
         n = rng.randint(2, 5)
         a = pool_matrix(rng, n, n)
-        ref, pivots = ref_rref([row + e for row, e in zip(a, dense(linalg.identity(n), n))])
+        ref, pivots = ref_rref([row + e for row, e in zip(a, dense(identity(n), n))])
         if pivots == list(range(n)):
             inv = linalg.invert(sparse(a))
             assert dense(inv, n) == [row[n:] for row in ref]

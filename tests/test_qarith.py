@@ -69,18 +69,8 @@ class TestLaurentPoly:
             poly({1.5: 0})
         assert poly({True: 3, False: 1}) == poly({1: 3, 0: 1})
 
-    def test_from_json_rejects_aliasing_input(self):
-        for data in ([[1, "2"], [1, "3"]], [[1.7, "2"]], [["1", "2"]]):
-            with pytest.raises(ValueError) as exc:
-                LaurentPoly.from_json(data)
-            assert "\n" not in str(exc.value)
-        with pytest.raises(ValueError):
-            RatFunc.from_json({"num": [[0, "1"], [0, "1"]], "den": [[0, "1"]]})
-        assert LaurentPoly.from_json([[-1, "1/2"], [3, "-4"]]) == poly({-1: Fraction(1, 2), 3: -4})
-
-    def test_serialization_roundtrip(self):
-        p = poly({-2: Fraction(1, 3), 5: -4})
-        assert LaurentPoly.from_json(p.to_json()) == p
+    def test_to_json_lists_exponents_in_order(self):
+        p = poly({5: -4, -2: Fraction(1, 3)})
         assert p.to_json() == [[-2, "1/3"], [5, "-4"]]
 
     def test_integral_sum_of_fractions_stores_int(self):

@@ -302,6 +302,31 @@ def test_a_c1_entry_outside_its_weight_block_fails_every_check_with_its_entry(mo
         assert f"row {row}, column {col}" in rec["witness"]["error"]
 
 
+def test_an_e1_entry_outside_its_weight_block_fails_the_1_string_records(monkeypatch):
+    # the raising operator E1 that the 1-strings of V(2,1) are cut from gains
+    # an entry from the highest weight into weight (1,0), which E1 reaches
+    # only from weight (-1,1); the matrix is told from the others by its value
+    mod = repmodule.ModuleVLambda(2, 1)
+    row, col = Pattern(0, 0, 0, 1, 1, 1), mod.highest_pattern
+    build = repmodule.operator_matrix
+    clean = build(mod, lambda m: repmodule.act_divided(1, "E", 1, mod.basis_vector(m)))
+
+    def planted(module, fn):
+        a = build(module, fn)
+        if a == clean:
+            a[mod.index[row]][mod.index[col]] = qarith.RatFunc.one()
+        return a
+
+    monkeypatch.setattr(repmodule, "operator_matrix", planted)
+    checks = suites.sigma_checks([repmodule.ModuleVLambda(2, 1)])
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("three-way-agreement", "fail"), ("involutions", "fail"),
+        ("star-conjugation", "fail"), ("T-braid", "pass")]
+    for rec in checks[:3]:
+        assert (f"E1 has an entry outside its weight block at row {row}, column {col}"
+                in rec["witness"]["error"])
+
+
 def test_an_in_block_c1_fault_on_v21_fails_only_its_records(monkeypatch):
     # the fault, on the highest line, is planted in C1 and, moved by the outer
     # involution, in C2, so that N2 = P N1 P holds and only the faulty N1
