@@ -190,6 +190,10 @@ def _out_path(text: str) -> str:
     directory = os.path.dirname(text) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"directory {directory!r} of output path {text!r} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise ValueError(f"directory {directory!r} of output path {text!r} is not writable")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise ValueError(f"output path {text!r} is not writable")
     return text
 
 

@@ -85,13 +85,13 @@ class OperatorMatrix(linalg.Matrix):
 
     @property
     def rows(self) -> list[list[RatFunc]]:
-        """The dense view, zeros included, kept only for `to_json` (`module
-        export`) and for perfbench's probes."""
+        """The dense view, zeros included, read only by perfbench's probes and the tests."""
         n = len(self)
         return [[row[j] for j in range(n)] for row in self]
 
     def to_json(self) -> list:
-        return [[entry.to_json() for entry in row] for row in self.rows]
+        """The dense rows for `module export`, densified one sparse row at a time."""
+        return [[row[j].to_json() for j in range(len(self))] for row in self]
 
 
 MATRIX_TAGS = ("C1", "C2", "P1", "P2", "N1", "N2")
@@ -251,20 +251,22 @@ def basis_permutation(fn, mod: ModuleVLambda) -> list[int]:
 N1_BLOCKS: dict[tuple, linalg.Matrix] = {}
 
 
-def _block(tag: str, a: linalg.Matrix, rows: list[int], cols: list[int],
-           mod: ModuleVLambda) -> linalg.Matrix:
-    """The block of `a` on the basis indices rows x cols, renumbered in local
-    order; raises ValueError naming `tag` and the entry by (row pattern, column
-    pattern) when one of `rows` has an entry outside `cols`."""
-    local = {k: c for c, k in enumerate(cols)}
-    out = []
-    for r in rows:
-        stray = a[r].keys() - local.keys()
-        if stray:
-            raise ValueError(f"{tag} has an entry outside its weight block at row "
-                             f"{mod.basis[r]}, column {mod.basis[min(stray)]}")
-        out.append(linalg.Row({local[k]: x for k, x in a[r].items()}))
-    return out
+def _graded(tag: str, a: linalg.Matrix, mod: ModuleVLambda, image) -> dict[Weight, linalg.Matrix]:
+    """{beta: the block of `a` from V_beta to V_image(beta)} in local order, cut in
+    one pass over every entry; an entry whose row weight is not the image of its
+    column weight raises ValueError naming `tag` and its row and column patterns."""
+    local = {k: c for idxs in mod.weight_blocks.values() for c, k in enumerate(idxs)}
+    images = {beta: image(beta) for beta in mod.weight_blocks}
+    blocks = {beta: [linalg.Row() for _ in mod.weight_blocks.get(gamma, ())]
+              for beta, gamma in images.items()}
+    for r, row in enumerate(a):
+        for k, x in row.items():
+            beta = mod.weights[k]
+            if images[beta] != mod.weights[r]:
+                raise ValueError(f"{tag} has an entry outside its weight block at row "
+                                 f"{mod.basis[r]}, column {mod.basis[k]}")
+            blocks[beta][local[r]][local[k]] = x
+    return blocks
 
 
 def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
@@ -293,19 +295,18 @@ def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
                     raise ValueError(f"{kind}2 differs from P {kind}1 P at row "
                                      f"{mod.basis[r]}, column {col}")
         return OperatorMatrix(linalg.permute(n1, outer))
-    c, p = mod.matrix("C1"), mod.matrix("P1")
-    diag = {beta: _block("C1", c, idxs, idxs, mod) for beta, idxs in mod.weight_blocks.items()}
+    diag = _graded("C1", mod.matrix("C1"), mod, lambda beta: beta)
+    moved = _graded("P1", mod.matrix("P1"), mod, lambda beta: mod.datum.reflect(1, beta))
     rows = [linalg.Row() for _ in range(mod.dim)]
     for beta, idxs in mod.weight_blocks.items():
         image = mod.datum.reflect(1, beta)
-        targets = mod.weight_blocks[image]
-        sources = (diag[image], _block("P1", p, targets, idxs, mod), diag[beta])
+        sources = (diag[image], moved[beta], diag[beta])
         key = tuple(tuple(tuple(row.items()) for row in block) for block in sources)
         block = N1_BLOCKS.get(key)
         if block is None:
             c_inv = linalg.invert(diag[beta])
             block = N1_BLOCKS[key] = linalg.mat_mul(linalg.mat_mul(*sources[:2]), c_inv)
-        for r, row in zip(targets, block):
+        for r, row in zip(mod.weight_blocks[image], block):
             rows[r] = linalg.Row({idxs[k]: x for k, x in row.items()})
     return OperatorMatrix(rows)
 
@@ -386,12 +387,11 @@ class _StringDecomposition:
         self.reversal: list[int] = []
         raising = operator_matrix(mod, lambda m: act_divided(i, "E", 1, mod.basis_vector(m)))
         alpha = mod.datum.simple_root(i)
+        blocks = _graded(f"E{i}", raising, mod, lambda beta: beta + alpha)
         for beta in sorted(mod.weight_blocks, key=lambda w: w.coords):
             idxs = mod.weight_blocks[beta]
             l = beta[i]
-            # with no weight above, the block has no rows and every vector is a top
-            block = _block(f"E{i}", raising, mod.weight_blocks.get(beta + alpha, []), idxs, mod)
-            kernel = linalg.nullspace(block, len(idxs))
+            kernel = linalg.nullspace(blocks[beta], len(idxs))
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
             for coords in kernel:

@@ -246,6 +246,23 @@ def test_module_export_bad_tag(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("denied", ["directory", "file"])
+def test_an_unwritable_report_path_is_a_usage_error(monkeypatch, capsys, tmp_path, denied):
+    # os.access is replaced, since a root user may write anywhere
+    out = tmp_path / "report.json"
+    if denied == "file":
+        out.write_text("kept")
+    refused = str(tmp_path if denied == "directory" else out)
+    access = cli.os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != refused and access(path, mode))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-conjecture", "--max-degree", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{str(out)!r} is not writable" in err and "Traceback" not in err
+    assert out.read_text() == "kept" if denied == "file" else not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-conjecture", "--max-degree", "-3"],
     ["module", "verify", "--l1", "-1", "--l2", "0"],

@@ -183,6 +183,45 @@ class TestInvolutionMatrices:
             mod.matrix("N2")
         assert f"row {row}, column {col}" in str(err.value)
 
+    @pytest.mark.parametrize("tag, image", [
+        ("C1", lambda d, beta: beta),
+        ("P1", lambda d, beta: d.reflect(1, beta)),
+        ("E1", lambda d, beta: beta + d.simple_root(1)),
+        ("E2", lambda d, beta: beta + d.simple_root(2)),
+    ])
+    def test_graded_cuts_every_entry_into_its_block(self, tag, image):
+        for l1, l2 in suites.lambdas(6):
+            mod = rm.ModuleVLambda(l1, l2)
+            if tag[0] == "E":
+                i = int(tag[1])
+                a = rm.operator_matrix(mod, lambda m: rm.act_divided(i, "E", 1, mod.basis_vector(m)))
+            else:
+                a = mod.matrix(tag)
+            to = lambda beta: image(mod.datum, beta)
+            blocks = rm._graded(tag, a, mod, to)
+            assert blocks.keys() == mod.weight_blocks.keys()
+            back = [linalg.Row() for _ in range(mod.dim)]
+            for beta, block in blocks.items():
+                rows, cols = mod.weight_blocks.get(to(beta), []), mod.weight_blocks[beta]
+                assert len(block) == len(rows), (l1, l2, beta)
+                for r, row in zip(rows, block):
+                    back[r].update({cols[c]: x for c, x in row.items()})
+            assert back == list(a), (l1, l2)
+            # an entry from the highest weight into the lowest weight -(l2, l1),
+            # which no weight of the module reaches by a raising map
+            r = mod.weights.index(cartan.Weight((-l2, -l1)))
+            c = mod.index[mod.highest_pattern]
+            if to(mod.weights[c]) == mod.weights[r]:
+                continue
+            if tag[0] == "E":
+                assert all(to(beta) != mod.weights[r] for beta in mod.weight_blocks)
+            planted = [linalg.Row(row) for row in a]
+            planted[r][c] = RatFunc.one()
+            with pytest.raises(ValueError) as err:
+                rm._graded(tag, planted, mod, to)
+            assert str(err.value) == (f"{tag} has an entry outside its weight block at row "
+                                      f"{mod.basis[r]}, column {mod.basis[c]}")
+
     @pytest.mark.parametrize("lam", [(3, 3), (4, 4), (5, 5)])
     def test_integer_oracle(self, lam):
         verdicts = integer_oracle(rm.ModuleVLambda(*lam))

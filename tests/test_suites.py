@@ -302,12 +302,19 @@ def test_a_c1_entry_outside_its_weight_block_fails_every_check_with_its_entry(mo
         assert f"row {row}, column {col}" in rec["witness"]["error"]
 
 
-def test_an_e1_entry_outside_its_weight_block_fails_the_1_string_records(monkeypatch):
+@pytest.mark.parametrize("row", [
+    # weight (1,0), which E1 reaches only from weight (-1,1)
+    Pattern(0, 0, 0, 1, 1, 1),
+    # weight (-1,-2), which E1 reaches from no weight: (-1,-2) - alpha1 is none
+    Pattern(0, 0, 1, 2, 0, 0),
+], ids=["row-above-a-weight", "row-above-no-weight"])
+def test_an_e1_entry_outside_its_weight_block_fails_the_1_string_records(monkeypatch, row):
     # the raising operator E1 that the 1-strings of V(2,1) are cut from gains
-    # an entry from the highest weight into weight (1,0), which E1 reaches
-    # only from weight (-1,1); the matrix is told from the others by its value
+    # an entry from the highest weight into `row`; the matrix is told from
+    # the others by its value
     mod = repmodule.ModuleVLambda(2, 1)
-    row, col = Pattern(0, 0, 0, 1, 1, 1), mod.highest_pattern
+    col = mod.highest_pattern
+    assert mod.weight_of(row) != mod.weight_of(col) + mod.datum.simple_root(1)
     build = repmodule.operator_matrix
     clean = build(mod, lambda m: repmodule.act_divided(1, "E", 1, mod.basis_vector(m)))
 
