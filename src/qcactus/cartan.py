@@ -9,23 +9,35 @@ form takes exact rational values through the inverse Cartan matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import coxeter, linalg
-from .coxeter import CoxeterDatum, GroupElement, integers
+from .coxeter import CoxeterDatum, Frozen, GroupElement, integers
 from .qarith import RatFunc
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """An integral weight in fundamental-weight coordinates."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", integers(self.coords))
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", integers(coords))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"Weight(coords={self.coords!r})"
+
+    def __reduce__(self):
+        return Weight, (self.coords,)
 
     @property
     def is_dominant(self) -> bool:

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from . import coxeter, crystal, gkmodel, repmodule, suites
+from . import coxeter, crystal, repmodule, suites
 
 TOOL_VERSION = "qcactus 0.1.0"
 #: the version of the report layout; 3 drops the field with which 2 marked derived records,
@@ -129,6 +129,8 @@ def cmd_module_export(l1: int, l2: int, tags: list[str], out: str) -> int:
 
 
 def cmd_gk_normalform(element) -> int:
+    from . import gkmodel
+
     print(json.dumps(gkmodel.to_json(element), indent=2))
     return 0
 
@@ -204,6 +206,14 @@ def _coxeter_type(text: str) -> coxeter.CoxeterDatum:
     return d
 
 
+def _gk_expr(text: str):
+    """A model-algebra expression; the model is imported only by the command
+    that reads one."""
+    from . import gkmodel
+
+    return gkmodel.parse_expr(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcactus",
@@ -246,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gk", help="model-algebra utilities")
     sc = p.add_subparsers(dest="sub", required=True)
     n = sc.add_parser("normalform", help="straighten an expression")
-    n.add_argument("--expr", required=True, type=_arg(gkmodel.parse_expr))
+    n.add_argument("--expr", required=True, type=_arg(_gk_expr))
 
     p = sub.add_parser("suite", help="run a named property suite")
-    p.add_argument("--name", required=True, choices=(*suites.SUITES, "all"))
+    p.add_argument("--name", required=True, choices=(*suites.SUITE_NAMES, "all"))
     p.add_argument("--seed", type=_arg(_natural), default=1)
     p.add_argument("--out", default=None, type=_arg(_out_path))
     return parser

@@ -11,7 +11,6 @@ enumeration exceed their caps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import index
 
 
@@ -126,16 +125,45 @@ def _close_roots(a) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class Frozen:
+    """A base for immutable values with slots: `__init__` sets each slot once
+    through `object.__setattr__`, and assignment or deletion afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupElement(Frozen):
     """A group element as the permutation it induces on the roots.
 
     perm[k] is the index in datum.roots of w(root_k).  The roots span the
     lattice, so the permutation determines w; equality and hash compare it.
     """
 
-    perm: bytes
-    datum: "CoxeterDatum" = field(compare=False, hash=False, repr=False)
+    __slots__ = ("perm", "datum")
+
+    def __init__(self, perm: bytes, datum: "CoxeterDatum"):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "datum", datum)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perm == other.perm
+
+    def __hash__(self):
+        return hash((self.perm,))
+
+    def __repr__(self):
+        return f"GroupElement(perm={self.perm!r})"
+
+    def __reduce__(self):
+        return GroupElement, (self.perm, self.datum)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         # self acts after other

@@ -428,22 +428,19 @@ def _sign_exponent(d, J, arg: Weight) -> int:
     return int(value)
 
 
-def _prefactor(d, J, rho_shift: Weight, lam: Weight, beta: Weight, branch: str) -> RatFunc:
+def _prefactor(d, J, rho_shift: Weight, lam: Weight, beta: Weight) -> dict[str, RatFunc]:
     """(-1)-sign and v-power multiplying the braid symmetry on one isotypic
-    weight component.
+    weight component, by branch; only the sign depends on the branch.
 
     The linear term must pair lam with rho_shift/2 = (rho_J - w0J(rho_J))/2,
     the half-sum of the positive roots of the parabolic; only differences of
     W_J-translates of rho_J are pinned down on isotypic components.
     """
-    sign_arg = lam - beta if branch == "+" else lam + beta
-    sign = -1 if _sign_exponent(d, J, sign_arg) % 2 else 1
-    half_pair = cartan.form(d, lam, rho_shift)
-    quad = cartan.form(d, lam, lam) - cartan.form(d, beta, beta)
-    vexp = -quad - half_pair
+    vexp = cartan.form(d, beta, beta) - cartan.form(d, lam, lam) - cartan.form(d, lam, rho_shift)
     if vexp.denominator != 1:
         raise ArithmeticError(f"prefactor exponent {vexp} is not an integer")
-    return RatFunc.monomial(int(vexp), sign)
+    return {branch: RatFunc.monomial(int(vexp), -1 if _sign_exponent(d, J, arg) % 2 else 1)
+            for branch, arg in (("+", lam - beta), ("-", lam + beta))}
 
 
 def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
@@ -459,6 +456,7 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
     dec = mod.strings(J[0]) if len(J) == 1 else None
     lines = dec.lines if dec else [(mod.highest_weight, beta) for beta in mod.weights]
+    prefactors = [_prefactor(d, J, rho_shift, lam, beta) for lam, beta in lines]
     branches = []
     for sign in ("+", "-"):
         out = mod.matrix(f"T{word[0]}{sign}")
@@ -466,7 +464,7 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
             out = linalg.mat_mul(out, mod.matrix(f"T{i}{sign}"))
         if dec:
             out = linalg.mat_mul(out, dec.basis)
-        pref = [_prefactor(d, J, rho_shift, lam, beta, sign) for lam, beta in lines]
+        pref = [p[sign] for p in prefactors]
         out = [linalg.Row({j: x * pref[j] for j, x in row.items()}) for row in out]
         branches.append(linalg.mat_mul(out, dec.inverse) if dec else out)
     if branches[0] != branches[1]:

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from qcactus import crystal, suites
-from qcactus.suites import weyl_dimension
+from qcactus import crystal, properties, suites
+from qcactus.properties import weyl_dimension
 
 
 def _verdict(number: int, description: str, ok: bool, seconds: float) -> None:
@@ -28,7 +28,7 @@ def module_suite():
     """The records of the module suite, split into the relations records and
     the rest, and the seconds it took."""
     start = time.time()
-    checks = suites.module_suite()
+    checks = properties.module_suite()
     is_relation = lambda c: c["name"].startswith("relations(")
     return ([c for c in checks if is_relation(c)], [c for c in checks if not is_relation(c)],
             time.time() - start)
@@ -89,7 +89,7 @@ def test_criteria_3_and_4_sigma_relations(module_suite):
 
 def test_criterion_5_crystal_suite():
     start = time.time()
-    checks = suites.crystal_suite(seed=2024)
+    checks = properties.crystal_suite(seed=2024)
     _verdict(
         5,
         "string-operator and involution identities on 10^4 seeded patterns; "
@@ -101,7 +101,7 @@ def test_criterion_5_crystal_suite():
 
 def test_criterion_6_gk_suite():
     start = time.time()
-    checks = suites.gk_suite(seed=2024)
+    checks = properties.gk_suite(seed=2024)
     _verdict(
         6,
         "confluence on 10^3 words, twist anti-involution, basis compatibility, "
@@ -113,7 +113,7 @@ def test_criterion_6_gk_suite():
 
 def test_criterion_7_coxeter_kernels():
     start = time.time()
-    checks = suites.coxeter_suite(seed=1)
+    checks = properties.coxeter_suite(seed=1)
     elapsed = time.time() - start
     kernel_ok = next(c for c in checks if c["name"] == "kernel-agreement")["status"] == "pass"
     _verdict(
@@ -151,7 +151,7 @@ def test_criterion_8_counting():
 
 def test_criterion_9_string_coefficients():
     start = time.time()
-    checks = suites.qarith_suite(seed=1)
+    checks = properties.qarith_suite(seed=1)
     by_name = {c["name"]: c for c in checks}
     ok = (
         by_name["underline-symmetry"]["status"] == "pass"

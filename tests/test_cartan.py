@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -145,3 +147,27 @@ def test_validation_rejects_bad_matrices():
 def test_non_integer_input_is_rejected_not_truncated(build):
     with pytest.raises(ValueError, match="expected integer entries"):
         build()
+
+
+def test_a_weight_is_an_immutable_value():
+    @dataclasses.dataclass(frozen=True)
+    class DataclassWeight:  # the dataclass a Weight was, for its hash
+        coords: tuple
+
+    w = Weight([1, -2])
+    assert w.coords == (1, -2) and type(w.coords) is tuple
+    assert hash(w) == hash(DataclassWeight((1, -2))) == hash(((1, -2),))
+    assert w == Weight(coords=(1, -2)) and w != Weight((1, 2))
+    assert repr(w) == "Weight(coords=(1, -2))"
+
+    class Shifted(Weight):
+        __slots__ = ()
+
+    # equal only to a weight: not to its coordinates, nor to a subclass
+    assert w != (1, -2) and w != DataclassWeight((1, -2)) and w != Shifted((1, -2))
+    for change in (lambda: setattr(w, "coords", (0, 0)), lambda: delattr(w, "coords"),
+                   lambda: setattr(w, "label", "new")):
+        with pytest.raises(AttributeError):
+            change()
+    assert w.coords == (1, -2)
+    assert pickle.loads(pickle.dumps(w)) == w

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qcactus import cli, coxeter, crystal, gkmodel, repmodule, suites
+from qcactus import cli, coxeter, crystal, gkmodel, properties, repmodule, suites
 from qcactus.qarith import RatFunc
 
 
@@ -376,9 +376,9 @@ def test_suite_seed_determinism(capsys):
 def test_suite_all_runs_on_one_worker_per_usable_cpu(monkeypatch, capsys, pool_sizes, cpus,
                                                      workers):
     families = {key: lambda seed: [{"name": "check", "status": "pass"}]
-                for key in suites.SUITES}
+                for key in properties.SUITES}
     monkeypatch.setattr(suites, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(suites, "SUITES", families)
+    monkeypatch.setattr(properties, "SUITES", families)
     code, out = run(capsys, "suite", "--name", "all", "--seed", "3")
     assert code == 0
     assert pool_sizes == workers

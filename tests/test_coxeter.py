@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -159,6 +161,34 @@ def test_inverse(data):
             assert w * w.inverse() == d.identity, name
             assert w.inverse() * w == d.identity, name
             assert w.inverse().inverse() == w, name
+
+
+def test_a_group_element_is_an_immutable_value(data):
+    @dataclasses.dataclass(frozen=True)
+    class DataclassElement:  # the dataclass a GroupElement was, for its hash
+        perm: bytes
+        datum: object = dataclasses.field(compare=False, hash=False, repr=False)
+
+    d = data["A2"]
+    w = d.generators[1] * d.generators[2]
+    assert hash(w) == hash(DataclassElement(w.perm, d)) == hash((w.perm,))
+    # the permutation alone decides equality, as it determines the element
+    other = cx.CoxeterDatum.from_type("A2")
+    assert w == cx.GroupElement(perm=bytes(w.perm), datum=other)
+    assert w != d.generators[2] * d.generators[1]
+    assert repr(w) == f"GroupElement(perm={w.perm!r})"
+
+    class Marked(cx.GroupElement):
+        __slots__ = ()
+
+    assert w != w.perm and w != DataclassElement(w.perm, d) and w != Marked(w.perm, d)
+    for change in (lambda: setattr(w, "perm", d.identity.perm), lambda: delattr(w, "datum"),
+                   lambda: setattr(w, "label", "new")):
+        with pytest.raises(AttributeError):
+            change()
+    assert w.perm == (d.generators[1] * d.generators[2]).perm and w.datum is d
+    copy = pickle.loads(pickle.dumps(w))
+    assert copy == w and cx.length(copy) == 2 and copy.datum.n == 2
 
 
 # An integer-matrix oracle off the permutation path: s_i acts on the root

@@ -9,7 +9,7 @@ import pytest
 
 from qcactus import crystal as cr
 from qcactus.crystal import GTArray, Pattern
-from qcactus.suites import weyl_dimension
+from qcactus.properties import weyl_dimension
 
 
 def random_pattern(rng, bound=20):

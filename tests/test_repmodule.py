@@ -446,8 +446,9 @@ class TestSigma:
             assert len(lines) == mod.dim
             for lam, beta, vec in lines:
                 image = rm.sigma_J(J, mod, vec)
+                prefactor = rm._prefactor(d, J, rho_shift, lam, beta)
                 for sign in "+-":
-                    pref = rm._prefactor(d, J, rho_shift, lam, beta, sign)
+                    pref = prefactor[sign]
                     assert image == rm.lusztig_T_word(word, sign, vec.scale(pref)), (J, sign)
 
     def test_prefactor_matches_the_per_line_reference(self):
@@ -473,9 +474,11 @@ class TestSigma:
                 lines = (mod.strings(J[0]).lines if len(J) == 1
                          else [(mod.highest_weight, beta) for beta in mod.weights])
                 for lam, beta in lines:
-                    for sign in "+-":
-                        assert rm._prefactor(d, J, rho_shift, lam, beta, sign) == reference(
-                            d, J, w0J, lam, beta, sign), (l1, l2, J, lam, beta, sign)
+                    prefactor = rm._prefactor(d, J, rho_shift, lam, beta)
+                    assert list(prefactor) == ["+", "-"]
+                    for sign, value in prefactor.items():
+                        assert value == reference(d, J, w0J, lam, beta, sign), (
+                            l1, l2, J, lam, beta, sign)
                         compared += 1
         assert compared == 2 * 3 * sum(rm.ModuleVLambda(*lam).dim for lam in suites.lambdas(4))
 
@@ -501,9 +504,9 @@ class TestSigma:
         # a "-" branch whose prefactor is off by a sign must not go unnoticed
         prefactor = rm._prefactor
 
-        def skewed(d, J, rho_shift, lam, beta, branch):
-            value = prefactor(d, J, rho_shift, lam, beta, branch)
-            return value if branch == "+" else -value
+        def skewed(*args):
+            value = prefactor(*args)
+            return dict(value, **{"-": -value["-"]})
 
         monkeypatch.setattr(rm, "_prefactor", skewed)
         mod = rm.ModuleVLambda(1, 1)

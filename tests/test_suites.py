@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from qcactus import crystal, gkmodel, linalg, qarith, repmodule, suites
+from qcactus import crystal, gkmodel, linalg, properties, qarith, repmodule, suites
 from qcactus.crystal import Pattern
 
 
@@ -47,9 +47,9 @@ def test_usable_cpus_prefers_the_affinity_set(monkeypatch):
 
 
 def fake_families():
-    """Five families in place of `SUITES`, each naming its seed in its record."""
+    """Five families in place of `properties.SUITES`, each naming its seed in its record."""
     return {key: lambda seed, key=key: [{"name": key, "seed": seed}]
-            for key in suites.SUITES}
+            for key in properties.SUITES}
 
 
 @pytest.mark.parametrize("name, jobs, workers", [
@@ -62,11 +62,11 @@ def fake_families():
 ])
 def test_run_suite_starts_a_pool_for_all_only(monkeypatch, pool_sizes, name, jobs, workers):
     monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(suites, "SUITES", fake_families())
+    monkeypatch.setattr(properties, "SUITES", fake_families())
     records = suites.run_suite(name, 7, jobs)
     assert pool_sizes == workers
     if name == "all":
-        assert records == [{"name": f"{key}:{key}", "seed": 7} for key in suites.SUITES]
+        assert records == [{"name": f"{key}:{key}", "seed": 7} for key in properties.SUITES]
     else:
         assert records == [{"name": name, "seed": 7}]
 
@@ -86,7 +86,7 @@ def test_relation_check_crash_is_a_failing_record(monkeypatch):
     monkeypatch.setattr(repmodule, "act_divided", crash)
     names = [f"relations({l1},{l2}):{r}" for l1, l2 in suites.lambdas(4)
              for r in ("commutator", "serre", "divided-power")]
-    checks = suites.module_suite()[:len(names)]
+    checks = properties.module_suite()[:len(names)]
     assert [c["name"] for c in checks] == names
     for c in checks:
         assert c["status"] == "fail"
@@ -123,7 +123,7 @@ def test_relation_helpers_name_the_first_failure_of_a_broken_action(act, x, serr
 def test_operator_relations_fails_on_a_planted_generator_image(monkeypatch):
     # E_1 z12 = z2 dropped from the model's generator images
     monkeypatch.delitem(gkmodel._E_TABLE, (1, gkmodel.Z12))
-    record = _one_check(monkeypatch, suites.gk_suite, "operator-relations")
+    record = _one_check(monkeypatch, properties.gk_suite, "operator-relations")
     assert record["status"] == "fail"
     assert record["witness"]["relation"] == "[E,F]"
     assert set(record["witness"]) == {"iteration", "relation", "i", "j"}
@@ -139,7 +139,7 @@ def test_module_suite_builds_each_module_once(monkeypatch):
 
     monkeypatch.setattr(repmodule, "ModuleVLambda", Counted)
     monkeypatch.setattr(suites, "_run", lambda *args: None)
-    suites.module_suite()
+    properties.module_suite()
     assert built == suites.lambdas(4)
 
 
@@ -406,19 +406,19 @@ def _one_check(monkeypatch, suite, name):
 
 def _composition_law(monkeypatch):
     """The record of qarith's composition-law check, the other checks skipped."""
-    return _one_check(monkeypatch, suites.qarith_suite, "composition-law")
+    return _one_check(monkeypatch, properties.qarith_suite, "composition-law")
 
 
 def test_composition_law_reports_a_planted_fault_with_its_first_witness(monkeypatch):
     # c(9,4,3) times v^2: the pairs s + t = 3 at l = 9 met at smaller l hold
     # the true c(.,4,3), so the fault shows where the product first disagrees
-    kash_coeff = suites.kash_coeff
+    kash_coeff = properties.kash_coeff
 
     def planted(kind, l, k, s):
         c = kash_coeff(kind, l, k, s)
         return c * qarith.RatFunc.monomial(2) if (kind, l, k, s) == ("low", 9, 4, 3) else c
 
-    monkeypatch.setattr(suites, "kash_coeff", planted)
+    monkeypatch.setattr(properties, "kash_coeff", planted)
     record = _composition_law(monkeypatch)
     assert record["status"] == "fail"
     assert record["witness"] == {"kind": "low", "l": 9, "k": 4, "s": 1, "t": 2}
@@ -431,7 +431,7 @@ def test_product_of_components_names_a_planted_stray_monomial(monkeypatch):
     dropped = Pattern(1, 0, 0, 0, 0, 1)
     monkeypatch.setattr(gkmodel, "b_monomial",
                         lambda m: repmodule.ModuleVector() if m == dropped else b_monomial(m))
-    record = _one_check(monkeypatch, suites.gk_suite, "product-of-components")
+    record = _one_check(monkeypatch, properties.gk_suite, "product-of-components")
     assert record["status"] == "fail"
     assert record["witness"] == {"a": "1,0,0,0,0,0", "b": "0,0,0,0,0,1", "monomial": "z1*v2"}
 
@@ -483,7 +483,7 @@ def test_three_way_agreement_names_the_first_planted_column(monkeypatch, n_col, 
 def test_crystal_shadow_names_a_planted_column(monkeypatch):
     # the lead entry of the last column becomes 2 at v = 0
     _plant(monkeypatch, "matrix_N", (1,), *_lead(ADJOINT[-1]))
-    record = _one_check(monkeypatch, lambda seed: suites.module_suite(), "crystal-shadow")
+    record = _one_check(monkeypatch, lambda seed: properties.module_suite(), "crystal-shadow")
     assert record["status"] == "fail"
     witness = record["witness"]
     assert {k: witness[k] for k in ("lambda", "i", "m")} == {
@@ -495,7 +495,7 @@ def test_weight_bookkeeping_names_a_planted_column(monkeypatch):
     # T1+ sends the highest weight (1,1) to (-1,2), never to the lowest (-1,-1)
     highest = Pattern(0, 0, 0, 0, 1, 1)
     _plant(monkeypatch, "matrix_T", (1, "+"), crystal.sigma_outer(highest), highest)
-    record = _one_check(monkeypatch, lambda seed: suites.module_suite(), "weight-bookkeeping")
+    record = _one_check(monkeypatch, lambda seed: properties.module_suite(), "weight-bookkeeping")
     assert record["status"] == "fail"
     assert record["witness"] == {"lambda": [1, 1], "op": "T", "i": 1, "m": str(highest)}
 
@@ -503,18 +503,19 @@ def test_weight_bookkeeping_names_a_planted_column(monkeypatch):
 def test_composition_law_looks_up_a_first_factor_once_per_s(monkeypatch):
     # per (l, k, s, kind): c(l,k,s) once, then c(l,k,s+t) and c(l,k-s,t) per t
     expected = sum(2 * (1 + 2 * sum(1 for t in range(-l, l + 1) if s * t >= 0))
-                   for l in range(suites.MAX_STRING_LENGTH + 1)
+                   for l in range(properties.MAX_STRING_LENGTH + 1)
                    for k in range(l + 1) for s in range(-l, l + 1))
     calls = []
-    kash_coeff = suites.kash_coeff
-    monkeypatch.setattr(suites, "kash_coeff", lambda *key: calls.append(key) or kash_coeff(*key))
+    kash_coeff = properties.kash_coeff
+    monkeypatch.setattr(properties, "kash_coeff",
+                        lambda *key: calls.append(key) or kash_coeff(*key))
     assert _composition_law(monkeypatch)["status"] == "pass"
     assert len(calls) == expected == 68_978
 
 
 def test_composition_law_forms_each_distinct_product_once(monkeypatch):
     pairs = set()
-    for l in range(suites.MAX_STRING_LENGTH + 1):
+    for l in range(properties.MAX_STRING_LENGTH + 1):
         for k in range(l + 1):
             for s in range(-l, l + 1):
                 for t in range(-l, l + 1):
@@ -533,14 +534,14 @@ def test_composition_law_forms_each_distinct_product_once(monkeypatch):
 def test_randint_draws_the_stream_of_random_randint(seed):
     # every range the crystal suite draws from; rng.choice((1, 2)) is (1, 2)
     for a, b in ((0, 20), (-20, 20), (-10, 10), (1, 2)):
-        expected, rng = suites.random.Random(seed), suites.random.Random(seed)
-        randint = suites._randint(rng)
+        expected, rng = properties.random.Random(seed), properties.random.Random(seed)
+        randint = properties._randint(rng)
         assert [randint(a, b) for _ in range(10_000)] == [
             expected.randint(a, b) for _ in range(10_000)
         ]
         assert rng.getstate() == expected.getstate()
-    expected, rng = suites.random.Random(seed), suites.random.Random(seed)
-    randint = suites._randint(rng)
+    expected, rng = properties.random.Random(seed), properties.random.Random(seed)
+    randint = properties._randint(rng)
     assert [randint(1, 2) for _ in range(1000)] == [expected.choice((1, 2)) for _ in range(1000)]
 
 
