@@ -1,8 +1,9 @@
 """Cartan data for finite types: weights, the Weyl action, the bilinear form,
 rho-type functionals and extremal-monomial exponents.
 
-Weights live in fundamental-weight coordinates on the semisimple lattice, so
-pairing against a simple coroot is a coordinate read-off and the symmetric
+A weight is a plain tuple of ints in fundamental-weight coordinates on the
+semisimple lattice, so pairing lam against the i-th simple coroot is the
+read-off lam[i - 1], `shift` does the lattice arithmetic, and the symmetric
 form takes exact rational values through the inverse Cartan matrix.
 """
 
@@ -13,48 +14,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import coxeter, linalg
-from .coxeter import CoxeterDatum, Frozen, GroupElement, integers
+from .coxeter import CoxeterDatum, GroupElement
 from .qarith import RatFunc
 
 
-class Weight(Frozen):
-    """An integral weight in fundamental-weight coordinates."""
+Weight = tuple[int, ...]
 
-    __slots__ = ("coords",)
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", integers(coords))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __repr__(self):
-        return f"Weight(coords={self.coords!r})"
-
-    def __reduce__(self):
-        return Weight, (self.coords,)
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, n: int) -> "Weight":
-        return Weight(tuple(n * a for a in self.coords))
-
-    def __getitem__(self, i: int) -> int:
-        """Pairing with the i-th simple coroot (1-based)."""
-        return self.coords[i - 1]
+def shift(lam: Weight, alpha: Weight, c: int = 1) -> Weight:
+    """lam + c alpha, coordinate by coordinate."""
+    return tuple(a + c * b for a, b in zip(lam, alpha))
 
 
 def _solve(a, b) -> tuple[tuple[Fraction, ...], ...]:
@@ -103,18 +72,18 @@ class CartanDatum(CoxeterDatum):
 
     def simple_root(self, j: int) -> Weight:
         """alpha_j in fundamental-weight coordinates (column j of the Cartan matrix)."""
-        return Weight(tuple(self.cartan[i - 1][j - 1] for i in self.indices))
+        return tuple(row[j - 1] for row in self.cartan)
 
     def rho(self, J=None) -> Weight:
         J = set(self.indices if J is None else J)
-        return Weight(tuple(1 if i in J else 0 for i in self.indices))
+        return tuple(1 if i in J else 0 for i in self.indices)
 
     def reflect(self, i: int, lam: Weight) -> Weight:
         """s_i(lam) = lam - lam(alpha_i^vee) alpha_i."""
-        c = lam[i]
+        c = lam[i - 1]
         if c == 0:
             return lam
-        return lam - self.simple_root(i).scale(c)
+        return shift(lam, self.simple_root(i), -c)
 
 
 def form(d: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
@@ -122,16 +91,16 @@ def form(d: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
     inv = d.cartan_inverse
     total = Fraction(0)
     for i in range(d.n):
-        if lam.coords[i]:
+        if lam[i]:
             row = inv[i]
-            s = sum(row[k] * mu.coords[k] for k in range(d.n) if mu.coords[k])
-            total += d.d[i] * lam.coords[i] * s
+            s = sum(row[k] * mu[k] for k in range(d.n) if mu[k])
+            total += d.d[i] * lam[i] * s
     return total
 
 
 def form_with_root(d: CartanDatum, lam: Weight, i: int) -> int:
     """(lam, alpha_i) = d_i lam(alpha_i^vee), always an integer."""
-    return d.d[i - 1] * lam[i]
+    return d.d[i - 1] * lam[i - 1]
 
 
 def weyl_act(d: CartanDatum, w: GroupElement, lam: Weight) -> Weight:
@@ -171,15 +140,15 @@ def extremal_exponents(d: CartanDatum, word, lam: Weight) -> tuple[int, ...]:
     reduced word and a dominant weight: a_k is the pairing of the partial
     reflection s_{i_{k+1}} ... s_{i_m}(lam) with alpha_{i_k}^vee."""
     word = tuple(word)
-    if not lam.is_dominant:
-        raise ValueError(f"weight {lam.coords} is not dominant")
+    if any(c < 0 for c in lam):
+        raise ValueError(f"weight {lam} is not dominant")
     if coxeter.length(coxeter.from_word(d, word)) != len(word):
         raise ValueError(f"word {word} is not reduced")
     exps = [0] * len(word)
     mu = lam
     for k in range(len(word) - 1, -1, -1):
         i = word[k]
-        exps[k] = mu[i]
+        exps[k] = mu[i - 1]
         mu = d.reflect(i, mu)
     return tuple(exps)
 

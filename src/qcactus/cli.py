@@ -107,7 +107,6 @@ def cmd_module_verify(l1: int, l2: int, suite: str, out: str | None) -> int:
     report = _report("module verify", {"lambda": [l1, l2], "suite": suite}, checks, started)
     report["lambda"] = [l1, l2]
     report["dim"] = result["dim"]
-    report["timings"] = {c["name"]: c["seconds"] for c in checks}
     return _emit(report, out)
 
 

@@ -125,24 +125,12 @@ def _close_roots(a) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
 
 
-class Frozen:
-    """A base for immutable values with slots: `__init__` sets each slot once
-    through `object.__setattr__`, and assignment or deletion afterwards raises."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class GroupElement(Frozen):
+class GroupElement:
     """A group element as the permutation it induces on the roots.
 
     perm[k] is the index in datum.roots of w(root_k).  The roots span the
     lattice, so the permutation determines w; equality and hash compare it.
+    Immutable: assigning or deleting a slot after `__init__` raises.
     """
 
     __slots__ = ("perm", "datum")
@@ -150,6 +138,12 @@ class GroupElement(Frozen):
     def __init__(self, perm: bytes, datum: "CoxeterDatum"):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "datum", datum)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 
 from . import cartan, coxeter, crystal, gkmodel, linalg, repmodule, suites
-from .cartan import Weight
 from .crystal import Pattern
 from .qarith import LaurentPoly, RatFunc, kash_coeff, kash_coeff_underline, q_binomial
 
@@ -255,14 +254,13 @@ def _random_pattern(rng, randint, bound=20):
 def weyl_dimension(l1: int, l2: int) -> int:
     """Independent dimension oracle: the Weyl formula over the positive roots."""
     d = cartan.sl3()
-    lam_rho = Weight((l1 + 1, l2 + 1))
+    lam_rho = (l1 + 1, l2 + 1)
     rho = d.rho()
     num = den = Fraction(1)
     for root in d.positive_roots:
-        alpha = Weight((0, 0))
+        alpha = (0, 0)
         for j, c in enumerate(root, start=1):
-            if c:
-                alpha = alpha + d.simple_root(j).scale(c)
+            alpha = cartan.shift(alpha, d.simple_root(j), c)
         num *= cartan.form(d, lam_rho, alpha)
         den *= cartan.form(d, rho, alpha)
     value = num / den
@@ -386,7 +384,7 @@ def module_suite() -> list[dict]:
                 beta = mod.weight_of(m)
                 for i in (1, 2):
                     img = repmodule.act_divided(i, "E", 1, b)
-                    target = beta + d.simple_root(i)
+                    target = cartan.shift(beta, d.simple_root(i))
                     if any(mod.weight_of(mm) != target for mm in img):
                         return {"lambda": [l1, l2], "op": "E", "i": i, "m": str(m)}
             for i in (1, 2):
@@ -472,14 +470,13 @@ def module_suite() -> list[dict]:
     def degree_bookkeeping():
         d = cartan.sl3()
         for lam in ((1, 0), (2, 1), (3, 2)):
-            weight = Weight(lam)
             for w in d.elements():
                 word = coxeter.reduced_word(w)
-                exps = cartan.extremal_exponents(d, word, weight)
-                total = Weight((0, 0))
+                exps = cartan.extremal_exponents(d, word, lam)
+                total = (0, 0)
                 for i, a in zip(word, exps):
-                    total = total + d.simple_root(i).scale(a)
-                if total != weight - cartan.weyl_act(d, w, weight):
+                    total = cartan.shift(total, d.simple_root(i), a)
+                if total != cartan.shift(lam, cartan.weyl_act(d, w, lam), -1):
                     return {"lambda": list(lam), "w": word}
         return None
 

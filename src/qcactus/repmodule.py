@@ -109,13 +109,15 @@ class ModuleVLambda:
         self.basis = crystal.enumerate_component(l1, l2)
         self.index = {m: k for k, m in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self.weights = [Weight(crystal.weight_pair(m)) for m in self.basis]
+        self.weights = [crystal.weight_pair(m) for m in self.basis]
         self.highest_pattern = Pattern(0, 0, 0, 0, l1, l2)
-        self.highest_weight = Weight((l1, l2))
+        self.highest_weight = (l1, l2)
         blocks: dict[Weight, list[int]] = {}
         for k, w in enumerate(self.weights):
             blocks.setdefault(w, []).append(k)
         self.weight_blocks = blocks
+        # j -> index of crystal.sigma_outer(basis[j]), which moves N1 to N2
+        self.outer = [self.index[crystal.sigma_outer(m)] for m in self.basis]
         self._strings: dict[int, "_StringDecomposition"] = {}
         self._matrices: dict[str, OperatorMatrix] = {}
 
@@ -240,12 +242,6 @@ def matrix_P(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     return operator_matrix(mod, lambda m: mod.basis_vector(crystal.sigma_i(i, m)))
 
 
-def basis_permutation(fn, mod: ModuleVLambda) -> list[int]:
-    """The permutation of basis indices that the pattern map `fn` induces on
-    `mod`: j -> index of fn(basis[j])."""
-    return [mod.index[fn(m)] for m in mod.basis]
-
-
 # N1 weight blocks formed so far in this process, by their three source blocks
 # C1[s1 beta], P1[s1 beta <- beta] and C1[beta], each in local order
 N1_BLOCKS: dict[tuple, linalg.Matrix] = {}
@@ -286,15 +282,14 @@ def matrix_N(i: int, mod: ModuleVLambda) -> OperatorMatrix:
     naming the matrix and the entry by (row pattern, column pattern)."""
     if i == 2:
         n1 = mod.matrix("N1")
-        outer = basis_permutation(crystal.sigma_outer, mod)
         for kind in ("C", "P"):
-            moved = linalg.permute(mod.matrix(f"{kind}1"), outer)
+            moved = linalg.permute(mod.matrix(f"{kind}1"), mod.outer)
             for r, (x, y) in enumerate(zip(mod.matrix(f"{kind}2"), moved)):
                 if x != y:
                     col = mod.basis[min(j for j in x.keys() | y.keys() if x[j] != y[j])]
                     raise ValueError(f"{kind}2 differs from P {kind}1 P at row "
                                      f"{mod.basis[r]}, column {col}")
-        return OperatorMatrix(linalg.permute(n1, outer))
+        return OperatorMatrix(linalg.permute(n1, mod.outer))
     diag = _graded("C1", mod.matrix("C1"), mod, lambda beta: beta)
     moved = _graded("P1", mod.matrix("P1"), mod, lambda beta: mod.datum.reflect(1, beta))
     rows = [linalg.Row() for _ in range(mod.dim)]
@@ -387,10 +382,10 @@ class _StringDecomposition:
         self.reversal: list[int] = []
         raising = operator_matrix(mod, lambda m: act_divided(i, "E", 1, mod.basis_vector(m)))
         alpha = mod.datum.simple_root(i)
-        blocks = _graded(f"E{i}", raising, mod, lambda beta: beta + alpha)
-        for beta in sorted(mod.weight_blocks, key=lambda w: w.coords):
+        blocks = _graded(f"E{i}", raising, mod, lambda beta: cartan.shift(beta, alpha))
+        for beta in sorted(mod.weight_blocks):
             idxs = mod.weight_blocks[beta]
-            l = beta[i]
+            l = beta[i - 1]
             kernel = linalg.nullspace(blocks[beta], len(idxs))
             if l < 0 and kernel:
                 raise RuntimeError("kernel vector on a negative-length string")
@@ -401,7 +396,8 @@ class _StringDecomposition:
                 if not act_divided(i, "F", l + 1, top).is_zero():
                     raise RuntimeError("string does not terminate at its stated length")
                 start = len(self.lines)
-                self.lines.extend((beta, beta - alpha.scale(depth)) for depth in range(l + 1))
+                self.lines.extend((beta, cartan.shift(beta, alpha, -depth))
+                                  for depth in range(l + 1))
                 self.reversal.extend(range(start + l, start - 1, -1))
         if len(self.lines) != mod.dim:
             raise RuntimeError("string vectors do not fill the module")
@@ -440,7 +436,7 @@ def _prefactor(d, J, rho_shift: Weight, lam: Weight, beta: Weight) -> dict[str, 
     if vexp.denominator != 1:
         raise ArithmeticError(f"prefactor exponent {vexp} is not an integer")
     return {branch: RatFunc.monomial(int(vexp), -1 if _sign_exponent(d, J, arg) % 2 else 1)
-            for branch, arg in (("+", lam - beta), ("-", lam + beta))}
+            for branch, arg in (("+", cartan.shift(lam, beta, -1)), ("-", cartan.shift(lam, beta)))}
 
 
 def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
@@ -453,7 +449,7 @@ def matrix_sigma(J: tuple[int, ...], mod: ModuleVLambda) -> OperatorMatrix:
     d = mod.datum
     w0J = coxeter.longest_element(d, J)
     word = coxeter.reduced_word(w0J)
-    rho_shift = d.rho(J) - cartan.weyl_act(d, w0J, d.rho(J))
+    rho_shift = cartan.shift(d.rho(J), cartan.weyl_act(d, w0J, d.rho(J)), -1)
     dec = mod.strings(J[0]) if len(J) == 1 else None
     lines = dec.lines if dec else [(mod.highest_weight, beta) for beta in mod.weights]
     prefactors = [_prefactor(d, J, rho_shift, lam, beta) for lam, beta in lines]

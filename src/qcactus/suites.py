@@ -14,7 +14,7 @@ import functools
 import os
 import time
 
-from . import crystal, linalg, repmodule
+from . import linalg, repmodule
 from .qarith import RatFunc, q2_binomial
 
 #: the seeded property suites of `properties`, in the order `all` runs them
@@ -216,7 +216,7 @@ def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
         # P N1 P (repmodule.matrix_N), so R = P L P is L with its entries moved;
         # a crash is not cached, so it fails both checks
         left = linalg.mat_mul(linalg.mat_mul(n(1), n(2)), n(1))
-        return left, linalg.permute(left, repmodule.basis_permutation(crystal.sigma_outer, mod))
+        return left, linalg.permute(left, mod.outer)
 
     def braid():
         left, right = shared()
