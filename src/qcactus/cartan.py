@@ -31,7 +31,8 @@ def _solve(a, b) -> tuple[tuple[Fraction, ...], ...]:
     n = len(a)
     red, _ = linalg.rref([{j: RatFunc.scalar(x) for j, x in enumerate((*a[i], *b[i])) if x}
                           for i in range(n)])
-    return tuple(tuple(Fraction(row[j].num.coefficient(0)) for j in range(n, n + len(b[0])))
+    return tuple(tuple(Fraction(row[j].num.coefficient(0), row[j].den.coefficient(0))
+                       for j in range(n, n + len(b[0])))
                  for row in red)
 
 

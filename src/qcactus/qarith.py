@@ -1,15 +1,17 @@
 """Exact arithmetic in Q(v) with v = q^(1/2), and q-combinatorial coefficients.
 
-A LaurentPoly is a finite sum of rational multiples of integer powers of a
-single formal variable v.  Half-integral powers of q never appear: every
-exponent of q is stored as the doubled exponent of v.  RatFunc is a quotient
-of two Laurent polynomials kept in a canonical reduced form, so equality of
-values is equality of representations.
+A LaurentPoly is a finite sum of integer multiples of integer powers of a
+single formal variable v, an element of Z[v, 1/v].  Half-integral powers of q
+never appear: every exponent of q is stored as the doubled exponent of v.
+RatFunc is a quotient of two Laurent polynomials kept in a canonical reduced
+form, so equality of values is equality of representations; a rational
+constant lives in its integer numerator and denominator.
 
 Exact division and the gcd work on a cached strided primitive form
-c * v^e * I(v^s), I a primitive integer polynomial: one long division in
-Z[w] per quotient, and `poly_gcd` returns the cofactors that its check of the
-candidate gcd computed, so reducing a rational function divides once.
+c * v^e * I(v^s), c > 0 and I a primitive integer polynomial: one long
+division in Z[w] per quotient, and `poly_gcd` returns the cofactors that its
+check of the candidate gcd computed, so reducing a rational function divides
+once.
 """
 
 from __future__ import annotations
@@ -17,23 +19,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 from operator import index
 
 
-def _coeff(x):
-    """Normalize a coefficient: Fractions with denominator 1 become ints."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"coefficient must be int or Fraction, got {type(x).__name__}")
-
-
 class LaurentPoly:
-    """A Laurent polynomial in v over Q, stored as {exponent: coefficient}.
+    """A Laurent polynomial in v over Z, stored as {exponent: coefficient}.
 
     Instances are immutable; all operations return new objects.  Stored
     coefficients are never zero.  `_form` caches `_strided`.
@@ -45,8 +36,7 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for k, a in coeffs.items():
-                k = index(k)
-                a = _coeff(a) if not isinstance(a, int) else a
+                k, a = index(k), index(a)
                 if a:
                     c[k] = a
         self._c = c
@@ -70,6 +60,10 @@ class LaurentPoly:
 
     def is_one(self) -> bool:
         return self._c == {0: 1}
+
+    def is_unit(self) -> bool:
+        """True for ±v^k, the units of Z[v, 1/v]."""
+        return list(self._c.values()) in ([1], [-1])
 
     def items(self):
         return self._c.items()
@@ -107,7 +101,7 @@ class LaurentPoly:
         for k, a in other._c.items():
             s = c.get(k, 0) + a
             if s:
-                c[k] = s if type(s) is int else _coeff(s)
+                c[k] = s
             else:
                 c.pop(k, None)
         return _lp(c)
@@ -121,18 +115,17 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coeff(other)
+        if isinstance(other, int):
             if not other:
                 return ZERO
-            return _lp({k: p if type(p := a * other) is int else _coeff(p) for k, a in self._c.items()})
+            return _lp({k: a * other for k, a in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._c or not other._c:
             return ZERO
         if len(other._c) == 1:
             (k2, a2), = other._c.items()
-            return _lp({k + k2: p if type(p := a * a2) is int else _coeff(p) for k, a in self._c.items()})
+            return _lp({k + k2: a * a2 for k, a in self._c.items()})
         c = {}
         for k1, a1 in self._c.items():
             for k2, a2 in other._c.items():
@@ -142,7 +135,7 @@ class LaurentPoly:
                     c[k] = s
                 else:
                     c.pop(k, None)
-        return _lp({k: a if type(a) is int else _coeff(a) for k, a in c.items()})
+        return _lp(c)
 
     __rmul__ = __mul__
 
@@ -164,18 +157,14 @@ class LaurentPoly:
 
     def _evaluate_ints(self, p: int, q: int) -> tuple[int, int]:
         """(n, d) with self(p/q) = n/d and d != 0, by one homogeneous integer
-        Horner pass: n0 = sum(D a_k p^(k - val) q^(deg - k)), D the lcm of the
-        coefficient denominators, and self(p/q) = n0 p^val / (D q^deg).
-        Reads only the coefficients."""
+        Horner pass: n0 = sum(a_k p^(k - val) q^(deg - k)) and
+        self(p/q) = n0 p^val / q^deg.  Reads only the coefficients."""
         if not p:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
         c = self._c
         if not c:
             return 0, 1
-        den = _int_lcm(*[a.denominator for a in c.values() if type(a) is not int])
         terms = sorted(c.items(), reverse=True)
-        if den > 1:
-            terms = [(k, a.numerator * (den // a.denominator)) for k, a in terms]
         deg = val = terms[0][0]
         n, qpow = 0, 1
         for k, a in terms:
@@ -183,57 +172,46 @@ class LaurentPoly:
             qpow *= q**gap
             n = n * p**gap + a * qpow
             val = k
-        # self(p/q) = n p^val / (den q^deg)
-        if val >= 0:
-            n *= p**val
-        else:
-            den *= p**-val
-        if deg <= 0:
-            n *= q**-deg
-        else:
-            den *= q**deg
-        return n, den
+        # self(p/q) = n p^val / q^deg, each negative power moved to the other side
+        return n * p**max(val, 0) * q**max(-deg, 0), p**max(-val, 0) * q**max(deg, 0)
 
     def _strided(self):
         """The form (val, s, content, ints) with self = content * v^val * I(v^s),
         I(w) = sum(ints[i] w^i) a primitive integer polynomial with I(0) != 0,
-        s the gcd of the exponent offsets (0 for a single term) and content a
-        nonzero rational.  Computed once and cached; nonzero polynomials only."""
+        s the gcd of the exponent offsets (0 for a single term) and content the
+        positive gcd of the coefficients.  Computed once and cached; nonzero
+        polynomials only."""
         if self._form is None:
             c = self._c
             val = min(c)
             s = _int_gcd(*[k - val for k in c])
-            try:
-                nums = c
-                content = g = _int_gcd(*c.values())
-            except TypeError:  # a Fraction coefficient
-                den = _int_lcm(*[x.denominator for x in c.values() if type(x) is not int])
-                nums = {k: int(x * den) for k, x in c.items()}
-                g = _int_gcd(*nums.values())
-                content = Fraction(g, den)
+            g = _int_gcd(*c.values())
             step = s or 1
             ints = [0] * ((max(c) - val) // step + 1)
-            for k, x in nums.items():
+            for k, x in c.items():
                 ints[(k - val) // step] = x if g == 1 else x // g
-            self._form = (val, s, content, ints)
+            self._form = (val, s, g, ints)
         return self._form
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError if the remainder is nonzero.
+        """Exact division in Z[v, 1/v]; raises ValueError if the quotient is
+        not in it.
 
-        Integer long division of the primitive forms spread to their joint
-        stride.  By Gauss's lemma an exact quotient of primitive integer
-        polynomials is primitive, so the quotient is created with its form."""
+        The contents divide in Z, and the primitive forms, spread to their
+        joint stride, by integer long division.  By Gauss's lemma an exact
+        quotient of primitive integer polynomials is primitive, so the
+        quotient is created with its form."""
         if not other._c:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._c:
             return ZERO
         va, sa, ca, fa = self._strided()
         vb, sb, cb, fb = other._strided()
+        if ca % cb:
+            raise ValueError("division is not exact")
         s = _int_gcd(sa, sb)
         fq = _div_ints(_spread(fa, sa // (s or 1)), _spread(fb, sb // (s or 1)))
-        exact = type(ca) is int and type(cb) is int and not ca % cb
-        return _of_form(va - vb, s, ca // cb if exact else _coeff(Fraction(ca) / cb), fq)
+        return _of_form(va - vb, s, ca // cb, fq)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -272,8 +250,8 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
     def to_json(self) -> list:
-        """Ordered [exponent, "p/q"] pairs by ascending exponent."""
-        return [[k, str(Fraction(self._c[k]))] for k in sorted(self._c)]
+        """Ordered [exponent, "n"] pairs by ascending exponent."""
+        return [[k, str(a)] for k, a in sorted(self._c.items())]
 
 
 ZERO = LaurentPoly()
@@ -292,13 +270,9 @@ def _lp(c: dict, form=None) -> LaurentPoly:
     return out
 
 
-def _of_form(val: int, s: int, content, ints: list[int]) -> LaurentPoly:
+def _of_form(val: int, s: int, content: int, ints: list[int]) -> LaurentPoly:
     """The polynomial content * v^val * I(v^s), created with that form."""
-    if content == 1:
-        c = {val + s * i: x for i, x in enumerate(ints) if x}
-    else:
-        c = {val + s * i: p if type(p := x * content) is int else _coeff(p) for i, x in enumerate(ints) if x}
-    return _lp(c, (val, s, content, ints))
+    return _lp({val + s * i: x * content for i, x in enumerate(ints) if x}, (val, s, content, ints))
 
 
 def _spread(ints: list[int], k: int) -> list[int]:
@@ -345,8 +319,10 @@ def _primitive(a: list[int]) -> list[int]:
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly):
-    """(g, a/g, b/g): the monic gcd g in Q[v] up to v-units of a and b, not
-    both zero, and the two cofactors.
+    """(g, a/g, b/g): the gcd g of a and b, not both zero, and the two
+    cofactors.  g is the gcd in Q[v] up to v-units, taken primitive in Z[v]
+    with a positive leading coefficient, so by Gauss's lemma the cofactors
+    lie in Z[v, 1/v].
 
     A single-term operand is a unit.  Otherwise the gcd is taken of the
     primitive integer forms in w = v^s, s the joint stride of a and b, since
@@ -355,7 +331,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
     candidate of the heuristic divides both operands.  The two exact
     divisions that accept g are the cofactors.
     """
-    if a.is_zero() or b.is_zero():  # the gcd is the other operand made monic
+    if a.is_zero() or b.is_zero():  # the gcd is the other operand made primitive
         _, s, _, ints = (a + b)._strided()
         return _divide_out(a, b, s, ints)
     if len(a._c) == 1 or len(b._c) == 1:
@@ -368,12 +344,15 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly):
 
 
 def _divide_out(a: LaurentPoly, b: LaurentPoly, s: int, g: list[int]):
-    """(g(v^s) made monic, a/g, b/g) for a primitive integer list g; the
-    divisions raise ValueError if g does not divide both."""
+    """(g(v^s), a/g, b/g) for a primitive integer list g, signed so that its
+    leading coefficient is positive; the divisions raise ValueError if g does
+    not divide both."""
     if len(g) == 1:
         return ONE, a, b
-    monic = _of_form(0, s, _coeff(Fraction(1, g[-1])), g)
-    return monic, a.divexact(monic), b.divexact(monic)
+    if g[-1] < 0:
+        g = [-x for x in g]
+    gcd = _of_form(0, s, 1, g)
+    return gcd, a.divexact(gcd), b.divexact(gcd)
 
 
 def _heu_gcd(a: LaurentPoly, b: LaurentPoly, s: int, fa: list[int], fb: list[int]):
@@ -438,9 +417,10 @@ def _prs_gcd(fa: list[int], fb: list[int]) -> list[int]:
 class RatFunc:
     """A rational function num/den in canonical form.
 
-    Canonical form: den is an ordinary polynomial in v with nonzero constant
-    term and leading coefficient 1, and num/den have no common nonunit factor.
-    Equality and hashing are structural.
+    Canonical form: num and den have integer coefficients; den is an ordinary
+    polynomial in v with nonzero constant term and a positive leading
+    coefficient; num and den have no common nonunit polynomial factor and no
+    common integer factor.  Equality and hashing are structural.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -469,7 +449,8 @@ class RatFunc:
 
     @staticmethod
     def scalar(a) -> "RatFunc":
-        return RatFunc.of_poly(LaurentPoly.const(a))
+        """The constant a, an int or a Fraction."""
+        return _unit_normalize(LaurentPoly.const(a.numerator), LaurentPoly.const(a.denominator))
 
     @staticmethod
     def monomial(exp: int, coeff=1) -> "RatFunc":
@@ -527,10 +508,10 @@ class RatFunc:
         if other.is_one():
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        # no gcd if both are polynomials or one is the unit c*v^k: the den stays canonical
-        if d2.is_one() and (d1.is_one() or len(n2._c) == 1):
+        # no gcd if both are polynomials or one is the unit ±v^k: the form stays canonical
+        if d2.is_one() and (d1.is_one() or n2.is_unit()):
             return RatFunc(n1 * n2, d1, _canonical=True)
-        if d1.is_one() and len(n1._c) == 1:
+        if d1.is_one() and n1.is_unit():
             return RatFunc(n2 * n1, d2, _canonical=True)
         if not d2.is_one():
             _, n1, d2 = poly_gcd(n1, d2)
@@ -594,7 +575,9 @@ class RatFunc:
 
 
 def _unit_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-    """Shift v-powers out of den and make it monic; assumes num/den reduced."""
+    """Shift v-powers out of den, then divide num and den by the gcd of all
+    their coefficients, negated if den's leading coefficient is negative;
+    assumes num/den reduced."""
     if num.is_zero():
         return _RF_ZERO
     val = den.valuation
@@ -602,16 +585,20 @@ def _unit_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
         den = den.shift(-val)
         num = num.shift(-val)
     lead = den.coefficient(den.degree)
-    if lead != 1:
-        inv = Fraction(1) / Fraction(lead)
-        den = den * inv
-        num = num * inv
+    if lead != 1:  # a leading 1 leaves no common integer factor
+        g = _int_gcd(*num._c.values(), *den._c.values())
+        if lead < 0:
+            g = -g
+        if g != 1:
+            num = _lp({k: a // g for k, a in num._c.items()})
+            den = _lp({k: a // g for k, a in den._c.items()})
     return RatFunc(num, den, _canonical=True)
 
 
 def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-    """Canonical form of num/den: gcd-reduced, denominator monic with nonzero
-    constant term after its v-power is moved into the numerator."""
+    """Canonical form of num/den: gcd-reduced over Q and over Z, denominator
+    with nonzero constant term and positive leading coefficient after its
+    v-power is moved into the numerator."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
@@ -690,26 +677,26 @@ def _factorial_ratio(parts_num: tuple, parts_den: tuple) -> RatFunc:
 def kash_coeff(kind: str, l: int, k: int, s: int) -> RatFunc:
     """String-shift coefficient of the given kind ("low" or "up") for length
     l, depth k and shift s; zero outside the domain 0 <= k <= l,
-    k - l <= s <= k."""
+    k - l <= s <= k.  An unknown kind raises ValueError everywhere."""
+    if kind not in ("low", "up"):
+        raise ValueError(f"unknown coefficient kind: {kind!r}")
     if not (0 <= k <= l and k - l <= s <= k):
         return RatFunc.zero()
     if kind == "low":
         return _factorial_ratio((k,), (k - s,))
-    if kind == "up":
-        return _factorial_ratio((l - k + s,), (l - k,))
-    raise ValueError(f"unknown coefficient kind: {kind!r}")
+    return _factorial_ratio((l - k + s,), (l - k,))
 
 
 def kash_coeff_underline(kind: str, l: int, k: int, s: int) -> RatFunc:
     """Divided-power normalization of kash_coeff; identically 1 for "low"
     inside the domain."""
+    if kind not in ("low", "up"):
+        raise ValueError(f"unknown coefficient kind: {kind!r}")
     if not (0 <= k <= l and k - l <= s <= k):
         return RatFunc.zero()
     if kind == "low":
         return RatFunc.one()
-    if kind == "up":
-        return _factorial_ratio((l - k + s, k - s), (l - k, k))
-    raise ValueError(f"unknown coefficient kind: {kind!r}")
+    return _factorial_ratio((l - k + s, k - s), (l - k, k))
 
 
 def cg_coeff(r: int, t: int, c: int, d: int) -> LaurentPoly:

@@ -24,16 +24,25 @@ def poly(d):
     return LaurentPoly(d)
 
 
+def over(p: LaurentPoly, d: int) -> RatFunc:
+    """The rational polynomial p / d, for an integer d != 0."""
+    return RatFunc(p, LaurentPoly.const(d))
+
+
 class TestLaurentPoly:
     def test_zero_coefficients_stripped(self):
         p = poly({3: 0, 1: 2})
         assert p == poly({1: 2})
 
     def test_identities(self):
-        p = poly({2: 1, -1: Fraction(3, 4)})
+        p = poly({2: 4, -1: 3})
         assert p + ZERO == p
         assert p * ONE == p
         assert (p - p).is_zero()
+        r = over(p, 4)  # v^2 + (3/4) v^-1
+        assert r + RatFunc.zero() == r
+        assert r * RatFunc.one() == r
+        assert (r - r).is_zero()
 
     def test_randomized_ring_axioms(self):
         rng = random.Random(0)
@@ -57,9 +66,10 @@ class TestLaurentPoly:
             poly({2: 1, 0: 1}).divexact(b)
 
     def test_evaluate_matches_structure(self):
-        p = poly({2: 1, 0: -3, -1: Fraction(1, 2)})
+        p = over(poly({2: 2, 0: -6, -1: 1}), 2)  # v^2 - 3 + (1/2) v^-1
         x = Fraction(3, 2)
         assert p.evaluate(x) == x**2 - 3 + Fraction(1, 2) / x
+        assert p.num.evaluate(x) == 2 * x**2 - 6 + 1 / x
 
     def test_exponent_keys_must_be_integers(self):
         for bad in (1.5, 2.0, Fraction(1, 2), "1"):
@@ -70,14 +80,27 @@ class TestLaurentPoly:
         assert poly({True: 3, False: 1}) == poly({1: 3, 0: 1})
 
     def test_to_json_lists_exponents_in_order(self):
-        p = poly({5: -4, -2: Fraction(1, 3)})
-        assert p.to_json() == [[-2, "1/3"], [5, "-4"]]
+        p = poly({5: -4, -2: 1})
+        assert p.to_json() == [[-2, "1"], [5, "-4"]]
+        # a rational coefficient lives in the RatFunc's integer denominator
+        assert over(poly({5: -12, -2: 1}), 3).to_json() == {
+            "num": [[-2, "1"], [5, "-12"]], "den": [[0, "3"]]}
 
     def test_integral_sum_of_fractions_stores_int(self):
-        half = poly({0: Fraction(1, 2), 1: Fraction(-1, 2)})
-        for p in (half + half, half - (-half), half * 2):
-            assert p == poly({0: 1, 1: -1})
-            assert all(type(c) is int for _, c in p.items())
+        half = over(poly({0: 1, 1: -1}), 2)
+        for r in (half + half, half - (-half), half * RatFunc.scalar(2), RatFunc.scalar(2) * half):
+            assert r == RatFunc.of_poly(poly({0: 1, 1: -1}))
+            assert r.den.is_one()
+            assert all(type(c) is int for p in (r.num, r.den) for _, c in p.items())
+
+    def test_coefficients_must_be_integers(self):
+        for bad in (Fraction(1, 2), Fraction(4, 2), 1.0, "1"):
+            with pytest.raises(TypeError):
+                poly({0: bad})
+            with pytest.raises(TypeError):
+                poly({0: 1}) * bad
+        p = poly({0: True, 2: -3})
+        assert all(type(c) is int for _, c in p.items())
 
 
 class TestRatFunc:
@@ -102,10 +125,24 @@ class TestRatFunc:
         assert RatFunc.one() * r is r
 
     def test_canonical_denominator_shape(self):
+        # den(0) != 0, a positive leading coefficient, no common integer factor
         r = RatFunc(poly({0: 7}), poly({3: 2, 5: 4}))
-        assert r.den.valuation == 0
-        assert r.den.coefficient(0) != 0
-        assert r.den.coefficient(r.den.degree) == 1
+        assert (r.num, r.den) == (poly({-3: 7}), poly({0: 2, 2: 4}))
+        r = RatFunc(poly({0: 6, 1: -6}), poly({3: -2, 5: 4}))
+        assert (r.num, r.den) == (poly({-3: 3, -2: -3}), poly({0: -1, 2: 2}))
+        r = RatFunc(poly({0: 6}), poly({1: -4}))
+        assert (r.num, r.den) == (poly({-1: -3}), poly({0: 2}))
+
+    def test_scalar_takes_an_int_or_a_fraction(self):
+        assert RatFunc.scalar(-3) == RatFunc.of_poly(poly({0: -3}))
+        assert RatFunc.scalar(Fraction(-6, 4)) == over(poly({0: -3}), 2)
+        assert RatFunc.scalar(Fraction(0)).is_zero()
+        # a non-unit monomial times a rational constant is reduced: (1/2) * 2 is 1, not 2/2
+        for a, b, num, den in ((Fraction(1, 2), RatFunc.monomial(0, 2), ONE, ONE),
+                               (Fraction(2, 3), RatFunc.monomial(3, -6), poly({3: -4}), ONE),
+                               (Fraction(-1, 4), RatFunc.monomial(-1, 6), poly({-1: -3}), poly({0: 2}))):
+            for p in (RatFunc.scalar(a) * b, b * RatFunc.scalar(a)):
+                assert (p.num, p.den) == (num, den)
 
     def test_field_axioms_with_specialization(self):
         rng = random.Random(1)
@@ -196,25 +233,29 @@ def _fraction_sum(p: LaurentPoly, x) -> Fraction:
 
 
 class TestEvaluate:
-    POLYS = [
-        ZERO,
-        ONE,
-        poly({-3: 2}),
-        poly({2: 1, 0: -3, -1: Fraction(1, 2)}),
-        poly({-5: Fraction(-7, 3), -2: 4, 4: Fraction(5, 6)}),
-        poly({-4: 1, -2: Fraction(1, 9)}),
-        poly({3: Fraction(2, 5), 7: -1}),
-        q_binomial(7, 3),
-        q_factorial(5),
+    # (p, d): the rational polynomial p / d, e.g. v^2 - 3 + (1/2) v^-1 as
+    # (2 v^2 - 6 + v^-1) / 2
+    RATIONAL = [
+        (ZERO, 1),
+        (ONE, 1),
+        (poly({-3: 2}), 1),
+        (poly({2: 2, 0: -6, -1: 1}), 2),
+        (poly({-5: -14, -2: 24, 4: 5}), 6),
+        (poly({-4: 9, -2: 1}), 9),
+        (poly({3: 2, 7: -5}), 5),
+        (q_binomial(7, 3), 1),
+        (q_factorial(5), 1),
     ]
+    POLYS = [p for p, _ in RATIONAL]
     POINTS = [1, -1, 3, -2, Fraction(3, 2), Fraction(-5, 7), Fraction(1, 60), 0.5, -1.25, 3.0]
 
     def test_matches_a_fraction_sum(self):
-        for p in self.POLYS:
+        for p, d in self.RATIONAL:
             for x in self.POINTS:
                 value = p.evaluate(x)
                 assert type(value) is Fraction
                 assert value == _fraction_sum(p, x), (p, x)
+                assert over(p, d).evaluate(x) == value / d
 
     def test_zero_point_raises(self):
         for p in (ZERO, ONE, poly({-1: 2})):
@@ -223,16 +264,17 @@ class TestEvaluate:
                     p.evaluate(zero)
 
     def test_rational_function(self):
-        for num in self.POLYS:
-            for den in self.POLYS[1:]:
-                f = RatFunc(num, den)
+        # (num / a) / (den / b) = (b num) / (a den)
+        for num, a in self.RATIONAL:
+            for den, b in self.RATIONAL[1:]:
+                f = RatFunc(num * b, den * a)
                 for x in self.POINTS:
-                    d = _fraction_sum(den, x)
+                    d = _fraction_sum(den, x) / b
                     if d == 0:
                         continue
                     value = f.evaluate(x)
                     assert type(value) is Fraction
-                    assert value == _fraction_sum(num, x) / d
+                    assert value == _fraction_sum(num, x) / a / d
 
     def test_vanishing_denominator(self):
         f = RatFunc(ONE, poly({1: 1, 0: -2}))  # 1/(v - 2)
@@ -243,7 +285,8 @@ class TestEvaluate:
         assert g.evaluate(-2) == Fraction(1, 5)
 
     def test_reads_only_the_coefficients(self, monkeypatch):
-        f = RatFunc(poly({-2: Fraction(1, 3), 1: 4}), poly({0: 1, 3: Fraction(-1, 2)}))
+        # ((1/3) v^-2 + 4 v) / (1 - (1/2) v^3)
+        f = RatFunc(poly({-2: 2, 1: 24}), poly({0: 6, 3: -3}))
         expected = f.evaluate(Fraction(-3, 4))
 
         def forbidden(*args, **kwargs):
@@ -258,6 +301,12 @@ class TestEvaluate:
 
 
 class TestStringCoefficients:
+    def test_unknown_kind_raises_inside_and_outside_the_domain(self):
+        for f in (kash_coeff, kash_coeff_underline):
+            for args in ((2, 1, 0), (0, 5, 0), (1, 2, 0), (2, 1, 2)):
+                with pytest.raises(ValueError, match="unknown coefficient kind: 'bogus'"):
+                    f("bogus", *args)
+
     def test_domain(self):
         # 0 <= k <= l and k - l <= s <= k
         for kind in ("low", "up"):

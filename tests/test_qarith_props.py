@@ -1,12 +1,14 @@
 """Property tests for the canonical forms of qarith.
 
-Dividends have int-only or mixed int/Fraction coefficients, and divisors have
-a unit (±1) or a non-unit leading coefficient, so exact division runs over
-every kind of content.  The gcd and its cofactors are checked against `sympy`
-and by multiplication on pairs with a planted common factor, on operands in
-v, v^2 and v^3 and with mixed strides, through the heuristic and through the
-pseudo-remainder fallback.  `derandomize` makes every run draw the same
-examples.
+Coefficients are drawn as ints or as mixed int/Fraction values.  A
+polynomial with Fraction coefficients p / d is used as its integer numerator
+p, which carries a content, and as the RatFunc p / d, so exact division runs
+over every kind of content and the canonical form over every rational value.
+Divisors have a unit (±1) or a non-unit leading coefficient.  The gcd and its
+cofactors are checked against `sympy` and by multiplication on pairs with a
+planted common factor, on operands in v, v^2 and v^3 and with mixed strides,
+through the heuristic and through the pseudo-remainder fallback.
+`derandomize` makes every run draw the same examples.
 """
 
 import math
@@ -36,38 +38,60 @@ NONUNIT = st.one_of(
 )
 
 
-def polys(coeffs):
-    return st.dictionaries(st.integers(-3, 3), coeffs, max_size=4).map(LaurentPoly)
+def cleared(coeffs: dict) -> tuple[LaurentPoly, int]:
+    """(p, d) with sum(c v^k) = p / d: d > 0 the lcm of the coefficient
+    denominators, so that p has integer coefficients."""
+    d = math.lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return LaurentPoly({k: int(c * d) for k, c in coeffs.items()}), d
 
 
-def divisors(coeffs, lead):
+def quotient(num: dict, den: dict) -> RatFunc:
+    """The quotient of two polynomials with rational coefficients."""
+    (p, a), (q, b) = cleared(num), cleared(den)
+    return RatFunc(p * b, q * a)
+
+
+def coeff_dicts(coeffs):
+    return st.dictionaries(st.integers(-3, 3), coeffs, max_size=4)
+
+
+def divisor_dicts(coeffs, lead):
     """Nonzero polynomials whose leading coefficient is drawn from `lead`."""
     return st.builds(
-        lambda low, top, shift: LaurentPoly({**low, 4: top}).shift(shift),
+        lambda low, top, shift: {k + shift: c for k, c in {**low, 4: top}.items()},
         st.dictionaries(st.integers(0, 3), coeffs, max_size=3),
         lead,
         st.integers(-3, 3),
     )
 
 
-DIVIDENDS = st.one_of(polys(INTS), polys(MIXED))
-DIVISORS = st.one_of(
-    divisors(INTS, UNIT), divisors(INTS, NONUNIT), divisors(MIXED, UNIT), divisors(MIXED, NONUNIT)
+NUM_DICTS = st.one_of(coeff_dicts(INTS), coeff_dicts(MIXED))
+DEN_DICTS = st.one_of(
+    divisor_dicts(INTS, UNIT), divisor_dicts(INTS, NONUNIT),
+    divisor_dicts(MIXED, UNIT), divisor_dicts(MIXED, NONUNIT),
 )
+# integer numerators: a Fraction coefficient leaves a content
+DIVIDENDS = NUM_DICTS.map(lambda c: cleared(c)[0])
+DIVISORS = DEN_DICTS.map(lambda c: cleared(c)[0])
+# the rational values themselves
+QUOTIENTS = st.builds(quotient, NUM_DICTS, DEN_DICTS)
+NONZERO_INTS = st.integers(-30, 30).filter(bool)
 
 
 def assert_stored_canonical(p: LaurentPoly):
-    """Every stored coefficient is a nonzero int or a Fraction that is not an integer."""
+    """Every stored coefficient is a nonzero int."""
     for _, c in p.items():
-        assert c != 0
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+        assert type(c) is int and c != 0, repr(c)
 
 
 def assert_canonical(r: RatFunc):
+    """Integer coefficients, den(0) != 0, a positive leading coefficient of den,
+    no common integer factor and, over QQ, no common polynomial factor."""
     assert_stored_canonical(r.num)
     assert_stored_canonical(r.den)
     assert r.den.valuation == 0
-    assert r.den.coefficient(r.den.degree) == 1
+    assert r.den.coefficient(r.den.degree) > 0
+    assert math.gcd(*(c for p in (r.num, r.den) for _, c in p.items())) == 1
     if sympy is not None and not r.num.is_zero():
         v = sympy.Symbol("v")
 
@@ -107,27 +131,32 @@ def test_divexact_inverts_product(a, b, s, t):
     # the quotient carries its form, and dividing by it again uses that form
     assert_form_rebuilds(q)
     if not a.is_zero():
-        assert (-q * 3).divexact(-q * Fraction(3, 2)).shift(5) == LaurentPoly.monomial(5, 2)
+        assert (-q * 6).divexact(-q * 3).shift(5) == LaurentPoly.monomial(5, 2)
+        # the quotient 3/2 is not in Z[v, 1/v]
+        with pytest.raises(ValueError):
+            (-q * 3).divexact(-q * 2)
         assert prod.divexact(q) == b
 
 
 @PROPS
 @given(DIVIDENDS, DIVISORS, st.integers(-4, 12), st.one_of(UNIT, NONUNIT), STRIDES)
 def test_divexact_raises_on_an_inexact_division(a, b, e, c, s):
-    # b is not a single term, so it does not divide c v^e, nor a b + c v^e
+    # b is not a single term, so it does not divide c v^e, nor a b + c v^e,
+    # nor d (a b + c v^e) for c = n / d
     a, b = strided(a, s), strided(b, s)
     if len(b.items()) < 2:
         return
+    n, d = Fraction(c).as_integer_ratio()
     with pytest.raises(ValueError):
-        (a * b + LaurentPoly.monomial(e, c)).divexact(b)
+        (a * b * d + LaurentPoly.monomial(e, n)).divexact(b)
 
 
 @pytest.mark.parametrize("num, den, quotient", [
-    ({0: 1, 1: 1}, {0: 2, 1: 2}, {0: Fraction(1, 2)}),
+    ({0: 2, 1: 2}, {0: 1, 1: 1}, {0: 2}),
     ({0: 3, 1: 5, 2: 2}, {0: 3, 1: 2}, {0: 1, 1: 1}),
     ({0: 1, 6: 1}, {0: 1, 2: 1}, {0: 1, 2: -1, 4: 1}),
-    ({-3: 1, 3: 1}, {-1: Fraction(1, 3), 1: Fraction(1, 3)}, {-2: 3, 0: -3, 2: 3}),
-    ({4: 7}, {1: -2}, {3: Fraction(-7, 2)}),
+    ({-3: 3, 3: 3}, {-1: 1, 1: 1}, {-2: 3, 0: -3, 2: 3}),
+    ({4: 14}, {1: -2}, {3: -7}),
 ])
 def test_divexact_examples(num, den, quotient):
     q = LaurentPoly(num).divexact(LaurentPoly(den))
@@ -142,6 +171,9 @@ def test_divexact_examples(num, den, quotient):
     ({0: 1, 1: 1}, {0: 2, 1: 1}),
     ({0: 3, 1: 5, 2: 4}, {0: 3, 1: 2}),
     ({0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}),
+    # the quotients 1/2 and -7/2 v^3 are not in Z[v, 1/v]
+    ({0: 1, 1: 1}, {0: 2, 1: 2}),
+    ({4: 7}, {1: -2}),
 ])
 def test_divexact_rejects_inexact_examples(num, den):
     with pytest.raises(ValueError):
@@ -149,7 +181,7 @@ def test_divexact_rejects_inexact_examples(num, den):
 
 
 @PROPS
-@given(DIVIDENDS, st.integers(-3, 3), st.one_of(UNIT, NONUNIT))
+@given(DIVIDENDS, st.integers(-3, 3), NONZERO_INTS)
 def test_cached_form_rebuilds_its_polynomial(p, k, c):
     if p.is_zero():
         return
@@ -163,14 +195,13 @@ def test_cached_form_rebuilds_its_polynomial(p, k, c):
 @PROPS
 @given(DIVIDENDS, DIVIDENDS)
 def test_sums_and_products_store_canonical_coefficients(a, b):
-    for p in (a + b, a + a, a - b, a * b, a * Fraction(1, 2), a * 2):
+    for p in (a + b, a + a, a - b, a * b, a * -3, a * 2):
         assert_stored_canonical(p)
 
 
 @PROPS
-@given(DIVIDENDS, DIVISORS, DIVIDENDS, DIVISORS)
-def test_ratfunc_canonical_form(n1, d1, n2, d2):
-    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+@given(QUOTIENTS, QUOTIENTS)
+def test_ratfunc_canonical_form(a, b):
     s, p = a + b, a * b
     # cross-multiplied values, without the gcd code under test
     assert s.num * a.den * b.den == (a.num * b.den + b.num * a.den) * s.den
@@ -182,11 +213,22 @@ def test_ratfunc_canonical_form(n1, d1, n2, d2):
         assert_canonical(r)
 
 
+@PROPS
+@given(DIVIDENDS, DIVISORS, NONZERO_INTS, st.integers(-4, 4))
+def test_ratfunc_ignores_a_common_monomial(p, q, c, k):
+    a, b = RatFunc(p, q), RatFunc(p * LaurentPoly.monomial(k, c), q * LaurentPoly.monomial(k, c))
+    assert (a.num, a.den) == (b.num, b.den)
+    assert hash(a) == hash(b)
+    assert_canonical(b)
+
+
 RATFUNCS = st.one_of(
-    # c v^k over 1, a polynomial over 1, and a general quotient
-    st.builds(RatFunc.monomial, st.integers(-4, 4), st.one_of(UNIT, NONUNIT)),
+    # c v^k over 1, a rational constant times v^k, a polynomial over 1, and a
+    # general quotient
+    st.builds(RatFunc.monomial, st.integers(-4, 4), st.one_of(UNIT, st.sampled_from([2, -3, 5]))),
+    st.builds(lambda k, c: RatFunc.monomial(k) * RatFunc.scalar(c), st.integers(-4, 4), NONUNIT),
     DIVIDENDS.map(RatFunc.of_poly),
-    st.builds(RatFunc, DIVIDENDS, DIVISORS),
+    QUOTIENTS,
 )
 
 # a polynomial p g over 1 and a quotient n / (g d): their product must cancel g
@@ -207,7 +249,7 @@ def test_ratfunc_product_is_the_normalized_quotient(pair):
         assert_canonical(p)
 
 
-FACTORS = st.one_of(polys(INTS), polys(MIXED)).filter(lambda p: not p.is_zero())
+FACTORS = DIVIDENDS.filter(lambda p: not p.is_zero())
 
 
 def planted(g, p, q, s, t, k):
@@ -226,7 +268,8 @@ def assert_gcd_triple(a, b, triple, expected):
 
 
 def oracle_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The monic gcd in Q[v] of a and b with their v-powers removed, by sympy."""
+    """The gcd in Q[v] of a and b with their v-powers removed, by sympy, made
+    primitive in Z[v] with a positive leading coefficient."""
     if sympy is None:
         pytest.skip("sympy is not installed")
     v = sympy.Symbol("v")
@@ -236,7 +279,9 @@ def oracle_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                           v, domain="QQ")
 
     g = sympy.gcd(to_poly(a), to_poly(b)).monic()
-    return LaurentPoly({k: Fraction(int(c.p), int(c.q)) for (k,), c in g.terms()})
+    p, _ = cleared({k: Fraction(int(c.p), int(c.q)) for (k,), c in g.terms()})
+    content = math.gcd(*(c for _, c in p.items()))
+    return LaurentPoly({k: c // content for k, c in p.items()})
 
 
 @PROPS
@@ -261,7 +306,7 @@ def test_gcd_fallback_agrees_with_the_heuristic(g, p, q, s, t, k):
 
 
 @PROPS
-@given(st.integers(-5, 5), st.one_of(UNIT, NONUNIT), FACTORS, STRIDES)
+@given(st.integers(-5, 5), NONZERO_INTS, FACTORS, STRIDES)
 def test_gcd_with_a_single_term_operand_is_one(exp, coeff, p, s):
     mono, p = LaurentPoly.monomial(exp, coeff), strided(p, s)
     assert poly_gcd(mono, p) == (ONE, mono, p)
@@ -270,7 +315,7 @@ def test_gcd_with_a_single_term_operand_is_one(exp, coeff, p, s):
 
 @PROPS
 @given(FACTORS, STRIDES)
-def test_gcd_with_zero_is_the_monic_other_operand(p, s):
+def test_gcd_with_zero_is_the_primitive_other_operand(p, s):
     p = strided(p, s)
     zero = LaurentPoly()
     for a, b in ((zero, p), (p, zero)):
@@ -286,6 +331,8 @@ def test_gcd_with_zero_is_the_monic_other_operand(p, s):
     ({1: 3, 4: 3}, {-2: 2, 1: 2}, {0: 1, 3: 1}),
     # stride 2 against stride 1: v^2 + 1 is not a factor of v^3 + 1
     ({0: 1, 2: 1}, {0: 1, 3: 1}, {0: 1}),
+    # -(2v + 1)(v + 1) and (2v + 1)(2v - 2): the gcd is primitive, not monic
+    ({0: -1, 1: -3, 2: -2}, {0: -2, 1: -2, 2: 4}, {0: 1, 1: 2}),
 ])
 def test_gcd_across_strides(a, b, g):
     a, b = LaurentPoly(a), LaurentPoly(b)
@@ -333,14 +380,16 @@ def fraction_sum(p: LaurentPoly, x) -> Fraction:
 
 
 @PROPS
-@given(DIVIDENDS, DIVIDENDS, POINTS, STRIDES)
+@given(NUM_DICTS, NUM_DICTS, POINTS, STRIDES)
 def test_evaluate_is_the_fraction_sum(a, b, x, s):
+    (a, da), (b, db) = cleared(a), cleared(b)
     a = strided(a, s, -4)
     value = a.evaluate(x)
     assert type(value) is Fraction and value == fraction_sum(a, x)
     if b.is_zero():
         return
-    f = RatFunc(a, b)
+    # the rational value (a / da) / (b / db)
+    f = RatFunc(a * db, b * da)
     den = fraction_sum(f.den, x)
     if den == 0:
         with pytest.raises(ZeroDivisionError, match="denominator vanishes"):
@@ -349,4 +398,4 @@ def test_evaluate_is_the_fraction_sum(a, b, x, s):
     value = f.evaluate(x)
     assert type(value) is Fraction and value == fraction_sum(f.num, x) / den
     if fraction_sum(b, x):
-        assert value == fraction_sum(a, x) / fraction_sum(b, x)
+        assert value == fraction_sum(a, x) / da / (fraction_sum(b, x) / db)

@@ -4,6 +4,7 @@ sympy is a test-only dependency; the library itself imports nothing outside
 the standard library.
 """
 
+import math
 import random
 
 import pytest
@@ -28,8 +29,11 @@ def to_sympy(p: LaurentPoly):
 def assert_canonical(r: RatFunc, expected):
     num, den = to_sympy(r.num), to_sympy(r.den)
     assert sympy.cancel(num / den - expected) == 0
+    coeffs = [c for p in (r.num, r.den) for _, c in p.items()]
+    assert all(type(c) is int for c in coeffs)
     assert r.den.valuation == 0  # an ordinary polynomial with den(0) != 0
-    assert r.den.coefficient(r.den.degree) == 1
+    assert r.den.coefficient(r.den.degree) > 0
+    assert math.gcd(*coeffs) == 1
     if not r.num.is_zero():
         # over the field QQ the gcd is monic, so coprime means exactly 1
         shifted = sympy.Poly(num * V ** -r.num.valuation, V, domain="QQ")

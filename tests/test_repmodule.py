@@ -310,7 +310,7 @@ class _Cleared:
         self.scale = qarith.ONE
         for den in dens:
             self.scale = self.scale * qarith.poly_gcd(self.scale, den)[2]
-        # den is monic, so gcd(scale, den) = den and its cofactor is scale / den
+        # every den of N_i is monic, so gcd(scale, den) = den and its cofactor is scale / den
         cofactors = {den: qarith.poly_gcd(self.scale, den)[1] for den in dens}
         for den, cofactor in cofactors.items():
             assert cofactor * den == self.scale, "a cofactor of the lcm does not multiply back"
