@@ -246,7 +246,6 @@ class TestEvaluate:
         (q_binomial(7, 3), 1),
         (q_factorial(5), 1),
     ]
-    POLYS = [p for p, _ in RATIONAL]
     POINTS = [1, -1, 3, -2, Fraction(3, 2), Fraction(-5, 7), Fraction(1, 60), 0.5, -1.25, 3.0]
 
     def test_matches_a_fraction_sum(self):
