@@ -1,5 +1,5 @@
-"""The checks the module commands run, the tasks of a sweep, the process pool
-and the check runner of every suite.
+"""The checks the module commands run, the tasks of a sweep, the pool of
+forked workers that runs them, and the check runner of every suite.
 
 Each check family returns a list of check records {name, anchor, status,
 witness?, seconds}, where `seconds` is the CPU time the check took in its
@@ -192,7 +192,6 @@ def sigma_checks(modules, label: str = "") -> list[dict]:
     return checks
 
 
-
 def conjecture_checks(mod: repmodule.ModuleVLambda) -> list[dict]:
     """Involutivity, the braid relation and the sixth-power identity of the
     composed involutions on one module, exactly."""
@@ -292,44 +291,80 @@ def usable_cpus() -> int:
 def pool_map(fn, items, jobs: int) -> list:
     """`fn` on every item, results in the order given, on `jobs` worker
     processes clamped to between 1 and the smaller of the number of items and
-    the usable CPUs.  With one worker it runs in this process.  Each worker
-    keeps its own `linalg` dot memo and `repmodule` N1 block memo for its
-    lifetime, so it reuses the dot products and blocks of every item it has
-    already run (`module_task` empties the block memo); a serial run keeps
-    one of each over all the items."""
+    the usable CPUs; with one worker, or without `os.fork`, it runs in this
+    process.  Forked workers inherit `fn`, `items` and every module, take the
+    next index from one shared pipe when free, and keep their own memos; only
+    results cross back.  A worker's exception re-raises; none outlives the call."""
     items = list(items)
     jobs = max(1, min(jobs, len(items), usable_cpus()))
-    if jobs == 1:
+    if jobs == 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    # imported here: the process pool is half the import time of the CLI
-    from concurrent.futures import ProcessPoolExecutor
+    if len(items) > 1 << 14:  # the 4-byte indices must fit a pipe's 64 KiB
+        raise ValueError(f"pool_map takes at most 16,384 items, got {len(items):,}")
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-
-def _family(task: tuple[str, int]) -> list[dict]:
-    """The records of one family of `run_suite("all", seed)`, named `key:check`.
-    Only the key and the seed cross to a worker process."""
-    from . import properties
-
-    key, seed = task
-    return [dict(rec, name=f"{key}:{rec['name']}") for rec in properties.SUITES[key](seed)]
+    tasks, into = os.pipe()  # filled and closed before any fork: a read gets an index or EOF
+    os.write(into, b"".join(k.to_bytes(4, "little") for k in range(len(items))))
+    os.close(into)
+    fds, workers, results = [tasks], {}, {}
+    try:
+        for _ in range(jobs):
+            fds += os.pipe()
+            if (pid := os.fork()) == 0:  # the worker keeps the task pipe and its result pipe
+                try:
+                    try:
+                        for fd in fds[1:-1]:
+                            os.close(fd)
+                        done = []
+                        while index := os.read(tasks, 4):
+                            done.append((k := int.from_bytes(index, "little"), fn(items[k])))
+                        data = pickle.dumps(done)
+                    except Exception as exc:
+                        try:  # an exception the parent could not unpickle crosses as its repr
+                            pickle.loads(data := pickle.dumps(exc))
+                        except Exception:
+                            data = pickle.dumps(RuntimeError(repr(exc)))
+                    with open(fds[-1], "wb") as fh:
+                        fh.write(data)
+                finally:
+                    os._exit(0)  # runs no atexit handler and flushes no inherited stdio buffer
+            os.close(fds.pop())
+            workers[pid] = fds[-1]
+        for pid, out in list(workers.items()):
+            data = b"".join(iter(lambda: os.read(out, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            if status or not data:
+                raise ChildProcessError(f"pool worker {pid} ended with exit status "
+                                        f"{os.waitstatus_to_exitcode(status)} without its results")
+            if isinstance(payload := pickle.loads(data), BaseException):
+                raise payload
+            results.update(payload)
+        if len(results) < len(items):
+            raise ChildProcessError(f"{len(items) - len(results)} items got no pool result")
+        return [results[k] for k in range(len(items))]
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def run_suite(name: str, seed: int = 1, jobs: int = 1) -> list[dict]:
     """The records of one named suite, or of every family in `SUITE_NAMES`
-    order for `all`.  `all` runs its families on up to `jobs` worker
-    processes, and its records do not depend on `jobs`; a single suite runs in
-    this process."""
+    order for `all`, named `key:check`.  `all` runs its families on up to
+    `jobs` worker processes, and its records do not depend on `jobs`; a
+    single suite runs in this process."""
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)} or 'all'")
     # imported here, as only this command runs the suites, and before the pool
-    # starts, so that its workers inherit the module instead of compiling it
+    # forks, so that its workers inherit the module instead of compiling it
     from . import properties
 
     if name == "all":
-        families = pool_map(_family, [(key, seed) for key in SUITE_NAMES], jobs)
-        return [rec for records in families for rec in records]
+        families = pool_map(lambda key: properties.SUITES[key](seed), SUITE_NAMES, jobs)
+        return [dict(rec, name=f"{key}:{rec['name']}")
+                for key, records in zip(SUITE_NAMES, families) for rec in records]
     return properties.SUITES[name](seed)

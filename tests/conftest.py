@@ -1,8 +1,8 @@
-import concurrent.futures
+import os
 
 import pytest
 
-from qcactus import linalg, repmodule
+from qcactus import linalg, repmodule, suites
 
 
 @pytest.fixture(autouse=True)
@@ -16,22 +16,28 @@ def fresh_memos(monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Stands in for the process pool, which then runs its tasks in this
-    process; returns the list of worker counts it was asked for."""
-    sizes = []
+    """Watches the fork pool of `suites.pool_map` through call-through
+    wrappers of `pool_map` and `os.fork`; returns the list of worker counts,
+    one for each call that started workers.  At teardown no child process of
+    this one may be left."""
+    sizes, new_call = [], [False]
+    pool_map, fork = suites.pool_map, os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def watched_pool_map(fn, items, jobs):
+        new_call[0] = True
+        return pool_map(fn, items, jobs)
 
-        def __enter__(self):
-            return self
+    def watched_fork():
+        pid = fork()
+        if pid:  # in this process, not in the worker
+            if new_call[0]:
+                sizes.append(0)
+                new_call[0] = False
+            sizes[-1] += 1
+        return pid
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
+    monkeypatch.setattr(suites, "pool_map", watched_pool_map)
+    monkeypatch.setattr(suites.os, "fork", watched_fork)
+    yield sizes
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -13,6 +13,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def test_run_returns_the_exit_code_of_main_and_then_freezes_the_heap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == 3
+    assert calls == ["main", "freeze"]
+
+
 def test_crystal_apply(capsys):
     code, out = run(capsys, "crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "sigma1")
     assert code == 0
@@ -147,15 +155,27 @@ def test_verify_conjecture_small(capsys, tmp_path):
     assert lams == sorted(lams)
 
 
-def test_verify_conjecture_maps_one_task_per_swap_pair(monkeypatch, capsys, pool_sizes):
+def test_verify_conjecture_maps_one_task_per_swap_pair(monkeypatch, capsys, tmp_path,
+                                                       pool_sizes):
     monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
-    tasks = []
-    pair_task = suites.conjecture_pair_task
-    monkeypatch.setattr(suites, "conjecture_pair_task",
-                        lambda lam: tasks.append(lam) or pair_task(lam))
+    # the tasks run in worker processes, so each one appends itself to a file
+    log = tmp_path / "tasks.txt"
+    pair_task, pool_map, handed = suites.conjecture_pair_task, suites.pool_map, []
+
+    def logged(lam):
+        with open(log, "a") as fh:
+            fh.write(f"{lam[0]},{lam[1]}\n")
+        return pair_task(lam)
+
+    monkeypatch.setattr(suites, "conjecture_pair_task", logged)
+    monkeypatch.setattr(suites, "pool_map",
+                        lambda fn, items, jobs: handed.extend(items) or pool_map(fn, items, jobs))
     code, out = run(capsys, "verify-conjecture", "--max-degree", "4", "--jobs", "2")
     assert code == 0 and pool_sizes == [2]
-    assert tasks == [lam for lam in sorted(suites.lambdas(4)) if lam[0] <= lam[1]]
+    tasks = [lam for lam in sorted(suites.lambdas(4)) if lam[0] <= lam[1]]
+    # handed to the pool in this order, and each run once by a worker
+    assert handed == tasks
+    assert sorted(tuple(map(int, line.split(","))) for line in log.read_text().split()) == tasks
     report = json.loads(out)
     lams = sorted(suites.lambdas(4))
     assert len(lams) == 15

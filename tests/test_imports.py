@@ -13,17 +13,19 @@ import qcactus
 SRC = os.path.dirname(os.path.dirname(qcactus.__file__))
 #: what the conjecture commands never run
 UNUSED = ("qcactus.gkmodel", "qcactus.properties", "dataclasses")
+#: the process-pool libraries, which no command loads
+POOL_LIBRARIES = ("concurrent.futures", "multiprocessing")
 
 
-def imported_after(code: str) -> list[str]:
-    """The modules of UNUSED that `code` leaves in `sys.modules`; the code
+def imported_after(code: str, modules=UNUSED) -> list[str]:
+    """The modules of `modules` that `code` leaves in `sys.modules`; the code
     runs in a fresh interpreter with `cli` imported and stdout discarded."""
     script = (
         "import contextlib, io, json, sys\n"
         "from qcactus import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + f"print(json.dumps([m for m in {UNUSED!r} if m in sys.modules]))\n"
+        + f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, check=True)
@@ -62,3 +64,24 @@ def test_run_suite_imports_the_suites_before_the_pool_starts():
         "assert seen == [True]"
     )
     assert imported_after(code) == ["qcactus.gkmodel", "qcactus.properties"]
+
+
+@pytest.mark.parametrize("code", [
+    'assert cli.main(["verify-conjecture", "--max-degree", "3", "--jobs", "2"]) == 0',
+    'assert cli.main(["suite", "--name", "all"]) == 0',
+], ids=["verify-conjecture", "suite-all"])
+def test_the_pool_commands_load_no_pool_library(code):
+    # two usable CPUs, so that both commands fork their workers on any machine
+    code = f"from qcactus import suites\nsuites.usable_cpus = lambda: 2\n{code}"
+    assert imported_after(code, POOL_LIBRARIES) == []
+
+
+def test_run_freezes_the_heap_after_main():
+    code = (
+        "import gc\n"
+        'sys.argv[1:] = ["verify-conjecture", "--max-degree", "2"]\n'
+        "assert gc.get_freeze_count() == 0\n"
+        "assert cli.run() == 0\n"
+        "assert gc.get_freeze_count() > 0"
+    )
+    assert imported_after(code) == []

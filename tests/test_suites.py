@@ -1,3 +1,5 @@
+import os
+import signal
 import time
 from collections import Counter
 
@@ -34,6 +36,99 @@ def test_pool_map_clamps_jobs_to_items_and_cpus(monkeypatch, pool_sizes, jobs, c
     monkeypatch.setattr(suites, "usable_cpus", lambda: cpus)
     assert suites.pool_map(str, range(5), jobs) == ["0", "1", "2", "3", "4"]
     assert pool_sizes == workers
+
+
+class RebuildFails(Exception):
+    """An exception that pickles but does not unpickle: its one message does
+    not fill the two arguments of its constructor."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def raise_(exc):
+    raise exc
+
+
+def raise_at_3(k):
+    if k == 3:
+        raise ValueError(f"bad item {k}")
+    return k
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
+
+
+def test_pool_map_runs_a_closure_in_workers_and_keeps_item_order(two_cpus, pool_sizes):
+    offset, parent = 1000, os.getpid()
+    results = suites.pool_map(lambda k: (k + offset, os.getpid()), range(50), 2)
+    assert pool_sizes == [2]
+    assert [r[0] for r in results] == list(range(1000, 1050))
+    assert parent not in {r[1] for r in results}
+
+
+def test_pool_map_re_raises_a_worker_exception_with_its_message(two_cpus, pool_sizes):
+    with pytest.raises(ValueError, match="^bad item 3$"):
+        suites.pool_map(raise_at_3, range(10), 2)
+    assert pool_sizes == [2]
+
+
+def test_pool_map_names_the_exit_status_of_a_worker_that_ends_without_results(two_cpus,
+                                                                           pool_sizes):
+    with pytest.raises(ChildProcessError, match="exit status 7 "):
+        suites.pool_map(lambda k: os._exit(7) if k == 3 else k, range(10), 2)
+    assert pool_sizes == [2]
+
+
+def test_no_worker_outlives_a_failed_pool_map(two_cpus):
+    with pytest.raises(ValueError):
+        suites.pool_map(raise_at_3, range(10), 2)
+    with pytest.raises(ChildProcessError):
+        suites.pool_map(lambda k: os._exit(7) if k == 3 else k, range(10), 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_pool_map_kills_and_reaps_its_workers(two_cpus, pool_sizes):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    started = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            suites.pool_map(lambda k: time.sleep(60), range(4), 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - started < 30
+    assert pool_sizes == [2]
+
+
+def test_pool_map_sends_what_cannot_cross_as_an_error(two_cpus, pool_sizes):
+    with pytest.raises(RuntimeError, match=r"^RebuildFails\('3/4'\)$"):
+        suites.pool_map(lambda k: raise_(RebuildFails(3, 4)), range(4), 2)
+    # a result that cannot be pickled fails in the worker, and that error crosses
+    with pytest.raises(Exception, match="pickle"):
+        suites.pool_map(lambda k: lambda: k, range(4), 2)
+    assert pool_sizes == [2, 2]
+
+
+def test_pool_map_takes_as_many_items_as_the_task_pipe_holds(two_cpus, pool_sizes):
+    assert suites.pool_map(str, range(1 << 14), 2) == [str(k) for k in range(1 << 14)]
+    with pytest.raises(ValueError, match="at most 16,384 items, got 16,385"):
+        suites.pool_map(str, range((1 << 14) + 1), 2)
+    assert pool_sizes == [2]
+
+
+def test_pool_map_runs_in_process_without_fork(monkeypatch):
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 2)
+    monkeypatch.delattr(suites.os, "fork")
+    assert suites.pool_map(lambda k: (k, os.getpid()), range(3), 2) == [
+        (k, os.getpid()) for k in range(3)]
 
 
 def test_usable_cpus_prefers_the_affinity_set(monkeypatch):
