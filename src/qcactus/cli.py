@@ -41,7 +41,10 @@ def _emit(report: dict, out: str | None) -> int:
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-        print("\n".join(f"{c['status']:7s} {c['name']}" for c in report["checks"]))
+        summary = [
+            f"{c['status']:7s} {c['name']}" for c in report["checks"]
+        ]
+        print("\n".join(summary))
         print(f"report written to {out}")
     else:
         print(text)

@@ -302,8 +302,6 @@ def pool_map(fn, items, jobs: int) -> list:
     if len(items) > 1 << 14:  # the 4-byte indices must fit a pipe's 64 KiB
         raise ValueError(f"pool_map takes at most 16,384 items, got {len(items):,}")
     import pickle
-    import signal
-
     tasks, into = os.pipe()  # filled and closed before any fork: a read gets an index or EOF
     os.write(into, b"".join(k.to_bytes(4, "little") for k in range(len(items))))
     os.close(into)
@@ -333,11 +331,10 @@ def pool_map(fn, items, jobs: int) -> list:
             workers[pid] = fds[-1]
         for pid, out in list(workers.items()):
             data = b"".join(iter(lambda: os.read(out, 1 << 16), b""))
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[pid]
-            if status or not data:
-                raise ChildProcessError(f"pool worker {pid} ended with exit status "
-                                        f"{os.waitstatus_to_exitcode(status)} without its results")
+            if code or not data:
+                raise ChildProcessError(f"worker {pid} exited with status {code} without results")
             if isinstance(payload := pickle.loads(data), BaseException):
                 raise payload
             results.update(payload)
@@ -346,7 +343,7 @@ def pool_map(fn, items, jobs: int) -> list:
         return [results[k] for k in range(len(items))]
     finally:
         for pid in workers:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL, without the import of `signal`
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)

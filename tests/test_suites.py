@@ -77,7 +77,7 @@ def test_pool_map_re_raises_a_worker_exception_with_its_message(two_cpus, pool_s
 
 def test_pool_map_names_the_exit_status_of_a_worker_that_ends_without_results(two_cpus,
                                                                            pool_sizes):
-    with pytest.raises(ChildProcessError, match="exit status 7 "):
+    with pytest.raises(ChildProcessError, match="exited with status 7 without results"):
         suites.pool_map(lambda k: os._exit(7) if k == 3 else k, range(10), 2)
     assert pool_sizes == [2]
 
