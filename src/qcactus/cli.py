@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 import time
@@ -21,6 +22,8 @@ TOOL_VERSION = "qcactus 0.1.0"
 #: the version of the report layout; 3 drops the field with which 2 marked derived records,
 #: as every module is now proved on its own (reports before 2 have no `schema` field)
 REPORT_SCHEMA = 3
+#: the largest sweep degree N whose (N + 2)^2 // 4 pair tasks fit one `suites.pool_map` call
+MAX_SWEEP_DEGREE = math.isqrt(4 * suites.POOL_MAX_ITEMS + 3) - 2
 
 
 def _report(command: str, config: dict, checks: list[dict], started: float) -> dict:
@@ -170,6 +173,13 @@ def _positive(text: str) -> int:
     return _integer(text, 1, "positive")
 
 
+def _sweep_degree(text: str) -> int:
+    value = _natural(text)
+    if value > MAX_SWEEP_DEGREE:
+        raise ValueError(f"expected a sweep degree of at most {MAX_SWEEP_DEGREE}, got {text!r}")
+    return value
+
+
 def _matrix_tags(text: str) -> list[str]:
     tags = [t.strip() for t in text.split(",") if t.strip()]
     if not tags:
@@ -222,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-conjecture", help="sweep the composed-involution identity")
-    p.add_argument("--max-degree", type=_arg(_natural), default=8)
+    p.add_argument("--max-degree", type=_arg(_sweep_degree), default=8)
     p.add_argument("--jobs", type=_arg(_positive), default=1)
     p.add_argument("--out", default=None, type=_arg(_out_path))
 

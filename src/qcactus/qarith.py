@@ -9,9 +9,10 @@ constant lives in its integer numerator and denominator.
 
 Exact division and the gcd work on a cached strided primitive form
 c * v^e * I(v^s), c > 0 and I a primitive integer polynomial: one long
-division in Z[w] per quotient, and `poly_gcd` returns the cofactors that its
-check of the candidate gcd computed, so reducing a rational function divides
-once.
+division in Z[w] per quotient.  The gcd has one algorithm, the heuristic
+gcd GCDHEU, which tries evaluation points until a candidate divides both
+operands; `poly_gcd` returns the cofactors that this check computed, so
+reducing a rational function divides once.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(exp: int, coeff=1) -> "LaurentPoly":
         return LaurentPoly({exp: coeff})
-
-    @staticmethod
-    def const(a) -> "LaurentPoly":
-        return LaurentPoly({0: a})
 
     # -- queries -----------------------------------------------------------
 
@@ -109,16 +106,7 @@ class LaurentPoly:
     def __neg__(self):
         return _lp({k: -a for k, a in self._c.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return ZERO
-            return _lp({k: a * other for k, a in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._c or not other._c:
@@ -305,12 +293,6 @@ def _div_ints(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _primitive(a: list[int]) -> list[int]:
     g = _int_gcd(*a)
     if g > 1:
@@ -319,57 +301,46 @@ def _primitive(a: list[int]) -> list[int]:
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly):
-    """(g, a/g, b/g): the gcd g of a and b, not both zero, and the two
-    cofactors.  g is the gcd in Q[v] up to v-units, taken primitive in Z[v]
-    with a positive leading coefficient, so by Gauss's lemma the cofactors
-    lie in Z[v, 1/v].
+    """(g, a/g, b/g): the gcd g of the nonzero a and b, and the two cofactors.
+    g is the gcd in Q[v] up to v-units, taken primitive in Z[v] with a
+    positive leading coefficient, so by Gauss's lemma the cofactors lie in
+    Z[v, 1/v].
 
     A single-term operand is a unit.  Otherwise the gcd is taken of the
     primitive integer forms in w = v^s, s the joint stride of a and b, since
-    gcd(A(v^s), B(v^s)) = G(v^s): the heuristic gcd by integer evaluation is
-    tried first, and the primitive pseudo-remainder sequence runs only if no
-    candidate of the heuristic divides both operands.  The two exact
-    divisions that accept g are the cofactors.
+    gcd(A(v^s), B(v^s)) = G(v^s), by the heuristic gcd `_heu_gcd`, the one
+    gcd algorithm.  The two exact divisions that accept g are the cofactors.
     """
-    if a.is_zero() or b.is_zero():  # the gcd is the other operand made primitive
-        _, s, _, ints = (a + b)._strided()
-        return _divide_out(a, b, s, ints)
     if len(a._c) == 1 or len(b._c) == 1:
         return ONE, a, b
     _, sa, _, fa = a._strided()
     _, sb, _, fb = b._strided()
     s = _int_gcd(sa, sb)
-    fa, fb = _spread(fa, sa // s), _spread(fb, sb // s)
-    return _heu_gcd(a, b, s, fa, fb) or _divide_out(a, b, s, _prs_gcd(fa, fb))
-
-
-def _divide_out(a: LaurentPoly, b: LaurentPoly, s: int, g: list[int]):
-    """(g(v^s), a/g, b/g) for a primitive integer list g, signed so that its
-    leading coefficient is positive; the divisions raise ValueError if g does
-    not divide both."""
-    if len(g) == 1:
-        return ONE, a, b
-    if g[-1] < 0:
-        g = [-x for x in g]
-    gcd = _of_form(0, s, 1, g)
-    return gcd, a.divexact(gcd), b.divexact(gcd)
+    return _heu_gcd(a, b, s, _spread(fa, sa // s), _spread(fb, sb // s))
 
 
 def _heu_gcd(a: LaurentPoly, b: LaurentPoly, s: int, fa: list[int], fb: list[int]):
     """GCDHEU (Char, Geddes and Gonnet, 1989) on the primitive integer lists
-    fa, fb of a and b in w = v^s.
+    fa, fb of a and b in w = v^s; returns the triple of `poly_gcd`.
 
-    gcd(fa(xi), fb(xi)) is read back as a polynomial from its balanced base-xi
-    digits.  For xi >= 2 min(|fa|, |fb|) + 2 that candidate, made primitive,
-    is the gcd if and only if it divides both fa and fb in Z[w], so it is
-    returned, as `_divide_out`'s triple, only when both divisions are exact.
-    None when no evaluation point verifies.
+    h = gcd(fa(xi), fb(xi)) is read back as a polynomial from its balanced
+    base-xi digits.  For xi >= 2 min(|fa|, |fb|) + 2 that candidate, made
+    primitive, is the gcd if and only if it divides both fa and fb in Z[w],
+    so it is accepted only when both divisions are exact; otherwise xi grows
+    and the next point is tried.
+
+    The loop ends.  Write fa = G A* and fb = G B* with G the gcd.  Then
+    h = |G(xi)| gamma, where gamma = gcd(A*(xi), B*(xi)) divides the
+    resultant Res(A*, B*), which is nonzero as A* and B* are coprime.  Once
+    xi > 2 |Res| |G|, each coefficient of gamma G is smaller than xi / 2, so
+    the balanced digits read back gamma G, and its primitive part G divides
+    both operands.
     """
     # the theorem's bound 2 min(|a|, |b|) + 2, with a margin
     xi = 2 * min(max(map(abs, fa)), max(map(abs, fb))) + 29
-    for _ in range(6):
+    while True:
         h = _int_gcd(_horner(fa, xi), _horner(fb, xi))
-        # balanced digits; h > 0, so the leading digit is positive
+        # balanced digits; h > 0, so the leading digit is positive and g needs no sign fix
         g = []
         while h:
             d = h % xi
@@ -377,11 +348,14 @@ def _heu_gcd(a: LaurentPoly, b: LaurentPoly, s: int, fa: list[int], fb: list[int
                 d -= xi
             g.append(d)
             h = (h - d) // xi
+        g = _primitive(g)
+        if len(g) == 1:
+            return ONE, a, b
+        gcd = _of_form(0, s, 1, g)
         try:
-            return _divide_out(a, b, s, _primitive(g))
+            return gcd, a.divexact(gcd), b.divexact(gcd)
         except ValueError:
             xi = xi * 73794 // 27011  # grow by about 2.73, the usual GCDHEU step
-    return None
 
 
 def _horner(a: list[int], x: int) -> int:
@@ -389,26 +363,6 @@ def _horner(a: list[int], x: int) -> int:
     for c in reversed(a):
         value = value * x + c
     return value
-
-
-def _prs_gcd(fa: list[int], fb: list[int]) -> list[int]:
-    """Primitive gcd of two integer lists by a primitive pseudo-remainder sequence."""
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        # pseudo-remainder of fa by fb
-        r = list(fa)
-        lead = fb[-1]
-        db = len(fb) - 1
-        while len(r) - 1 >= db and r:
-            dr = len(r) - 1
-            c = r[-1]
-            r = [x * lead for x in r]
-            for i, y in enumerate(fb):
-                r[dr - db + i] -= c * y
-            r = _trim(r)
-        fa, fb = fb, _primitive(_trim(r))
-    return fa
 
 
 # -- rational functions --------------------------------------------------------
@@ -421,13 +375,20 @@ class RatFunc:
     polynomial in v with nonzero constant term and a positive leading
     coefficient; num and den have no common nonunit polynomial factor and no
     common integer factor.  Equality and hashing are structural.
+
+    `RatFunc(num, den)` reduces any num/den with den != 0 to that form;
+    internal callers that already hold it pass `_canonical=True`.  Every
+    operation keeps the gcd's operands nonzero: a zero numerator returns
+    before any gcd.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly, _canonical=False):
-        if not _canonical:
-            c = rf_normalize(num, den)
+        if not _canonical:  # reduce by the gcd, then over Z and by v-powers
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            c = _unit_normalize(*poly_gcd(num, den)[1:]) if num._c else _RF_ZERO
             num, den = c.num, c.den
         self.num = num
         self.den = den
@@ -450,7 +411,7 @@ class RatFunc:
     @staticmethod
     def scalar(a) -> "RatFunc":
         """The constant a, an int or a Fraction."""
-        return _unit_normalize(LaurentPoly.const(a.numerator), LaurentPoly.const(a.denominator))
+        return _unit_normalize(LaurentPoly({0: a.numerator}), LaurentPoly({0: a.denominator}))
 
     @staticmethod
     def monomial(exp: int, coeff=1) -> "RatFunc":
@@ -473,7 +434,7 @@ class RatFunc:
             return other
         if other.num.is_zero():
             return self
-        if self.den is ONE and other.den is ONE or (self.den.is_one() and other.den.is_one()):
+        if self.den.is_one() and other.den.is_one():
             return RatFunc(self.num + other.num, ONE, _canonical=True)
         if self.den == other.den:
             num = self.num + other.num
@@ -483,9 +444,6 @@ class RatFunc:
             return _unit_normalize(num, den)
         # common factor of the two denominators bounds the reduction needed
         d, qa, qb = poly_gcd(self.den, other.den)
-        if d.is_one():
-            num = self.num * other.den + other.num * self.den
-            return _unit_normalize(num, self.den * other.den)
         g, t, dg = poly_gcd(self.num * qb + other.num * qa, d)
         # the sum is t / (qa qb dg)
         return _unit_normalize(t, qa * other.den if g.is_one() else qa * qb * dg)
@@ -523,11 +481,6 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
         return _unit_normalize(self.den, self.num)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self * other.inverse()
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -593,18 +546,6 @@ def _unit_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
             num = _lp({k: a // g for k, a in num._c.items()})
             den = _lp({k: a // g for k, a in den._c.items()})
     return RatFunc(num, den, _canonical=True)
-
-
-def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-    """Canonical form of num/den: gcd-reduced over Q and over Z, denominator
-    with nonzero constant term and positive leading coefficient after its
-    v-power is moved into the numerator."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return _RF_ZERO
-    _, num, den = poly_gcd(num, den)
-    return _unit_normalize(num, den)
 
 
 _RF_ZERO = RatFunc(ZERO, ONE, _canonical=True)

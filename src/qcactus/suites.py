@@ -19,6 +19,8 @@ from .qarith import RatFunc, q2_binomial
 
 #: the seeded property suites of `properties`, in the order `all` runs them
 SUITE_NAMES = ("qarith", "coxeter", "crystal", "module", "gk")
+#: the most items one `pool_map` call forks for: their 4-byte indices fill a pipe's 64 KiB
+POOL_MAX_ITEMS = 1 << 14
 
 
 def _run(checks: list, name: str, anchor: str, fn) -> None:
@@ -294,14 +296,17 @@ def pool_map(fn, items, jobs: int) -> list:
     the usable CPUs; with one worker, or without `os.fork`, it runs in this
     process.  Forked workers inherit `fn`, `items` and every module, take the
     next index from one shared pipe when free, and keep their own memos; only
-    results cross back.  A worker's exception re-raises; none outlives the call."""
+    results cross back, read from whichever worker is ready first.  A
+    worker's exception re-raises as soon as it arrives; none outlives the
+    call."""
     items = list(items)
     jobs = max(1, min(jobs, len(items), usable_cpus()))
     if jobs == 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    if len(items) > 1 << 14:  # the 4-byte indices must fit a pipe's 64 KiB
-        raise ValueError(f"pool_map takes at most 16,384 items, got {len(items):,}")
+    if len(items) > POOL_MAX_ITEMS:
+        raise ValueError(f"pool_map takes at most {POOL_MAX_ITEMS:,} items, got {len(items):,}")
     import pickle
+    import select
     tasks, into = os.pipe()  # filled and closed before any fork: a read gets an index or EOF
     os.write(into, b"".join(k.to_bytes(4, "little") for k in range(len(items))))
     os.close(into)
@@ -328,21 +333,26 @@ def pool_map(fn, items, jobs: int) -> list:
                 finally:
                     os._exit(0)  # runs no atexit handler and flushes no inherited stdio buffer
             os.close(fds.pop())
-            workers[pid] = fds[-1]
-        for pid, out in list(workers.items()):
-            data = b"".join(iter(lambda: os.read(out, 1 << 16), b""))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[pid]
-            if code or not data:
-                raise ChildProcessError(f"worker {pid} exited with status {code} without results")
-            if isinstance(payload := pickle.loads(data), BaseException):
-                raise payload
-            results.update(payload)
+            workers[fds[-1]] = pid
+        chunks = {out: [] for out in workers}
+        while workers:  # a worker's output is whole at EOF on its result pipe
+            for out in select.select(list(workers), [], [])[0]:
+                if chunk := os.read(out, 1 << 16):
+                    chunks[out].append(chunk)
+                    continue
+                data, pid = b"".join(chunks.pop(out)), workers.pop(out)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code or not data:
+                    raise ChildProcessError(
+                        f"worker {pid} exited with status {code} without results")
+                if isinstance(payload := pickle.loads(data), BaseException):
+                    raise payload
+                results.update(payload)
         if len(results) < len(items):
             raise ChildProcessError(f"{len(items) - len(results)} items got no pool result")
         return [results[k] for k in range(len(items))]
     finally:
-        for pid in workers:
+        for pid in workers.values():
             os.kill(pid, 9)  # SIGKILL, without the import of `signal`
             os.waitpid(pid, 0)
         for fd in fds:

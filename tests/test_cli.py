@@ -328,6 +328,8 @@ def test_an_unwritable_report_path_is_a_usage_error(monkeypatch, capsys, tmp_pat
     ["crystal", "apply", "--pattern", "1,0,0,0,0,0", "--ops", "e1^\u0662"],
     ["coxeter", "kernel", "--type", "A2", "--subset", "\u0661"],
     ["gk", "normalform", "--expr", "z1^\u0662"],
+    # 16,512 pair tasks, more than one pool_map call takes
+    ["verify-conjecture", "--max-degree", "255", "--jobs", "2"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -361,6 +363,20 @@ def test_non_integer_arguments_name_the_bad_text(capsys, argv, option, text):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: " in err and text in err and "int()" not in err
+
+
+def test_the_largest_sweep_degree_is_the_last_whose_tasks_fit_the_pool(capsys):
+    def pair_tasks(n):
+        return sum(1 for lam in suites.lambdas(n) if lam[0] <= lam[1])
+
+    top = cli.MAX_SWEEP_DEGREE
+    assert pair_tasks(top) <= suites.POOL_MAX_ITEMS < pair_tasks(top + 1)
+    args = cli.build_parser().parse_args(["verify-conjecture", "--max-degree", str(top)])
+    assert args.max_degree == top
+    with pytest.raises(SystemExit):
+        cli.main(["verify-conjecture", "--max-degree", str(top + 1)])
+    err = capsys.readouterr().err
+    assert f"argument --max-degree: expected a sweep degree of at most {top}, got '{top + 1}'" in err
 
 
 @pytest.mark.parametrize("text", ["x", "A1x", "Z9"])

@@ -76,6 +76,11 @@ def test_the_pool_commands_load_no_pool_library(code):
     assert imported_after(code, POOL_LIBRARIES) == []
 
 
+def test_a_serial_sweep_loads_what_only_the_fork_pool_needs():
+    code = 'assert cli.main(["verify-conjecture", "--max-degree", "3", "--jobs", "1"]) == 0'
+    assert imported_after(code, ("pickle", "select")) == []
+
+
 def test_run_freezes_the_heap_after_main():
     code = (
         "import gc\n"

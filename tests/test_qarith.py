@@ -16,7 +16,6 @@ from qcactus.qarith import (
     q_binomial,
     q_factorial,
     q_int,
-    rf_normalize,
 )
 
 
@@ -26,7 +25,7 @@ def poly(d):
 
 def over(p: LaurentPoly, d: int) -> RatFunc:
     """The rational polynomial p / d, for an integer d != 0."""
-    return RatFunc(p, LaurentPoly.const(d))
+    return RatFunc(p, LaurentPoly({0: d}))
 
 
 class TestLaurentPoly:
@@ -38,7 +37,7 @@ class TestLaurentPoly:
         p = poly({2: 4, -1: 3})
         assert p + ZERO == p
         assert p * ONE == p
-        assert (p - p).is_zero()
+        assert (p + -p).is_zero()
         r = over(p, 4)  # v^2 + (3/4) v^-1
         assert r + RatFunc.zero() == r
         assert r * RatFunc.one() == r
@@ -108,16 +107,16 @@ class TestRatFunc:
         # oracle: direct polynomial division
         num = poly({2: 1, 0: -1})
         den = poly({1: 1, 0: -1})
-        assert rf_normalize(num, den) == RatFunc.of_poly(num.divexact(den))
+        assert RatFunc(num, den) == RatFunc.of_poly(num.divexact(den))
 
     def test_normalize_zero_and_canonical(self):
-        assert rf_normalize(ZERO, poly({3: 1})).is_zero()
+        assert RatFunc(ZERO, poly({3: 1})).is_zero()
         p = poly({1: 1, -1: 1})
-        assert rf_normalize(p, ONE) == RatFunc.of_poly(p)
+        assert RatFunc(p, ONE) == RatFunc.of_poly(p)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            rf_normalize(ONE, ZERO)
+            RatFunc(ONE, ZERO)
 
     def test_product_with_one_is_the_other_factor(self):
         r = RatFunc(poly({1: 1, 0: 1}), poly({1: 1, 0: 2}))
@@ -266,7 +265,7 @@ class TestEvaluate:
         # (num / a) / (den / b) = (b num) / (a den)
         for num, a in self.RATIONAL:
             for den, b in self.RATIONAL[1:]:
-                f = RatFunc(num * b, den * a)
+                f = RatFunc(num * LaurentPoly({0: b}), den * LaurentPoly({0: a}))
                 for x in self.POINTS:
                     d = _fraction_sum(den, x) / b
                     if d == 0:
@@ -341,9 +340,9 @@ class TestStringCoefficients:
                 for s in range(k - l, k + 1):
                     for kind in ("low", "up"):
                         lhs = kash_coeff_underline(kind, l, k, s)
-                        ratio = RatFunc.of_poly(q_factorial(k - s)) / RatFunc.of_poly(
+                        ratio = RatFunc.of_poly(q_factorial(k - s)) * RatFunc.of_poly(
                             q_factorial(k)
-                        )
+                        ).inverse()
                         assert lhs == kash_coeff(kind, l, k, s) * ratio
 
     def test_cancelled_ratio_equals_the_full_ratio(self):

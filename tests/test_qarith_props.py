@@ -7,7 +7,7 @@ over every kind of content and the canonical form over every rational value.
 Divisors have a unit (±1) or a non-unit leading coefficient.  The gcd and its
 cofactors are checked against `sympy` and by multiplication on pairs with a
 planted common factor, on operands in v, v^2 and v^3 and with mixed strides,
-through the heuristic and through the pseudo-remainder fallback.
+and on pairs whose heuristic gcd needs several evaluation points.
 `derandomize` makes every run draw the same examples.
 """
 
@@ -48,7 +48,7 @@ def cleared(coeffs: dict) -> tuple[LaurentPoly, int]:
 def quotient(num: dict, den: dict) -> RatFunc:
     """The quotient of two polynomials with rational coefficients."""
     (p, a), (q, b) = cleared(num), cleared(den)
-    return RatFunc(p * b, q * a)
+    return RatFunc(p * LaurentPoly({0: b}), q * LaurentPoly({0: a}))
 
 
 def coeff_dicts(coeffs):
@@ -131,10 +131,11 @@ def test_divexact_inverts_product(a, b, s, t):
     # the quotient carries its form, and dividing by it again uses that form
     assert_form_rebuilds(q)
     if not a.is_zero():
-        assert (-q * 6).divexact(-q * 3).shift(5) == LaurentPoly.monomial(5, 2)
+        six, three, two = (-q * LaurentPoly({0: c}) for c in (6, 3, 2))
+        assert six.divexact(three).shift(5) == LaurentPoly.monomial(5, 2)
         # the quotient 3/2 is not in Z[v, 1/v]
         with pytest.raises(ValueError):
-            (-q * 3).divexact(-q * 2)
+            three.divexact(two)
         assert prod.divexact(q) == b
 
 
@@ -148,7 +149,7 @@ def test_divexact_raises_on_an_inexact_division(a, b, e, c, s):
         return
     n, d = Fraction(c).as_integer_ratio()
     with pytest.raises(ValueError):
-        (a * b * d + LaurentPoly.monomial(e, n)).divexact(b)
+        (a * b * LaurentPoly({0: d}) + LaurentPoly.monomial(e, n)).divexact(b)
 
 
 @pytest.mark.parametrize("num, den, quotient", [
@@ -186,7 +187,8 @@ def test_cached_form_rebuilds_its_polynomial(p, k, c):
     if p.is_zero():
         return
     p._strided()
-    for q in (p, -p, p.shift(k), p * c, p * LaurentPoly.monomial(k, c), strided(p, 2)):
+    for q in (p, -p, p.shift(k), p * LaurentPoly({0: c}), p * LaurentPoly.monomial(k, c),
+              strided(p, 2)):
         q._strided()
         assert_form_rebuilds(q)
         assert q == LaurentPoly(dict(q.items()))
@@ -195,7 +197,7 @@ def test_cached_form_rebuilds_its_polynomial(p, k, c):
 @PROPS
 @given(DIVIDENDS, DIVIDENDS)
 def test_sums_and_products_store_canonical_coefficients(a, b):
-    for p in (a + b, a + a, a - b, a * b, a * -3, a * 2):
+    for p in (a + b, a + a, a + -b, a * b, a * LaurentPoly({0: -3}), a * LaurentPoly({0: 2})):
         assert_stored_canonical(p)
 
 
@@ -208,7 +210,7 @@ def test_ratfunc_canonical_form(a, b):
     assert p.num * a.den * b.den == a.num * b.num * p.den
     results = [a, b, s, p, a - b]
     if not b.is_zero():
-        results.append(a / b)
+        results.append(a * b.inverse())
     for r in results:
         assert_canonical(r)
 
@@ -245,7 +247,7 @@ def test_ratfunc_product_is_the_normalized_quotient(pair):
     # still the canonical form of (a.num b.num) / (a.den b.den)
     for a, b in (pair, pair[::-1]):
         p = a * b
-        assert p == qarith.rf_normalize(a.num * b.num, a.den * b.den)
+        assert p == RatFunc(a.num * b.num, a.den * b.den)
         assert_canonical(p)
 
 
@@ -295,31 +297,11 @@ def test_gcd_of_a_planted_common_factor(g, p, q, s, t, k):
 
 
 @PROPS
-@given(FACTORS, FACTORS, FACTORS, STRIDES, STRIDES, st.integers(-3, 3))
-def test_gcd_fallback_agrees_with_the_heuristic(g, p, q, s, t, k):
-    a, b = planted(g, p, q, s, t, k)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qarith, "_heu_gcd", lambda *args: None)
-        fallback = poly_gcd(a, b)
-    assert fallback == poly_gcd(a, b)
-    assert_gcd_triple(a, b, fallback, oracle_gcd(a, b))
-
-
-@PROPS
 @given(st.integers(-5, 5), NONZERO_INTS, FACTORS, STRIDES)
 def test_gcd_with_a_single_term_operand_is_one(exp, coeff, p, s):
     mono, p = LaurentPoly.monomial(exp, coeff), strided(p, s)
     assert poly_gcd(mono, p) == (ONE, mono, p)
     assert poly_gcd(p, mono) == (ONE, p, mono)
-
-
-@PROPS
-@given(FACTORS, STRIDES)
-def test_gcd_with_zero_is_the_primitive_other_operand(p, s):
-    p = strided(p, s)
-    zero = LaurentPoly()
-    for a, b in ((zero, p), (p, zero)):
-        assert_gcd_triple(a, b, poly_gcd(a, b), oracle_gcd(p, p))
 
 
 @pytest.mark.parametrize("a, b, g", [
@@ -337,9 +319,6 @@ def test_gcd_with_zero_is_the_primitive_other_operand(p, s):
 def test_gcd_across_strides(a, b, g):
     a, b = LaurentPoly(a), LaurentPoly(b)
     assert_gcd_triple(a, b, poly_gcd(a, b), LaurentPoly(g))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qarith, "_heu_gcd", lambda *args: None)
-        assert_gcd_triple(a, b, poly_gcd(a, b), LaurentPoly(g))
 
 
 def lp(*coeffs) -> LaurentPoly:
@@ -354,16 +333,40 @@ def test_gcd_candidate_that_does_not_divide_is_rejected():
     assert qarith._heu_gcd(a, b, 1, [1, 0, 1], [6, 1]) == (ONE, a, b)
 
 
-def test_gcd_candidate_is_made_primitive(monkeypatch):
+def test_gcd_candidate_is_made_primitive():
     # the cofactors (v+1)(v+2) and (v+3)(v+4) are even at every integer, so
     # every evaluated gcd carries a spurious integer content
-    def no_fallback(fa, fb):
-        raise AssertionError("the pseudo-remainder fallback ran")
-
-    monkeypatch.setattr(qarith, "_prs_gcd", no_fallback)
     g = lp(2, 0, 1)
     a, b = g * lp(1, 1) * lp(2, 1), g * lp(3, 1) * lp(4, 1)
     assert poly_gcd(a.shift(-3), b.shift(2))[0] == g
+
+
+@pytest.mark.parametrize("a, b, points", [
+    # drawn by the qarith suite: over its seeds 0 to 39, the one gcd of 47,811
+    # that needs four evaluation points, and one of the 22 that need three
+    ({1: 27, 3: -18, 4: -90, 5: -9, 6: 75, 7: 36, 8: 69, 9: -12, 10: -90, 11: -192, 12: 78,
+      13: -30, 14: 67, 15: 12, 16: 30, 17: -211, 18: -36}, {0: -1, 3: -1, 7: 4}, 4),
+    ({2: -5, 6: 3}, {0: 5, 2: -1, 3: 6}, 3),
+])
+def test_gcd_that_needs_several_evaluation_points(monkeypatch, a, b, points):
+    horner, seen = qarith._horner, set()
+
+    def watched(f, x):
+        seen.add(x)
+        return horner(f, x)
+
+    monkeypatch.setattr(qarith, "_horner", watched)
+    a, b = LaurentPoly(a), LaurentPoly(b)
+    g, ca, cb = triple = poly_gcd(a, b)
+    assert len(seen) == points
+    assert_gcd_triple(a, b, triple, oracle_gcd(a, b))
+    v = sympy.Symbol("v")
+
+    def expr(p):
+        return sum(c * v**k for k, c in p.items())
+
+    for p, cofactor in ((a, ca), (b, cb)):
+        assert sympy.cancel(expr(p) / expr(g) - expr(cofactor)) == 0
 
 
 POINTS = st.one_of(
@@ -389,7 +392,7 @@ def test_evaluate_is_the_fraction_sum(a, b, x, s):
     if b.is_zero():
         return
     # the rational value (a / da) / (b / db)
-    f = RatFunc(a * db, b * da)
+    f = RatFunc(a * LaurentPoly({0: db}), b * LaurentPoly({0: da}))
     den = fraction_sum(f.den, x)
     if den == 0:
         with pytest.raises(ZeroDivisionError, match="denominator vanishes"):

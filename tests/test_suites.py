@@ -108,6 +108,24 @@ def test_an_interrupted_pool_map_kills_and_reaps_its_workers(two_cpus, pool_size
     assert pool_sizes == [2]
 
 
+def test_pool_map_reports_a_failing_worker_before_a_busy_one_finishes(two_cpus, pool_sizes):
+    # the worker that draws item 0 is busy for 2 s; the other raises at once
+    def work(k):
+        if k == 1:
+            raise ValueError("bad item 1")
+        time.sleep(2)
+        return k
+
+    for _ in range(3):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="^bad item 1$"):
+            suites.pool_map(work, range(2), 2)
+        assert time.perf_counter() - started < 0.5
+    assert pool_sizes == [2, 2, 2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_map_sends_what_cannot_cross_as_an_error(two_cpus, pool_sizes):
     with pytest.raises(RuntimeError, match=r"^RebuildFails\('3/4'\)$"):
         suites.pool_map(lambda k: raise_(RebuildFails(3, 4)), range(4), 2)
@@ -476,13 +494,9 @@ def test_a_planted_c2_fault_fails_every_check_of_n2_with_its_entry(monkeypatch):
         assert f"row {row}, column {col}" in rec["witness"]["error"]
 
 
-def test_conjecture_gcds_need_no_fallback(monkeypatch):
-    # every gcd of a module computation is found by the heuristic gcd; the
-    # pseudo-remainder sequence is kept only as a fallback
-    def no_fallback(fa, fb):
-        raise AssertionError("the pseudo-remainder fallback ran")
-
-    monkeypatch.setattr(qarith, "_prs_gcd", no_fallback)
+def test_conjecture_gcds_need_no_fallback():
+    # every gcd of a module computation is found by the heuristic gcd, the
+    # one gcd algorithm
     result = suites.conjecture_task((3, 3))
     assert [c["status"] for c in result["checks"]] == ["pass"] * 4
 
